@@ -374,8 +374,8 @@ Status ClusterClient::Query(const std::string& table,
       // rows in scan (descending) order.
       std::reverse(part.rows.begin(), part.rows.end());
     }
-    cursors.push_back(std::make_unique<VectorCursor>(std::move(part.rows),
-                                                     bounds.direction));
+    cursors.push_back(std::make_unique<VectorCursor>(
+        schema.get(), std::move(part.rows), bounds.direction));
   }
   MergingCursor merge(schema.get(), std::move(cursors), bounds.direction);
   while (merge.Valid()) {
@@ -383,7 +383,7 @@ Status ClusterClient::Query(const std::string& table,
       result->more_available = true;
       return Status::OK();
     }
-    result->rows.push_back(merge.row());
+    merge.MaterializeRow(&result->rows.emplace_back());
     LT_RETURN_IF_ERROR(merge.Next());
   }
   LT_RETURN_IF_ERROR(merge.status());

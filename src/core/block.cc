@@ -1,5 +1,7 @@
 #include "core/block.h"
 
+#include <cassert>
+
 #include "util/coding.h"
 #include "util/crc32c.h"
 #include "util/lzmini.h"
@@ -15,6 +17,43 @@ constexpr uint32_t kMaxBlockRows = 1u << 22;
 constexpr uint32_t kMaxBlockColumns = 1u << 12;
 constexpr uint32_t kMaxChunkRawLen = 1u << 26;
 
+ColumnValues::Arm ArmFor(ColumnType t) {
+  switch (t) {
+    case ColumnType::kInt32:
+    case ColumnType::kInt64:
+    case ColumnType::kTimestamp:
+      return ColumnValues::Arm::kInt;
+    case ColumnType::kDouble:
+      return ColumnValues::Arm::kDouble;
+    case ColumnType::kString:
+    case ColumnType::kBlob:
+      return ColumnValues::Arm::kBytes;
+  }
+  return ColumnValues::Arm::kNone;
+}
+
+// Row i of a validated key column as a cell: key columns are integers or
+// bytes, never doubles.
+KeyCell KeyCellAt(const ColumnValues& col, size_t i) {
+  KeyCell cell;
+  if (col.arm == ColumnValues::Arm::kBytes) {
+    cell.s = Slice(col.strs[i]);
+  } else {
+    cell.i = col.ints[i];
+  }
+  return cell;
+}
+
+// Appends a decoded cell to its column; `v` matches the column's arm.
+void AppendCell(const Value& v, ColumnValues* col) {
+  switch (col->arm) {
+    case ColumnValues::Arm::kInt: col->ints.push_back(v.AsInt()); break;
+    case ColumnValues::Arm::kDouble: col->dbls.push_back(v.dbl()); break;
+    case ColumnValues::Arm::kBytes: col->strs.push_back(v.bytes()); break;
+    case ColumnValues::Arm::kNone: break;
+  }
+}
+
 }  // namespace
 
 void BlockBuilder::Add(const Row& row) {
@@ -26,38 +65,10 @@ void BlockBuilder::Add(const Row& row) {
   if (cols_.empty()) {
     cols_.resize(schema_->num_columns());
     for (size_t c = 0; c < cols_.size(); c++) {
-      switch (schema_->columns()[c].type) {
-        case ColumnType::kInt32:
-        case ColumnType::kInt64:
-        case ColumnType::kTimestamp:
-          cols_[c].arm = ColumnValues::Arm::kInt;
-          break;
-        case ColumnType::kDouble:
-          cols_[c].arm = ColumnValues::Arm::kDouble;
-          break;
-        case ColumnType::kString:
-        case ColumnType::kBlob:
-          cols_[c].arm = ColumnValues::Arm::kBytes;
-          break;
-      }
+      cols_[c].arm = ArmFor(schema_->columns()[c].type);
     }
   }
-  for (size_t c = 0; c < cols_.size(); c++) {
-    const Value& v = row[c];
-    switch (cols_[c].arm) {
-      case ColumnValues::Arm::kInt:
-        cols_[c].ints.push_back(v.AsInt());
-        break;
-      case ColumnValues::Arm::kDouble:
-        cols_[c].dbls.push_back(v.dbl());
-        break;
-      case ColumnValues::Arm::kBytes:
-        cols_[c].strs.push_back(v.bytes());
-        break;
-      case ColumnValues::Arm::kNone:
-        break;
-    }
-  }
+  for (size_t c = 0; c < cols_.size(); c++) AppendCell(row[c], &cols_[c]);
 }
 
 std::string BlockBuilder::Finish() {
@@ -131,24 +142,52 @@ std::string BlockBuilder::FinishColumnar() {
   return image;
 }
 
-Status BlockContents::Parse(std::string in, BlockContents* out) {
+Status BlockContents::Parse(const Schema& schema, std::string in,
+                            BlockContents* out) {
   if (in.size() < 4) return Status::Corruption("block too small");
   uint32_t count = DecodeFixed32(in.data() + in.size() - 4);
   uint64_t trailer = 4ull + 4ull * count;
   if (trailer > in.size()) {
     return Status::Corruption("block row count exceeds payload");
   }
-  out->payload = std::move(in);
-  out->data_end = out->payload.size() - trailer;
-  out->offsets.resize(count);
-  const char* p = out->payload.data() + out->data_end;
-  for (uint32_t i = 0; i < count; i++) {
-    out->offsets[i] = DecodeFixed32(p + 4ull * i);
-    if (out->offsets[i] > out->data_end ||
-        (i > 0 && out->offsets[i] < out->offsets[i - 1])) {
-      return Status::Corruption("block offsets not monotone");
+  const size_t data_end = in.size() - trailer;
+  const char* offsets = in.data() + data_end;
+  const size_t ncols = schema.num_columns();
+  auto lazy = std::make_unique<LazyCol[]>(ncols);
+  for (size_t c = 0; c < ncols; c++) {
+    ColumnValues& col = lazy[c].values;
+    col.arm = ArmFor(schema.columns()[c].type);
+    switch (col.arm) {
+      case ColumnValues::Arm::kInt: col.ints.reserve(count); break;
+      case ColumnValues::Arm::kDouble: col.dbls.reserve(count); break;
+      case ColumnValues::Arm::kBytes: col.strs.reserve(count); break;
+      case ColumnValues::Arm::kNone: break;
     }
   }
+  // Transpose: each row's cells, in schema order, onto the column ends.
+  for (uint32_t i = 0; i < count; i++) {
+    uint32_t start = DecodeFixed32(offsets + 4ull * i);
+    uint32_t end = i + 1 < count ? DecodeFixed32(offsets + 4ull * (i + 1))
+                                 : static_cast<uint32_t>(data_end);
+    if (start > end || end > data_end) {
+      return Status::Corruption("block offsets not monotone");
+    }
+    Slice row(in.data() + start, end - start);
+    for (size_t c = 0; c < ncols; c++) {
+      Value v;
+      LT_RETURN_IF_ERROR(DecodeValue(&row, schema.columns()[c].type, &v));
+      AppendCell(v, &lazy[c].values);
+    }
+  }
+  size_t mem = sizeof(*out) + ncols * sizeof(LazyCol);
+  for (size_t c = 0; c < ncols; c++) {
+    lazy[c].state.store(1, std::memory_order_relaxed);
+    mem += lazy[c].values.ApproximateMemoryUsage();
+  }
+  out->rows_ = count;
+  out->columns_ = static_cast<uint32_t>(ncols);
+  out->lazy_ = std::move(lazy);
+  out->approx_mem_ = mem;
   return Status::OK();
 }
 
@@ -206,7 +245,8 @@ Status BlockContents::ParseColumnar(std::string image, BlockContents* out) {
   }
   out->payload = std::move(image);
   out->columnar = true;
-  out->columnar_rows = nrows;
+  out->rows_ = nrows;
+  out->columns_ = ncols;
   out->chunks = std::move(chunks);
   out->lazy_ = std::make_unique<LazyCol[]>(ncols);
   out->approx_mem_ = sizeof(*out) + out->payload.capacity() +
@@ -217,9 +257,7 @@ Status BlockContents::ParseColumnar(std::string image, BlockContents* out) {
 
 Status BlockContents::EnsureColumn(size_t c, bool* did_decode) const {
   if (did_decode) *did_decode = false;
-  if (!columnar || c >= chunks.size()) {
-    return Status::InvalidArgument("not a columnar block column");
-  }
+  if (c >= columns_) return Status::InvalidArgument("no such block column");
   LazyCol& lc = lazy_[c];
   int state = lc.state.load(std::memory_order_acquire);
   if (state == 1) return Status::OK();
@@ -243,7 +281,7 @@ Status BlockContents::EnsureColumn(size_t c, bool* did_decode) const {
   }
   if (s.ok()) {
     s = DecodeChunk(raw, static_cast<ChunkEncoding>(ref.encoding),
-                    columnar_rows, &lc.values);
+                    rows_, &lc.values);
   }
   if (s.ok()) {
     if (did_decode) *did_decode = true;
@@ -255,16 +293,11 @@ Status BlockContents::EnsureColumn(size_t c, bool* did_decode) const {
   return s;
 }
 
-size_t BlockContents::ApproximateMemoryUsage() const {
-  if (columnar) return approx_mem_;
-  return sizeof(*this) + payload.capacity() +
-         offsets.capacity() * sizeof(uint32_t);
-}
-
 Status BlockReader::Parse(const Schema* schema, std::string payload,
                           BlockReader* out) {
   auto contents = std::make_shared<BlockContents>();
-  LT_RETURN_IF_ERROR(BlockContents::Parse(std::move(payload), contents.get()));
+  LT_RETURN_IF_ERROR(
+      BlockContents::Parse(*schema, std::move(payload), contents.get()));
   out->Reset(schema, std::move(contents));
   return Status::OK();
 }
@@ -284,127 +317,134 @@ Status BlockReader::EnsureColumn(size_t c) const {
   if (did_decode && stats_) {
     stats_->column_chunks_decoded.fetch_add(1, std::memory_order_relaxed);
   }
+  const ColumnValues& col = contents_->column(c);
+  if (col.size() != contents_->num_rows()) {
+    return Status::Corruption("chunk row count mismatch");
+  }
+  const ColumnType type = schema_->columns()[c].type;
+  if (col.arm != ArmFor(type)) {
+    return Status::Corruption("chunk encoding does not match column type");
+  }
+  if (type == ColumnType::kInt32) {
+    for (int64_t v : col.ints) {
+      if (v < INT32_MIN || v > INT32_MAX) {
+        return Status::Corruption("int32 cell out of range");
+      }
+    }
+  }
   return Status::OK();
 }
 
-Status BlockReader::MaterializeValue(size_t c, size_t i, Value* out) const {
-  const ColumnValues& col = contents_->column(c);
-  if (i >= col.size()) return Status::Corruption("chunk row count mismatch");
-  ColumnType type = schema_->columns()[c].type;
-  switch (col.arm) {
-    case ColumnValues::Arm::kInt: {
-      int64_t v = col.ints[i];
-      if (type == ColumnType::kInt32) {
-        if (v < INT32_MIN || v > INT32_MAX) {
-          return Status::Corruption("int32 cell out of range");
-        }
-        *out = Value::Int32(static_cast<int32_t>(v));
-        return Status::OK();
-      }
-      if (type == ColumnType::kInt64) {
-        *out = Value::Int64(v);
-        return Status::OK();
-      }
-      if (type == ColumnType::kTimestamp) {
-        *out = Value::Ts(v);
-        return Status::OK();
-      }
-      break;
-    }
-    case ColumnValues::Arm::kDouble:
-      if (type == ColumnType::kDouble) {
-        *out = Value::Double(col.dbls[i]);
-        return Status::OK();
-      }
-      break;
-    case ColumnValues::Arm::kBytes:
-      if (type == ColumnType::kString) {
-        *out = Value::String(col.strs[i]);
-        return Status::OK();
-      }
-      if (type == ColumnType::kBlob) {
-        *out = Value::Blob(col.strs[i]);
-        return Status::OK();
-      }
-      break;
-    case ColumnValues::Arm::kNone:
-      break;
-  }
-  return Status::Corruption("chunk encoding does not match column type");
-}
-
-Status BlockReader::RowAt(size_t i, Row* out) const {
-  if (!contents_ || i >= contents_->num_rows()) {
-    return Status::InvalidArgument("row index");
-  }
-  const BlockContents& c = *contents_;
-  if (!c.columnar) {
-    size_t end = i + 1 < c.offsets.size() ? c.offsets[i + 1] : c.data_end;
-    Slice in(c.payload.data() + c.offsets[i], end - c.offsets[i]);
-    return DecodeRow(&in, *schema_, out);
-  }
-  if (c.num_columns() != schema_->num_columns()) {
+Status BlockReader::Prepare() {
+  const size_t ncols = schema_->num_columns();
+  if (!contents_ || contents_->num_columns() != ncols) {
     return Status::Corruption("chunk count does not match schema");
   }
-  out->clear();
-  out->reserve(c.num_columns());
-  for (size_t col = 0; col < c.num_columns(); col++) {
-    if (needed_ && !(*needed_)[col]) {
-      out->push_back(schema_->columns()[col].default_value);
-      continue;
-    }
-    LT_RETURN_IF_ERROR(EnsureColumn(col));
-    Value v;
-    LT_RETURN_IF_ERROR(MaterializeValue(col, i, &v));
-    out->push_back(std::move(v));
+  // The hint applies to columnar blocks only: row-wise blocks were decoded
+  // whole at Parse, and keep serving their real cells.
+  const bool project = needed_ != nullptr && contents_->columnar;
+  cols_.assign(ncols, nullptr);
+  for (size_t c = 0; c < ncols; c++) {
+    if (project && !(*needed_)[c]) continue;
+    LT_RETURN_IF_ERROR(EnsureColumn(c));
+    cols_[c] = &contents_->column(c);
   }
+  prepared_ = true;
   return Status::OK();
 }
 
-Status BlockReader::KeyCompareAt(size_t i, const Key& prefix, int* cmp) const {
-  const BlockContents& bc = *contents_;
-  *cmp = 0;
-  if (bc.columnar) {
-    if (bc.num_columns() != schema_->num_columns()) {
-      return Status::Corruption("chunk count does not match schema");
+void BlockReader::KeyAt(size_t i, KeyCell* out) const {
+  assert(prepared_ && i < num_rows());
+  for (size_t c = 0; c < schema_->num_key_columns(); c++) {
+    out[c] = KeyCellAt(*cols_[c], i);
+  }
+}
+
+void BlockReader::AppendEncodedAt(size_t i, std::string* dst) const {
+  assert(prepared_ && i < num_rows());
+  for (size_t c = 0; c < cols_.size(); c++) {
+    const ColumnValues* col = cols_[c];
+    if (col == nullptr) {
+      const Column& def = schema_->columns()[c];
+      EncodeValue(dst, def.default_value, def.type);
+      continue;
     }
-    // Only the compared key columns are materialized — a binary search
-    // touches no value chunks.
-    for (size_t c = 0; c < prefix.size() && c < schema_->num_key_columns();
-         c++) {
-      LT_RETURN_IF_ERROR(EnsureColumn(c));
-      Value v;
-      LT_RETURN_IF_ERROR(MaterializeValue(c, i, &v));
-      int r = v.Compare(prefix[c]);
-      if (r != 0) {
-        *cmp = r;
-        return Status::OK();
+    // Prepare matched every arm to its declared type, so each arm encodes
+    // exactly as EncodeValue would (int32 and int64 share zigzag varints).
+    switch (col->arm) {
+      case ColumnValues::Arm::kInt:
+        PutVarint64(dst, ZigZagEncode(col->ints[i]));
+        break;
+      case ColumnValues::Arm::kDouble: {
+        uint64_t bits;
+        __builtin_memcpy(&bits, &col->dbls[i], 8);
+        PutFixed64(dst, bits);
+        break;
       }
-    }
-    return Status::OK();
-  }
-  // Key columns lead the row encoding, so we decode only them.
-  size_t end = i + 1 < bc.offsets.size() ? bc.offsets[i + 1] : bc.data_end;
-  Slice in(bc.payload.data() + bc.offsets[i], end - bc.offsets[i]);
-  for (size_t c = 0; c < prefix.size() && c < schema_->num_key_columns(); c++) {
-    Value v;
-    LT_RETURN_IF_ERROR(DecodeValue(&in, schema_->columns()[c].type, &v));
-    int r = v.Compare(prefix[c]);
-    if (r != 0) {
-      *cmp = r;
-      return Status::OK();
+      case ColumnValues::Arm::kBytes:
+        PutLengthPrefixedSlice(dst, col->strs[i]);
+        break;
+      case ColumnValues::Arm::kNone:
+        break;
     }
   }
-  return Status::OK();
+}
+
+void BlockReader::RowAt(size_t i, Row* out) const {
+  assert(prepared_ && i < num_rows());
+  out->clear();
+  out->reserve(cols_.size());
+  for (size_t c = 0; c < cols_.size(); c++) {
+    const ColumnValues* col = cols_[c];
+    const Column& def = schema_->columns()[c];
+    if (col == nullptr) {
+      out->push_back(def.default_value);
+      continue;
+    }
+    switch (def.type) {
+      case ColumnType::kInt32:
+        out->push_back(Value::Int32(static_cast<int32_t>(col->ints[i])));
+        break;
+      case ColumnType::kInt64:
+        out->push_back(Value::Int64(col->ints[i]));
+        break;
+      case ColumnType::kTimestamp:
+        out->push_back(Value::Ts(col->ints[i]));
+        break;
+      case ColumnType::kDouble:
+        out->push_back(Value::Double(col->dbls[i]));
+        break;
+      case ColumnType::kString:
+        out->push_back(Value::String(col->strs[i]));
+        break;
+      case ColumnType::kBlob:
+        out->push_back(Value::Blob(col->strs[i]));
+        break;
+    }
+  }
 }
 
 Status BlockReader::SeekFirst(const Key& prefix, bool or_equal,
                               size_t* index) const {
+  if (!contents_ || contents_->num_columns() != schema_->num_columns()) {
+    return Status::Corruption("chunk count does not match schema");
+  }
+  KeyOrder order(*schema_);
+  std::vector<KeyCell> bound;
+  order.CellsOf(prefix, &bound);
+  // Only the compared key columns are ensured — a binary search touches no
+  // value chunks.
+  std::vector<const ColumnValues*> keys(bound.size());
+  for (size_t c = 0; c < bound.size(); c++) {
+    LT_RETURN_IF_ERROR(EnsureColumn(c));
+    keys[c] = &contents_->column(c);
+  }
+  std::vector<KeyCell> row(bound.size());
   size_t lo = 0, hi = num_rows();
   while (lo < hi) {
     size_t mid = lo + (hi - lo) / 2;
-    int cmp;
-    LT_RETURN_IF_ERROR(KeyCompareAt(mid, prefix, &cmp));
+    for (size_t c = 0; c < keys.size(); c++) row[c] = KeyCellAt(*keys[c], mid);
+    int cmp = order.Compare(row.data(), bound.data(), bound.size());
     bool before = or_equal ? cmp < 0 : cmp <= 0;
     if (before) {
       lo = mid + 1;
@@ -426,15 +466,17 @@ std::string StoreBlock(const std::string& payload) {
   return out;
 }
 
-Status LoadBlock(const Slice& stored, std::string* payload) {
+Status LoadBlock(const Slice& stored, std::string* payload,
+                 bool verify_checksum) {
   Slice in = stored;
   uint32_t masked;
   if (!GetFixed32(&in, &masked)) {
     return Status::Corruption("block frame too small");
   }
-  uint32_t expect = crc32c::Unmask(masked);
-  uint32_t actual = crc32c::Value(in.data(), in.size());
-  if (expect != actual) return Status::Corruption("block checksum mismatch");
+  if (verify_checksum &&
+      crc32c::Unmask(masked) != crc32c::Value(in.data(), in.size())) {
+    return Status::Corruption("block checksum mismatch");
+  }
   payload->clear();
   return lzmini::Decompress(in, payload);
 }
@@ -446,13 +488,15 @@ std::string StoreBlockV2(const std::string& image) {
   return out;
 }
 
-Status LoadBlockV2(const Slice& stored, std::string* image) {
+Status LoadBlockV2(const Slice& stored, std::string* image,
+                   bool verify_checksum) {
   Slice in = stored;
   uint32_t masked;
   if (!GetFixed32(&in, &masked)) {
     return Status::Corruption("block frame too small");
   }
-  if (crc32c::Unmask(masked) != crc32c::Value(in.data(), in.size())) {
+  if (verify_checksum &&
+      crc32c::Unmask(masked) != crc32c::Value(in.data(), in.size())) {
     return Status::Corruption("block checksum mismatch");
   }
   image->assign(in.data(), in.size());

@@ -49,6 +49,7 @@
 
 #include "core/bounds.h"
 #include "core/column_codec.h"
+#include "core/cursor.h"
 #include "core/row_codec.h"
 #include "core/schema.h"
 #include "core/stats.h"
@@ -96,22 +97,19 @@ class BlockBuilder {
   uint64_t bytes_compressed_ = 0;
 };
 
-/// A verified block payload — schema-free, so one BlockContents can be
-/// shared (via the block cache) by every cursor reading the block, and can
-/// outlive the TabletReader that produced it.
+/// A verified block, as decoded columns — schema-free once parsed, so one
+/// BlockContents can be shared (via the block cache) by every cursor reading
+/// the block, and can outlive the TabletReader that produced it.
 ///
-/// Row-wise blocks are fully decoded at Parse. Columnar blocks keep the
-/// image and materialize one column per EnsureColumn call — thread-safe
-/// (double-checked atomics under a decode mutex), with sticky errors, so
-/// concurrent cursors sharing a cached block each pay at most one decode
-/// per column. Not movable once parsed; always heap-allocate and share.
+/// Both layouts end up in the same column view. Row-wise blocks (formats
+/// 0/1) are transposed into columns once, at Parse — their cells are not
+/// self-describing, so Parse takes the tablet schema. Columnar blocks keep
+/// the image and materialize one column per EnsureColumn call —
+/// thread-safe (double-checked atomics under a decode mutex), with sticky
+/// errors, so concurrent cursors sharing a cached block each pay at most
+/// one decode per column. Not movable once parsed; always heap-allocate and
+/// share.
 struct BlockContents {
-  // ---- Row-wise state (tablet formats 0/1). ----
-  std::string payload;            // Row payload, or the columnar image.
-  std::vector<uint32_t> offsets;  // Start offset of each row in payload.
-  size_t data_end = 0;            // Payload bytes before the offset trailer.
-
-  // ---- Columnar state (tablet format 2). ----
   struct ChunkRef {
     uint8_t encoding;     // ChunkEncoding byte (validated).
     uint8_t compression;  // 0 = raw, 1 = lzmini.
@@ -119,23 +117,27 @@ struct BlockContents {
     uint32_t stored_len;
     uint32_t raw_len;
   };
-  bool columnar = false;
-  uint32_t columnar_rows = 0;
+  // ---- Columnar state (tablet format 2). ----
+  std::string payload;  // The columnar image (empty for row-wise blocks).
   std::vector<ChunkRef> chunks;
+  bool columnar = false;
 
-  /// Validates the trailer structure and indexes the rows (row-wise).
-  static Status Parse(std::string payload, BlockContents* out);
+  /// Validates the row-wise trailer and decodes every row into columns
+  /// typed by `schema` (the tablet's). Any malformed cell is Corruption.
+  static Status Parse(const Schema& schema, std::string payload,
+                      BlockContents* out);
 
   /// Validates a columnar image's chunk directory (bounds, encoding bytes,
   /// markers, exact coverage of the image) without decoding any chunk.
   static Status ParseColumnar(std::string image, BlockContents* out);
 
-  size_t num_rows() const { return columnar ? columnar_rows : offsets.size(); }
-  size_t num_columns() const { return chunks.size(); }
+  size_t num_rows() const { return rows_; }
+  size_t num_columns() const { return columns_; }
 
   /// Decompresses and decodes column `c` if this is the first touch;
   /// `*did_decode` (optional) reports whether this call did the work.
   /// Errors are sticky: a corrupt chunk fails every caller identically.
+  /// Row-wise columns are decoded at Parse, so this never decodes them.
   Status EnsureColumn(size_t c, bool* did_decode = nullptr) const;
 
   /// The decoded values of column `c`. Only valid after EnsureColumn(c)
@@ -145,7 +147,7 @@ struct BlockContents {
   /// Heap footprint, the block-cache charge for this entry. For columnar
   /// blocks this is a stable upper bound that includes every chunk fully
   /// materialized, so lazy decodes never grow an entry past its charge.
-  size_t ApproximateMemoryUsage() const;
+  size_t ApproximateMemoryUsage() const { return approx_mem_; }
 
  private:
   struct LazyCol {
@@ -154,16 +156,23 @@ struct BlockContents {
     ColumnValues values;
     Status error;
   };
+  uint32_t rows_ = 0;
+  uint32_t columns_ = 0;
   // Array (not vector): atomics are neither movable nor copyable.
   std::unique_ptr<LazyCol[]> lazy_;
   mutable std::mutex decode_mu_;
-  size_t approx_mem_ = 0;  // Columnar: fixed at Parse (see above).
+  size_t approx_mem_ = 0;  // Fixed at Parse (see above).
 };
 
-/// Row access and in-block binary search over a (possibly shared)
-/// BlockContents, interpreted under a schema. Copyable: copies share the
-/// contents. The shared_ptr's deleter is how cache-resident blocks stay
-/// pinned while a cursor is positioned in them.
+/// Positional row access and in-block binary search over a (possibly
+/// shared) BlockContents, interpreted under the tablet schema. Copyable:
+/// copies share the contents. The shared_ptr's deleter is how cache-resident
+/// blocks stay pinned while a cursor is positioned in them.
+///
+/// Rows are read in place from the decoded columns. Prepare() ensures the
+/// needed columns once per block load and validates each against the
+/// schema — chunk count, row count, chunk arm vs declared type, int32 range
+/// — so the per-row accessors below index the column arrays without checks.
 class BlockReader {
  public:
   /// Parses `payload` (row-wise) into freshly owned contents.
@@ -176,21 +185,23 @@ class BlockReader {
 
   /// Points this reader at already-parsed contents (cache hits). `stats`
   /// (optional) receives column_chunks_decoded increments for lazy decodes
-  /// this reader triggers; it must outlive the reader.
+  /// this reader triggers; it must outlive the reader. The reader must be
+  /// prepared again before row access.
   void Reset(const Schema* schema,
              std::shared_ptr<const BlockContents> contents,
              TableStats* stats = nullptr) {
     schema_ = schema;
     contents_ = std::move(contents);
     stats_ = stats;
+    prepared_ = false;
   }
 
   /// Projection hint for columnar blocks: `needed` has one entry per schema
-  /// column; rows materialize false entries as the column's default value
-  /// without ever decoding the chunk. Key columns must be marked needed
-  /// (seeks and merge ordering decode them regardless). Null (the default)
-  /// materializes every column. Row-wise blocks decode whole rows and
-  /// ignore the hint. The pointer must outlive the reader.
+  /// column; rows read false entries as the column's default value without
+  /// ever decoding the chunk. Key columns must be marked needed (seeks and
+  /// merge ordering read them regardless). Null (the default) reads every
+  /// column. Row-wise blocks are decoded whole at Parse and ignore the
+  /// hint. The pointer must outlive the reader.
   void set_needed_columns(const std::vector<char>* needed) {
     needed_ = needed;
   }
@@ -199,39 +210,57 @@ class BlockReader {
   bool columnar() const { return contents_ && contents_->columnar; }
   const BlockContents* contents() const { return contents_.get(); }
 
-  /// Decodes row i (rows are indexed in ascending key order).
-  Status RowAt(size_t i, Row* out) const;
+  /// Ensures and validates every needed column. Row access requires it to
+  /// have returned OK since the last Reset.
+  Status Prepare();
+  bool prepared() const { return prepared_; }
+
+  // Row i (rows are indexed in ascending key order); each requires
+  // Prepare() and i < num_rows().
+
+  /// The row's key cells, one per key column.
+  void KeyAt(size_t i, KeyCell* out) const;
+  /// Appends the row's encoding under the block's schema (EncodeRow bytes).
+  void AppendEncodedAt(size_t i, std::string* dst) const;
+  /// Builds the row as Values under the block's schema.
+  void RowAt(size_t i, Row* out) const;
 
   /// Index of the first row whose key-vs-prefix comparison is >= 0
   /// (`or_equal`) or > 0 (!`or_equal`); returns num_rows() if none.
-  /// Used to position cursors at a query's minimum key bound.
+  /// Used to position cursors at a query's minimum key bound. Touches only
+  /// the compared key columns; needs no Prepare.
   Status SeekFirst(const Key& prefix, bool or_equal, size_t* index) const;
 
  private:
-  Status KeyCompareAt(size_t i, const Key& prefix, int* cmp) const;
+  /// Ensures column `c` and validates it against its declared type.
   Status EnsureColumn(size_t c) const;
-  /// Maps the decoded chunk arm to a typed cell of column `c` at row `i`.
-  /// The column must be ensured. Arm/type mismatch is Corruption.
-  Status MaterializeValue(size_t c, size_t i, Value* out) const;
 
   const Schema* schema_ = nullptr;
   std::shared_ptr<const BlockContents> contents_;
   TableStats* stats_ = nullptr;
   const std::vector<char>* needed_ = nullptr;
+  // Set by Prepare: per column, its values, or null when the projection
+  // skips it.
+  std::vector<const ColumnValues*> cols_;
+  bool prepared_ = false;
 };
 
 /// Compresses and frames a row-wise block payload (CRC + lzmini).
 std::string StoreBlock(const std::string& payload);
 
-/// Reverses StoreBlock; verifies the checksum.
-Status LoadBlock(const Slice& stored, std::string* payload);
+/// Reverses StoreBlock. Verifies the in-frame checksum unless
+/// `verify_checksum` is false — tablet formats >= 1 already checked a CRC
+/// over the whole stored frame, this checksum included.
+Status LoadBlock(const Slice& stored, std::string* payload,
+                 bool verify_checksum = true);
 
 /// Frames a columnar image (CRC + image; chunks are already individually
 /// compressed, so no whole-block pass).
 std::string StoreBlockV2(const std::string& image);
 
-/// Reverses StoreBlockV2; verifies the checksum.
-Status LoadBlockV2(const Slice& stored, std::string* image);
+/// Reverses StoreBlockV2; checksum verification as for LoadBlock.
+Status LoadBlockV2(const Slice& stored, std::string* image,
+                   bool verify_checksum = true);
 
 }  // namespace lt
 

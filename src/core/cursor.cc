@@ -1,31 +1,87 @@
 #include "core/cursor.h"
 
+#include <algorithm>
 #include <utility>
 
+#include "core/row_codec.h"
+
 namespace lt {
+
+namespace {
+
+// A key Value as a cell. Key columns are never doubles; a double (from a
+// malformed caller-supplied prefix) reads as 0.
+KeyCell CellOf(const Value& v) {
+  KeyCell cell;
+  if (v.is_bytes()) {
+    cell.s = Slice(v.bytes());
+  } else if (!v.is_double()) {
+    cell.i = v.AsInt();
+  }
+  return cell;
+}
+
+}  // namespace
+
+KeyOrder::KeyOrder(const Schema& schema) {
+  bytes_.reserve(schema.num_key_columns());
+  for (size_t c = 0; c < schema.num_key_columns(); c++) {
+    ColumnType t = schema.columns()[c].type;
+    bytes_.push_back(t == ColumnType::kString || t == ColumnType::kBlob);
+  }
+}
+
+void KeyOrder::CellsOf(const Key& key, std::vector<KeyCell>* out) const {
+  const size_t n = std::min(key.size(), bytes_.size());
+  out->clear();
+  for (size_t c = 0; c < n; c++) out->push_back(CellOf(key[c]));
+}
+
+VectorCursor::VectorCursor(const Schema* schema, std::vector<Row> rows,
+                           Direction direction)
+    : schema_(schema),
+      rows_(std::move(rows)),
+      direction_(direction),
+      key_(schema->num_key_columns()) {
+  pos_ = direction_ == Direction::kAscending
+             ? 0
+             : static_cast<int64_t>(rows_.size()) - 1;
+  LoadKey();
+}
+
+void VectorCursor::LoadKey() {
+  if (!Valid()) return;
+  const Row& row = current();
+  for (size_t c = 0; c < key_.size(); c++) key_[c] = CellOf(row[c]);
+}
+
+void VectorCursor::AppendEncoded(std::string* dst) const {
+  EncodeRow(dst, *schema_, current());
+}
 
 MergingCursor::MergingCursor(const Schema* schema,
                              std::vector<std::unique_ptr<Cursor>> children,
                              Direction direction)
-    : schema_(schema), children_(std::move(children)), direction_(direction) {
+    : schema_(schema),
+      order_(*schema),
+      children_(std::move(children)),
+      direction_(direction),
+      key_(schema->num_key_columns()) {
   for (const auto& c : children_) {
     if (!c->status().ok()) {
       status_ = c->status();
       return;
     }
   }
+  child_keys_.reserve(children_.size());
   heap_.reserve(children_.size());
   for (size_t i = 0; i < children_.size(); i++) {
+    child_keys_.push_back(children_[i]->key());
     if (children_[i]->Valid()) heap_.push_back(i);
   }
   // Floyd build-heap: O(N), vs. O(N log N) for N pushes.
   for (size_t i = heap_.size() / 2; i-- > 0;) SiftDown(i);
-}
-
-bool MergingCursor::Before(size_t a, size_t b) const {
-  int cmp = schema_->CompareKeys(children_[a]->row(), children_[b]->row());
-  if (direction_ == Direction::kDescending) cmp = -cmp;
-  return cmp < 0;
+  LoadKey();
 }
 
 void MergingCursor::SiftDown(size_t i) {
@@ -39,6 +95,12 @@ void MergingCursor::SiftDown(size_t i) {
     std::swap(heap_[i], heap_[best]);
     i = best;
   }
+}
+
+void MergingCursor::LoadKey() {
+  if (heap_.empty()) return;
+  const KeyCell* top = child_keys_[heap_[0]];
+  std::copy(top, top + key_.size(), key_.begin());
 }
 
 void MergingCursor::Fail(Status s) {
@@ -65,6 +127,7 @@ Status MergingCursor::Next() {
     heap_.pop_back();
     if (!heap_.empty()) SiftDown(0);
   }
+  LoadKey();
   return Status::OK();
 }
 

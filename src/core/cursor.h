@@ -2,16 +2,67 @@
 // tablet (in-memory and on-disk), merge-sorts them into a single stream
 // ordered by primary key (§3.2), and filters rows whose timestamps fall
 // outside the query's bounds or past the table's TTL.
+//
+// A cursor's current row is read in place, never handed out as a Row: its
+// key cells (what merge ordering and bounds need), its timestamp, and two
+// operations — AppendEncoded, which writes the row's wire/row-codec bytes
+// straight from wherever the cursor keeps it (decoded block columns, for
+// tablet cursors), and MaterializeRow, which builds a Row for the callers
+// that need Values (query results, merge rewrites, uniqueness checks).
+// A streaming scan therefore goes from decoded chunk to socket with no
+// per-row allocation.
 #ifndef LITTLETABLE_CORE_CURSOR_H_
 #define LITTLETABLE_CORE_CURSOR_H_
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/bounds.h"
 #include "core/schema.h"
 
 namespace lt {
+
+/// One primary-key cell, read in place. Key columns are never doubles
+/// (Schema::Validate), so a cell is an integer (int32, int64 and timestamp
+/// columns, in `i`) or a byte string (string and blob columns, in `s`,
+/// pointing into storage the cursor pins while it stays on the row).
+struct KeyCell {
+  int64_t i = 0;
+  Slice s;
+};
+
+/// Key-cell comparators for one schema, picked once per key column: each
+/// column compares as integers or as bytes. Key columns are never appended
+/// or widened (§3.5), so one KeyOrder serves every schema version of a
+/// table.
+class KeyOrder {
+ public:
+  explicit KeyOrder(const Schema& schema);
+
+  size_t num_key_columns() const { return bytes_.size(); }
+
+  /// Three-way comparison of the first `n` cells (n <= num_key_columns()).
+  int Compare(const KeyCell* a, const KeyCell* b, size_t n) const {
+    for (size_t c = 0; c < n; c++) {
+      int r;
+      if (bytes_[c]) {
+        r = a[c].s.compare(b[c].s);
+      } else {
+        r = a[c].i < b[c].i ? -1 : (a[c].i > b[c].i ? 1 : 0);
+      }
+      if (r != 0) return r;
+    }
+    return 0;
+  }
+
+  /// Converts a key or key prefix to cells, truncated to the key columns.
+  /// Byte cells point into `key`'s strings, so `key` must outlive them.
+  void CellsOf(const Key& key, std::vector<KeyCell>* out) const;
+
+ private:
+  std::vector<char> bytes_;  // Per key column: compare as bytes?
+};
 
 /// An ordered stream of rows. A freshly created cursor is already positioned
 /// on its first row (Valid() is false for an empty stream). All rows stream
@@ -21,16 +72,27 @@ class Cursor {
   virtual ~Cursor() = default;
 
   virtual bool Valid() const = 0;
-  /// The current row; requires Valid().
-  virtual const Row& row() const = 0;
   /// Advances to the next row in scan direction.
   virtual Status Next() = 0;
   /// First error encountered, if any (an erroring cursor becomes invalid).
   virtual Status status() const = 0;
+
+  // The current row, read in place; each requires Valid().
+
+  /// Its key cells, one per key column. The pointer is stable for the
+  /// cursor's lifetime; the cells it points at follow the cursor's position.
+  virtual const KeyCell* key() const = 0;
+  /// Its timestamp (the ts key cell).
+  virtual Timestamp ts() const = 0;
+  /// Appends the row's encoding under the current schema: exactly the bytes
+  /// EncodeRow would append for MaterializeRow's result.
+  virtual void AppendEncoded(std::string* dst) const = 0;
+  /// Builds the row as Values, in current-schema column order.
+  virtual void MaterializeRow(Row* out) const = 0;
 };
 
-/// A cursor over an in-memory vector of rows, already sorted ascending by
-/// key; iterates in `direction`.
+/// A cursor over an in-memory vector of rows (conforming to `schema`),
+/// already sorted ascending by key; iterates in `direction`.
 ///
 /// Position is a signed int64_t rather than size_t on purpose: the
 /// one-before-the-start state of a descending scan over an empty (or
@@ -43,58 +105,80 @@ class Cursor {
 /// the cast to int64_t never truncates.
 class VectorCursor final : public Cursor {
  public:
-  VectorCursor(std::vector<Row> rows, Direction direction)
-      : rows_(std::move(rows)), direction_(direction) {
-    pos_ = direction_ == Direction::kAscending
-               ? 0
-               : static_cast<int64_t>(rows_.size()) - 1;
-  }
+  VectorCursor(const Schema* schema, std::vector<Row> rows,
+               Direction direction);
 
   bool Valid() const override {
     return pos_ >= 0 && pos_ < static_cast<int64_t>(rows_.size());
   }
-  const Row& row() const override {
-    return rows_[static_cast<size_t>(pos_)];
-  }
   Status Next() override {
     if (Valid()) pos_ += direction_ == Direction::kAscending ? 1 : -1;
+    LoadKey();
     return Status::OK();
   }
   Status status() const override { return Status::OK(); }
 
+  const KeyCell* key() const override { return key_.data(); }
+  Timestamp ts() const override { return key_[schema_->ts_index()].i; }
+  void AppendEncoded(std::string* dst) const override;
+  void MaterializeRow(Row* out) const override { *out = current(); }
+
  private:
+  const Row& current() const { return rows_[static_cast<size_t>(pos_)]; }
+  /// Points key_ at the current row's key cells (no-op when invalid).
+  void LoadKey();
+
+  const Schema* schema_;
   std::vector<Row> rows_;
   Direction direction_;
   int64_t pos_;
+  std::vector<KeyCell> key_;
 };
 
 /// Merge-sorts N child cursors into one stream via an N-way tournament
 /// heap: heap_ holds the indices of the still-valid children, ordered by
-/// their current row's key (direction-adjusted), so advancing costs
-/// O(log N) comparisons instead of the previous O(N) rescan. Children must
-/// share the direction and never produce duplicate keys (LittleTable
-/// enforces key uniqueness at insert, §3.4.4).
+/// their current key cells (direction-adjusted, through the schema's
+/// KeyOrder), so advancing costs O(log N) comparisons. Children must share
+/// the direction and never produce duplicate keys (LittleTable enforces key
+/// uniqueness at insert, §3.4.4).
 class MergingCursor final : public Cursor {
  public:
   MergingCursor(const Schema* schema, std::vector<std::unique_ptr<Cursor>> children,
                 Direction direction);
 
   bool Valid() const override { return !heap_.empty(); }
-  const Row& row() const override { return children_[heap_[0]]->row(); }
   Status Next() override;
   Status status() const override { return status_; }
 
+  const KeyCell* key() const override { return key_.data(); }
+  Timestamp ts() const override { return key_[schema_->ts_index()].i; }
+  void AppendEncoded(std::string* dst) const override {
+    children_[heap_[0]]->AppendEncoded(dst);
+  }
+  void MaterializeRow(Row* out) const override {
+    children_[heap_[0]]->MaterializeRow(out);
+  }
+
  private:
   /// True if child a's current row precedes child b's in scan direction.
-  bool Before(size_t a, size_t b) const;
+  bool Before(size_t a, size_t b) const {
+    int cmp = order_.Compare(child_keys_[a], child_keys_[b],
+                             order_.num_key_columns());
+    return direction_ == Direction::kDescending ? cmp > 0 : cmp < 0;
+  }
   /// Restores the heap property below heap_[i].
   void SiftDown(size_t i);
+  /// Copies the top child's key cells into key_.
+  void LoadKey();
   void Fail(Status s);
 
   const Schema* schema_;
+  KeyOrder order_;
   std::vector<std::unique_ptr<Cursor>> children_;
+  std::vector<const KeyCell*> child_keys_;  // children_[i]->key(), cached.
   Direction direction_;
   std::vector<size_t> heap_;  // Indices into children_; heap_[0] is next.
+  std::vector<KeyCell> key_;
   Status status_;
 };
 

@@ -57,7 +57,11 @@ class MemTablet {
   /// Copies the rows satisfying `bounds`' key dimension into `out`, in
   /// ascending key order. (Timestamp filtering happens downstream; this
   /// only snapshots, so queries never hold the table lock while streaming.)
-  void Snapshot(const QueryBounds& bounds, std::vector<Row>* out) const;
+  /// With a nonzero `limit`, copying runs in bounds.direction and stops
+  /// after limit + 1 rows inside the timestamp bounds — all a query with
+  /// that limit can return, plus the row proving more are available.
+  void Snapshot(const QueryBounds& bounds, std::vector<Row>* out,
+                uint64_t limit = 0) const;
 
   /// All rows in ascending key order (flush path; requires sealed).
   std::vector<Row> AllRows() const;

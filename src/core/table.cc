@@ -1052,9 +1052,10 @@ Status Table::MaybeMerge(Timestamp now) {
   // loses nothing — the next attempt re-picks the same inputs.
   MergingCursor merged(schema.get(), std::move(cursors), Direction::kAscending);
   Status ws;
+  Row row;
   while (merged.Valid()) {
-    const Row& row = merged.row();
-    if (row[schema->ts_index()].AsInt() >= cutoff) {
+    if (merged.ts() >= cutoff) {
+      merged.MaterializeRow(&row);
       ws = writer.Add(row);
       if (!ws.ok()) break;
     }
@@ -1177,6 +1178,11 @@ Status Table::NewQueryStream(const QueryBounds& user_bounds,
       return Status::InvalidArgument("projection column index out of range");
     }
   }
+  uint64_t limit = opts_.server_row_limit > 0
+                       ? opts_.server_row_limit
+                       : std::numeric_limits<uint64_t>::max();
+  if (bounds.limit > 0 && bounds.limit < limit) limit = bounds.limit;
+
   std::vector<std::shared_ptr<TabletReader>> disk;
   std::vector<std::vector<Row>> mem_snapshots;
   {
@@ -1233,18 +1239,13 @@ Status Table::NewQueryStream(const QueryBounds& user_bounds,
       if (mt->empty()) return;
       if (!bounds.TsOverlaps(mt->min_ts(), mt->max_ts())) return;
       std::vector<Row> rows;
-      mt->Snapshot(bounds, &rows);
+      mt->Snapshot(bounds, &rows, limit);
       if (!rows.empty()) mem_snapshots.push_back(std::move(rows));
     };
     for (const auto& [start, mt] : filling_) snap(mt);
     for (const auto& mt : sealed_) snap(mt);
     for (const auto& [fname, why] : doomed) QuarantineTabletLocked(fname, why);
   }
-
-  uint64_t limit = opts_.server_row_limit > 0
-                       ? opts_.server_row_limit
-                       : std::numeric_limits<uint64_t>::max();
-  if (bounds.limit > 0 && bounds.limit < limit) limit = bounds.limit;
 
   std::vector<std::unique_ptr<Cursor>> cursors;
   cursors.reserve(disk.size() + mem_snapshots.size());
@@ -1256,8 +1257,8 @@ Status Table::NewQueryStream(const QueryBounds& user_bounds,
   }
   for (auto& rows : mem_snapshots) {
     qs->scanned_.fetch_add(rows.size());
-    cursors.push_back(
-        std::make_unique<VectorCursor>(std::move(rows), bounds.direction));
+    cursors.push_back(std::make_unique<VectorCursor>(
+        schema.get(), std::move(rows), bounds.direction));
   }
 
   auto merged = std::make_unique<MergingCursor>(
@@ -1276,7 +1277,7 @@ Status Table::NewQueryStream(const QueryBounds& user_bounds,
 
 QueryStream::~QueryStream() { Finish(); }
 
-Status QueryStream::Next(uint64_t max_scan_rows, Row* row, bool* have_row,
+Status QueryStream::Next(uint64_t max_scan_rows, bool* have_row,
                          bool* exhausted) {
   *have_row = false;
   *exhausted = false;
@@ -1284,26 +1285,29 @@ Status QueryStream::Next(uint64_t max_scan_rows, Row* row, bool* have_row,
     *exhausted = true;
     return Status::OK();
   }
-  uint64_t steps = 0;
-  while (merged_->Valid()) {
-    const Row& r = merged_->row();
-    bool match = bounds_.TsInRange(r[schema_->ts_index()].AsInt());
-    if (match && returned_ >= limit_) {
-      // The limit+1'th matching row proves there is more: stop without
-      // consuming it so a continuation query re-finds it.
-      more_available_ = true;
-      done_ = true;
-      *exhausted = true;
-      return Status::OK();
-    }
-    if (match) *row = r;
+  if (on_row_) {  // Step past the row the previous call returned.
+    on_row_ = false;
     LT_RETURN_IF_ERROR(merged_->Next());
     LT_RETURN_IF_ERROR(merged_->status());
-    if (match) {
+  }
+  uint64_t steps = 0;
+  while (merged_->Valid()) {
+    if (bounds_.TsInRange(merged_->ts())) {
+      if (returned_ >= limit_) {
+        // The limit+1'th matching row proves there is more: stop without
+        // consuming it so a continuation query re-finds it.
+        more_available_ = true;
+        done_ = true;
+        *exhausted = true;
+        return Status::OK();
+      }
       returned_++;
+      on_row_ = true;
       *have_row = true;
       return Status::OK();
     }
+    LT_RETURN_IF_ERROR(merged_->Next());
+    LT_RETURN_IF_ERROR(merged_->status());
     if (max_scan_rows > 0 && ++steps >= max_scan_rows) return Status::OK();
   }
   done_ = true;
@@ -1347,11 +1351,10 @@ Status Table::Query(const QueryBounds& user_bounds, QueryResult* result,
 
   std::unique_ptr<QueryStream> qs;
   LT_RETURN_IF_ERROR(NewQueryStream(user_bounds, &qs, trace));
-  Row row;
   bool have_row = false, exhausted = false;
   while (!exhausted) {
-    LT_RETURN_IF_ERROR(qs->Next(0, &row, &have_row, &exhausted));
-    if (have_row) result->rows.push_back(std::move(row));
+    LT_RETURN_IF_ERROR(qs->Next(0, &have_row, &exhausted));
+    if (have_row) qs->MaterializeRow(&result->rows.emplace_back());
   }
   result->more_available = qs->more_available();
   result->rows_scanned = qs->rows_scanned();
@@ -1451,7 +1454,7 @@ Status Table::LatestRowForPrefix(const Key& prefix, Row* row, bool* found) {
       } else {
         stats_.rows_scanned.fetch_add(src.rows.size());
         cursors.push_back(std::make_unique<VectorCursor>(
-            std::move(src.rows), Direction::kDescending));
+            schema.get(), std::move(src.rows), Direction::kDescending));
       }
     }
     if (cursors.empty()) continue;
@@ -1463,11 +1466,10 @@ Status Table::LatestRowForPrefix(const Key& prefix, Row* row, bool* found) {
     Row best;
     Timestamp best_ts = 0;
     while (merged.Valid()) {
-      const Row& r = merged.row();
-      Timestamp ts = r[schema->ts_index()].AsInt();
+      Timestamp ts = merged.ts();
       if (ts >= cutoff) {
         if (!have_best || ts > best_ts) {
-          best = r;
+          merged.MaterializeRow(&best);
           best_ts = ts;
           have_best = true;
         }

@@ -57,14 +57,20 @@ class Table;
 /// can abandon the scan at any point. Created by Table::NewQueryStream; the
 /// Table must outlive the stream. Not thread-safe — one thread at a time,
 /// though different calls may come from different worker threads.
+///
+/// Rows are read in place (see cursor.h): Next positions the stream on a
+/// matching row, and the caller encodes it (AppendEncoded — the server's
+/// chunk path, no per-row allocation) or materializes it (MaterializeRow).
 class QueryStream {
  public:
   ~QueryStream();
   QueryStream(const QueryStream&) = delete;
   QueryStream& operator=(const QueryStream&) = delete;
 
-  /// Pulls the next matching row. Exactly one of three outcomes:
-  ///   *have_row = true            — a row was copied into *row;
+  /// Moves to the next matching row. Exactly one of three outcomes:
+  ///   *have_row = true            — the stream is on a matching row; read
+  ///                                 it with AppendEncoded/MaterializeRow
+  ///                                 before calling Next again;
   ///   *exhausted = true           — the scan is complete (no more rows, or
   ///                                 the row limit was hit — see
   ///                                 more_available());
@@ -75,8 +81,13 @@ class QueryStream {
   ///                                 the work per call even when the scan is
   ///                                 filtering everything out.
   /// max_scan_rows = 0 means no scan budget (never yields without a row).
-  Status Next(uint64_t max_scan_rows, Row* row, bool* have_row,
-              bool* exhausted);
+  Status Next(uint64_t max_scan_rows, bool* have_row, bool* exhausted);
+
+  /// The row the last Next stopped on (it reported *have_row = true):
+  /// appends its encoding under schema() — the EncodeRow bytes — or builds
+  /// it as Values.
+  void AppendEncoded(std::string* dst) const { merged_->AppendEncoded(dst); }
+  void MaterializeRow(Row* out) const { merged_->MaterializeRow(out); }
 
   /// True once the scan stopped at the row limit with rows remaining.
   bool more_available() const { return more_available_; }
@@ -108,6 +119,7 @@ class QueryStream {
   QueryTrace local_trace_;
   Timestamp op_start_ = 0;
   uint64_t returned_ = 0;
+  bool on_row_ = false;  // merged_ rests on the row Next last returned.
   bool more_available_ = false;
   bool done_ = false;
   // Starts true so a stream abandoned mid-construction records nothing;

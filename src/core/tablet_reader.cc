@@ -10,8 +10,10 @@
 namespace lt {
 
 // Cursor over one tablet. Positions lazily load blocks; iteration order is
-// the scan direction. The cursor holds a shared_ptr to its reader so merges
-// can drop tablets while queries stream from them.
+// the scan direction. The position is (block, row index) over the block's
+// decoded columns, and the current row is read in place from them. The
+// cursor holds a shared_ptr to its reader so merges can drop tablets while
+// queries stream from them.
 class TabletCursor final : public Cursor {
  public:
   TabletCursor(std::shared_ptr<const TabletReader> reader,
@@ -23,16 +25,32 @@ class TabletCursor final : public Cursor {
         trace_(trace),
         direction_(bounds.direction),
         min_key_(bounds.min_key),
-        max_key_(bounds.max_key) {
-    needs_translation_ =
-        current_schema_->version() != reader_->tablet_schema().version();
-    // Projection pushdown: mark the columns row materialization must decode
-    // — key columns (timestamp filters, merge ordering, trailing bounds)
-    // plus the projected set, positionally stable across schema versions
-    // (§3.5 evolution only appends/widens). Projected indexes beyond this
-    // tablet's schema are appended columns; TranslateRow fills their
-    // defaults. Only columnar blocks consult the hint.
+        max_key_(bounds.max_key),
+        order_(reader_->tablet_schema()),
+        key_(order_.num_key_columns()) {
     const Schema& tablet_schema = reader_->tablet_schema();
+    // Schema translation (§3.5): evolution only appends columns and widens
+    // int32 to int64, which encodes identically, so a row of an older
+    // tablet encodes as its own cells followed by the appended columns'
+    // defaults, encoded once here.
+    needs_translation_ = current_schema_->version() != tablet_schema.version();
+    for (size_t c = tablet_schema.num_columns();
+         c < current_schema_->num_columns(); c++) {
+      const Column& col = current_schema_->columns()[c];
+      EncodeValue(&appended_enc_, col.default_value, col.type);
+    }
+    // The trailing key bound — max_key ascending, min_key descending — as
+    // cells pointing into this cursor's own copy of the bound.
+    trailing_ = direction_ == Direction::kAscending
+                    ? (max_key_ ? &*max_key_ : nullptr)
+                    : (min_key_ ? &*min_key_ : nullptr);
+    if (trailing_) order_.CellsOf(trailing_->prefix, &trailing_cells_);
+    // Projection pushdown: mark the columns rows must decode — key columns
+    // (timestamp filters, merge ordering, trailing bounds) plus the
+    // projected set, positionally stable across schema versions (§3.5
+    // evolution only appends/widens). Projected indexes beyond this
+    // tablet's schema are appended columns, which read as defaults anyway.
+    // Only columnar blocks consult the hint.
     if (!bounds.projection.empty()) {
       needed_.assign(tablet_schema.num_columns(), 0);
       for (size_t c = 0; c < tablet_schema.num_key_columns(); c++) {
@@ -50,13 +68,25 @@ class TabletCursor final : public Cursor {
   }
 
   bool Valid() const override { return valid_; }
-  const Row& row() const override { return row_; }
   Status status() const override { return status_; }
 
   Status Next() override {
     if (!valid_) return status_;
     Advance();
     return status_;
+  }
+
+  const KeyCell* key() const override { return key_.data(); }
+  Timestamp ts() const override { return key_[key_.size() - 1].i; }
+  void AppendEncoded(std::string* dst) const override {
+    block_.AppendEncodedAt(row_idx_, dst);
+    dst->append(appended_enc_);
+  }
+  void MaterializeRow(Row* out) const override {
+    block_.RowAt(row_idx_, out);
+    if (needs_translation_) {
+      *out = current_schema_->TranslateRow(reader_->tablet_schema(), *out);
+    }
   }
 
  private:
@@ -66,11 +96,10 @@ class TabletCursor final : public Cursor {
   }
 
   // All block loads funnel through here so the projection's skipped-chunk
-  // accounting covers every path (seek, advance, lazy row load).
+  // accounting covers every path (seek, advance).
   Status LoadBlockAt(size_t idx) {
     LT_RETURN_IF_ERROR(reader_->ReadBlock(idx, &block_, trace_));
     block_idx_ = idx;
-    block_loaded_ = true;
     if (skipped_per_block_ > 0 && block_.columnar()) {
       if (reader_->stats_) {
         reader_->stats_->column_chunks_skipped.fetch_add(
@@ -86,9 +115,11 @@ class TabletCursor final : public Cursor {
     const size_t nblocks = reader_->num_blocks();
     if (nblocks == 0) return;
     if (direction_ == Direction::kAscending) {
-      block_idx_ = 0;
       row_idx_ = 0;
-      if (min_key_) {
+      if (!min_key_) {
+        Status s = LoadBlockAt(0);
+        if (!s.ok()) return Fail(s);
+      } else {
         block_idx_ = reader_->SeekBlock(min_key_->prefix, min_key_->inclusive);
         if (block_idx_ >= nblocks) return;
         Status s = LoadBlockAt(block_idx_);
@@ -142,37 +173,32 @@ class TabletCursor final : public Cursor {
     LoadCurrentRow();
   }
 
-  // Decodes the row at (block_idx_, row_idx_), applies the trailing key
-  // bound, and translates schemas if needed.
+  // Positions on (block_idx_, row_idx_): reads its key cells and applies
+  // the trailing key bound. A block's needed columns are ensured and
+  // validated once, on the first row visited in it — a seek that only
+  // binary-searches a block never decodes its value chunks.
   void LoadCurrentRow() {
-    if (!block_loaded_) {
-      Status s = LoadBlockAt(block_idx_);
+    if (!block_.prepared()) {
+      Status s = block_.Prepare();
       if (!s.ok()) return Fail(s);
     }
-    Row raw;
-    Status s = block_.RowAt(row_idx_, &raw);
-    if (!s.ok()) return Fail(s);
+    if (row_idx_ >= block_.num_rows()) {
+      return Fail(Status::Corruption("empty block"));
+    }
+    block_.KeyAt(row_idx_, key_.data());
     if (scanned_) scanned_->fetch_add(1, std::memory_order_relaxed);
 
-    // Trailing bound: max_key when ascending, min_key when descending.
-    const Schema& ts_schema = reader_->tablet_schema();
-    if (direction_ == Direction::kAscending && max_key_) {
-      int c = ts_schema.CompareKeyToPrefix(raw, max_key_->prefix);
-      if (max_key_->inclusive ? c > 0 : c >= 0) {
+    if (trailing_) {
+      int c = order_.Compare(key_.data(), trailing_cells_.data(),
+                             trailing_cells_.size());
+      bool past = direction_ == Direction::kAscending
+                      ? (trailing_->inclusive ? c > 0 : c >= 0)
+                      : (trailing_->inclusive ? c < 0 : c <= 0);
+      if (past) {
         valid_ = false;
         return;
       }
     }
-    if (direction_ == Direction::kDescending && min_key_) {
-      int c = ts_schema.CompareKeyToPrefix(raw, min_key_->prefix);
-      if (min_key_->inclusive ? c < 0 : c <= 0) {
-        valid_ = false;
-        return;
-      }
-    }
-    row_ = needs_translation_
-               ? current_schema_->TranslateRow(ts_schema, raw)
-               : std::move(raw);
     valid_ = true;
   }
 
@@ -211,17 +237,20 @@ class TabletCursor final : public Cursor {
   QueryTrace* trace_;
   Direction direction_;
   std::optional<KeyBound> min_key_, max_key_;
+  KeyOrder order_;
+  const KeyBound* trailing_ = nullptr;  // Points into min_key_/max_key_.
+  std::vector<KeyCell> trailing_cells_;
   bool needs_translation_ = false;
+  std::string appended_enc_;  // Encoded defaults of appended columns.
   // Projection: per-tablet-column decode flags (empty = decode all), and
   // how many chunks each columnar block visit skips.
   std::vector<char> needed_;
   uint64_t skipped_per_block_ = 0;
 
   BlockReader block_;
-  bool block_loaded_ = false;
   size_t block_idx_ = 0;
   size_t row_idx_ = 0;
-  Row row_;
+  std::vector<KeyCell> key_;
   bool valid_ = false;
   Status status_;
 };
@@ -442,10 +471,14 @@ Status TabletReader::ReadBlock(size_t i, BlockReader* out,
       crc32c::Unmask(e.crc) != crc32c::Value(stored.data(), stored.size())) {
     return Status::Corruption(fname_ + ": block checksum mismatch");
   }
+  // That CRC covers the whole stored frame, the frame's own inner CRC
+  // included, so the inner one is checked only where it is the sole
+  // protection (format 0).
+  const bool verify_inner = format_version_ == 0;
   std::string payload;
   auto contents = std::make_unique<BlockContents>();
   if (format_version_ >= 2) {
-    LT_RETURN_IF_ERROR(LoadBlockV2(stored, &payload));
+    LT_RETURN_IF_ERROR(LoadBlockV2(stored, &payload, verify_inner));
     if (payload.size() != e.payload_len) {
       return Status::Corruption(fname_ + ": block payload size mismatch");
     }
@@ -454,19 +487,19 @@ Status TabletReader::ReadBlock(size_t i, BlockReader* out,
     // Cross-check the (CRC-protected) chunk directory against the
     // (checksummed) footer index and the tablet schema before any chunk
     // decodes trust its row count.
-    if (contents->num_rows() != e.row_count) {
-      return Status::Corruption(fname_ + ": block row count mismatch");
-    }
     if (contents->num_columns() != schema_.num_columns()) {
       return Status::Corruption(fname_ + ": block chunk count mismatch");
     }
   } else {
-    LT_RETURN_IF_ERROR(LoadBlock(stored, &payload));
+    LT_RETURN_IF_ERROR(LoadBlock(stored, &payload, verify_inner));
     if (payload.size() != e.payload_len) {
       return Status::Corruption(fname_ + ": block payload size mismatch");
     }
     LT_RETURN_IF_ERROR(
-        BlockContents::Parse(std::move(payload), contents.get()));
+        BlockContents::Parse(schema_, std::move(payload), contents.get()));
+  }
+  if (contents->num_rows() != e.row_count) {
+    return Status::Corruption(fname_ + ": block row count mismatch");
   }
   // Only verified, fully parsed blocks reach this point, so a corrupt block
   // is never inserted: every re-read hits the Env and fails the CRC again.

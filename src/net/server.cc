@@ -827,7 +827,6 @@ LittleTableServer::SliceResult LittleTableServer::ExecuteQuerySlice(
     }
     auto stream = std::make_unique<StreamState>();
     stream->table = std::move(table);
-    stream->schema = std::move(schema);
     stream->bounds = bounds;
     stream->tenant = cs->tenant;
     stream->slot_exempt = slot_exempt;
@@ -990,15 +989,14 @@ LittleTableServer::SliceResult LittleTableServer::ExecuteQuerySlice(
     bool final = false;
     const uint64_t scan_start = st->qs->rows_scanned();
     Status s = Status::OK();
-    Row row;
     while (n < kChunkRows && rowbuf.size() < chunk_target) {
       const uint64_t scanned_here = st->qs->rows_scanned() - scan_start;
       if (scanned_here >= kChunkScanCap) break;
       bool have = false, exhausted = false;
-      s = st->qs->Next(kChunkScanCap - scanned_here, &row, &have, &exhausted);
+      s = st->qs->Next(kChunkScanCap - scanned_here, &have, &exhausted);
       if (!s.ok()) break;
       if (have) {
-        EncodeRow(&rowbuf, *st->schema, row);
+        st->qs->AppendEncoded(&rowbuf);
         n++;
       } else if (exhausted) {
         final = true;
@@ -1031,7 +1029,10 @@ LittleTableServer::SliceResult LittleTableServer::ExecuteQuerySlice(
       }
       std::string chunk;
       chunk.push_back(static_cast<char>(flags));
-      PutVarint32(&chunk, st->schema->version());
+      // The rows are encoded under the stream's own schema snapshot, which
+      // a schema change while the scan was queued makes newer than the
+      // request's; the client rejects a version it does not hold.
+      PutVarint32(&chunk, st->qs->schema()->version());
       PutVarint32(&chunk, n);
       chunk += rowbuf;
       const std::string frame = wire::Frame(MsgType::kQueryChunk, chunk);

@@ -167,7 +167,6 @@ class LittleTableServer {
   // connection's FIFO front for its whole lifetime).
   struct StreamState {
     std::shared_ptr<Table> table;
-    std::shared_ptr<const Schema> schema;
     QueryBounds bounds;
     // Opened lazily on the first admitted slice, so queued scans pin no
     // tablet snapshot while they wait.

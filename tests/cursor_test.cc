@@ -19,7 +19,7 @@ using testutil::UsageSchema;
 std::vector<Row> Drain(Cursor* c) {
   std::vector<Row> rows;
   while (c->Valid()) {
-    rows.push_back(c->row());
+    c->MaterializeRow(&rows.emplace_back());
     EXPECT_TRUE(c->Next().ok());
   }
   EXPECT_TRUE(c->status().ok());
@@ -27,7 +27,8 @@ std::vector<Row> Drain(Cursor* c) {
 }
 
 TEST(VectorCursorTest, EmptyVectorAscendingInvalid) {
-  VectorCursor c({}, Direction::kAscending);
+  Schema s = UsageSchema();
+  VectorCursor c(&s, {}, Direction::kAscending);
   EXPECT_FALSE(c.Valid());
   // Next on an exhausted cursor is a harmless no-op, repeatedly.
   for (int i = 0; i < 3; i++) {
@@ -39,7 +40,8 @@ TEST(VectorCursorTest, EmptyVectorAscendingInvalid) {
 TEST(VectorCursorTest, EmptyVectorDescendingInvalid) {
   // Regression: descending over an empty vector starts at pos = -1; a
   // size_t position would wrap to 2^64-1 and read out of bounds.
-  VectorCursor c({}, Direction::kDescending);
+  Schema s = UsageSchema();
+  VectorCursor c(&s, {}, Direction::kDescending);
   EXPECT_FALSE(c.Valid());
   for (int i = 0; i < 3; i++) {
     EXPECT_TRUE(c.Next().ok());
@@ -48,9 +50,10 @@ TEST(VectorCursorTest, EmptyVectorDescendingInvalid) {
 }
 
 TEST(VectorCursorTest, DescendingIteratesInReverse) {
+  Schema s = UsageSchema();
   std::vector<Row> rows;
   for (int i = 0; i < 5; i++) rows.push_back(UsageRow(1, i, 100 + i, 0, 0));
-  VectorCursor c(std::move(rows), Direction::kDescending);
+  VectorCursor c(&s, std::move(rows), Direction::kDescending);
   std::vector<Row> got = Drain(&c);
   ASSERT_EQ(got.size(), 5u);
   for (int i = 0; i < 5; i++) {
@@ -76,7 +79,7 @@ TEST(MergingCursorTest, AllChildrenEmpty) {
   std::vector<std::unique_ptr<Cursor>> children;
   for (int i = 0; i < 4; i++) {
     children.push_back(
-        std::make_unique<VectorCursor>(std::vector<Row>{}, Direction::kAscending));
+        std::make_unique<VectorCursor>(&s, std::vector<Row>{}, Direction::kAscending));
   }
   MergingCursor m(&s, std::move(children), Direction::kAscending);
   EXPECT_FALSE(m.Valid());
@@ -108,7 +111,7 @@ TEST(MergingCursorTest, RandomizedMergeMatchesSort) {
     for (auto& p : parts) {
       // VectorCursor takes ascending-sorted rows and iterates them in
       // `dir` itself.
-      children.push_back(std::make_unique<VectorCursor>(std::move(p), dir));
+      children.push_back(std::make_unique<VectorCursor>(&s, std::move(p), dir));
     }
     MergingCursor m(&s, std::move(children), dir);
     std::vector<Row> got = Drain(&m);
@@ -128,7 +131,7 @@ TEST(MergingCursorTest, SingleChildPassThrough) {
   for (int i = 0; i < 10; i++) rows.push_back(UsageRow(1, i, 100, 0, 0));
   std::vector<std::unique_ptr<Cursor>> children;
   children.push_back(
-      std::make_unique<VectorCursor>(std::move(rows), Direction::kAscending));
+      std::make_unique<VectorCursor>(&s, std::move(rows), Direction::kAscending));
   MergingCursor m(&s, std::move(children), Direction::kAscending);
   std::vector<Row> got = Drain(&m);
   ASSERT_EQ(got.size(), 10u);

@@ -1193,6 +1193,94 @@ TEST_F(TableTest, MixedFormatVersionTabletsServeAndMergeToLatest) {
   EXPECT_EQ(Query(QueryBounds{}).size(), 300u);
 }
 
+// Paging a memtablet-only table: each page's snapshot copies rows in scan
+// direction and stops after limit + 1 rows inside the ts bounds, so a page
+// scans about `limit` rows rather than the whole remaining memtablet tail —
+// and the pages still add up to the unlimited query, in both directions.
+TEST_F(TableTest, MemTabletPagesScanOnlyTheirLimit) {
+  const Schema schema({Column("device", ColumnType::kInt64),
+                       Column("ts", ColumnType::kTimestamp),
+                       Column("v", ColumnType::kInt64)},
+                      2);
+  TableOptions opts = opts_;
+  opts.flush_bytes = 1ull << 40;  // Everything stays in memtablets.
+  opts.server_row_limit = 0;
+  std::unique_ptr<Table> table;
+  ASSERT_TRUE(Table::Create(&env_, clock_, "/db/paged", "paged", schema, opts,
+                            &table)
+                  .ok());
+  // Eight rows per device; slots 3 and 7 sit an hour past the queried ts
+  // range, so each device sorts as six in-range rows then two out of range.
+  constexpr int kRows = 200000;
+  const Timestamp t0 = Now() - 2 * kMicrosPerHour;
+  std::vector<Row> batch;
+  for (int i = 0; i < kRows; i++) {
+    const int slot = i % 8;
+    const Timestamp ts =
+        t0 + slot * 1000 + (slot % 4 == 3 ? kMicrosPerHour : 0);
+    batch.push_back({Value::Int64(i / 8), Value::Ts(ts), Value::Int64(i)});
+    if (batch.size() == 10000) {
+      ASSERT_TRUE(table->InsertBatch(batch).ok());
+      batch.clear();
+    }
+  }
+  ASSERT_EQ(table->NumDiskTablets(), 0u);
+  std::vector<char> in_range;  // Per row, in ascending key order.
+  for (int d = 0; d < kRows / 8; d++) {
+    for (char f : {1, 1, 1, 1, 1, 1, 0, 0}) in_range.push_back(f);
+  }
+
+  QueryBounds all;
+  all.min_ts = t0;
+  all.max_ts = t0 + 10000;
+  for (Direction dir : {Direction::kAscending, Direction::kDescending}) {
+    SCOPED_TRACE(dir == Direction::kAscending ? "ascending" : "descending");
+    all.direction = dir;
+    QueryResult whole;
+    ASSERT_TRUE(table->Query(all, &whole).ok());
+    ASSERT_EQ(whole.rows.size(), size_t{kRows} / 8 * 6);
+    std::vector<char> flags = in_range;
+    if (dir == Direction::kDescending) std::reverse(flags.begin(), flags.end());
+
+    constexpr uint64_t kLimit = 64 * 1024;
+    QueryBounds page = all;
+    page.limit = kLimit;
+    std::vector<Row> paged;
+    size_t pos = 0;  // Scan-order index of the page's first row.
+    while (true) {
+      QueryResult r;
+      ASSERT_TRUE(table->Query(page, &r).ok());
+      // The out-of-range rows a page may step over: those before its
+      // limit + 1'th in-range row.
+      uint64_t seen = 0, skipped = 0;
+      size_t next = pos;
+      for (size_t i = pos; i < flags.size() && seen <= kLimit; i++) {
+        if (flags[i]) {
+          if (++seen == kLimit) next = i + 1;
+        } else {
+          skipped++;
+        }
+      }
+      EXPECT_LE(r.rows_scanned, kLimit + 1 + skipped);
+      paged.insert(paged.end(), r.rows.begin(), r.rows.end());
+      if (!r.more_available) break;
+      ASSERT_EQ(r.rows.size(), kLimit);
+      pos = next;
+      KeyBound after{schema.KeyOf(r.rows.back()), false};
+      if (dir == Direction::kAscending) {
+        page.min_key = after;
+      } else {
+        page.max_key = after;
+      }
+    }
+    ASSERT_EQ(paged.size(), whole.rows.size());
+    for (size_t i = 0; i < paged.size(); i++) {
+      ASSERT_EQ(schema.CompareKeys(paged[i], whole.rows[i]), 0) << i;
+      ASSERT_EQ(paged[i][2].i64(), whole.rows[i][2].i64()) << i;
+    }
+  }
+}
+
 // The acceptance check for lazy materialization: a projected query over
 // flushed (columnar) tablets decodes zero chunks for unreferenced columns.
 TEST_F(TableTest, ProjectedQueryDecodesOnlyReferencedChunks) {

@@ -15,6 +15,13 @@ namespace {
 using testutil::UsageRow;
 using testutil::UsageSchema;
 
+// The cursor's current row, built as Values.
+Row RowOf(const Cursor& c) {
+  Row row;
+  c.MaterializeRow(&row);
+  return row;
+}
+
 TEST(BlockTest, BuildParseRoundTrip) {
   Schema s = UsageSchema();
   BlockBuilder builder(&s);
@@ -24,10 +31,11 @@ TEST(BlockTest, BuildParseRoundTrip) {
   BlockReader reader;
   ASSERT_TRUE(BlockReader::Parse(&s, std::move(payload), &reader).ok());
   ASSERT_EQ(reader.num_rows(), 100u);
+  ASSERT_TRUE(reader.Prepare().ok());
   Row row;
-  ASSERT_TRUE(reader.RowAt(0, &row).ok());
+  reader.RowAt(0, &row);
   EXPECT_EQ(row[1].i64(), 0);
-  ASSERT_TRUE(reader.RowAt(99, &row).ok());
+  reader.RowAt(99, &row);
   EXPECT_EQ(row[1].i64(), 99);
   EXPECT_EQ(row[3].i64(), 990);
 }
@@ -102,7 +110,7 @@ class TabletIoTest : public ::testing::Test {
     EXPECT_TRUE(reader_->NewCursor(bounds, &schema_, nullptr, &c).ok());
     std::vector<Row> rows;
     while (c->Valid()) {
-      rows.push_back(c->row());
+      c->MaterializeRow(&rows.emplace_back());
       EXPECT_TRUE(c->Next().ok());
     }
     EXPECT_TRUE(c->status().ok());
@@ -287,7 +295,7 @@ TEST_F(TabletIoTest, SchemaTranslationOnRead) {
   ASSERT_TRUE(reader->NewCursor(QueryBounds{}, &new_schema, nullptr, &c).ok());
   int count = 0;
   while (c->Valid()) {
-    const Row& r = c->row();
+    const Row r = RowOf(*c);
     ASSERT_EQ(r.size(), 4u);
     EXPECT_EQ(r[2].i64(), count * 2);  // Widened to int64.
     EXPECT_EQ(r[3].bytes(), "dflt");   // Filled default.
@@ -333,7 +341,7 @@ TEST_F(TabletIoTest, LargeBlobsSpanBlocks) {
   ASSERT_TRUE(reader->NewCursor(QueryBounds{}, &s, nullptr, &c).ok());
   for (int i = 0; i < 40; i++) {
     ASSERT_TRUE(c->Valid());
-    EXPECT_EQ(c->row()[2].bytes(), payloads[i]);
+    EXPECT_EQ(RowOf(*c)[2].bytes(), payloads[i]);
     ASSERT_TRUE(c->Next().ok());
   }
   EXPECT_FALSE(c->Valid());
@@ -365,7 +373,7 @@ TEST_F(TabletIoTest, CorruptionMatrixEveryFlippedByteDetected) {
     Status s = r->NewCursor(b, &schema_, nullptr, &c);
     if (!s.ok()) return s;
     while (c->Valid()) {
-      rows->push_back(c->row());
+      c->MaterializeRow(&rows->emplace_back());
       s = c->Next();
       if (!s.ok()) return s;
     }
@@ -516,7 +524,7 @@ TEST_F(TabletIoTest, TwoReadersSharingCacheDoNotCollide) {
     Status s = r->NewCursor(QueryBounds{}, &schema_, nullptr, &c);
     EXPECT_TRUE(s.ok());
     EXPECT_TRUE(c->Valid());
-    return c->row()[0].i64();
+    return RowOf(*c)[0].i64();
   };
   // Warm both, then re-read: each must still see its own data.
   EXPECT_EQ(first_network(r1), 0);
@@ -577,11 +585,12 @@ TEST(BlockTest, ColumnarBuildParseRoundTrip) {
   ASSERT_TRUE(BlockReader::ParseColumnar(&s, std::move(image), &reader).ok());
   ASSERT_TRUE(reader.columnar());
   ASSERT_EQ(reader.num_rows(), 100u);
+  ASSERT_TRUE(reader.Prepare().ok());
   Row row;
-  ASSERT_TRUE(reader.RowAt(0, &row).ok());
+  reader.RowAt(0, &row);
   EXPECT_EQ(row[1].i64(), 0);
   EXPECT_EQ(row[4].dbl(), 0.0);
-  ASSERT_TRUE(reader.RowAt(99, &row).ok());
+  reader.RowAt(99, &row);
   EXPECT_EQ(row[1].i64(), 99);
   EXPECT_EQ(row[3].i64(), 990);
   EXPECT_EQ(row[4].dbl(), 49.5);
@@ -609,15 +618,16 @@ TEST(BlockTest, ColumnarProjectionSkipsAndDefaultsUnneededColumns) {
   // Need the three key columns plus "bytes" (3); "rate" (4) is unneeded.
   std::vector<char> needed = {1, 1, 1, 1, 0};
   reader.set_needed_columns(&needed);
+  ASSERT_TRUE(reader.Prepare().ok());
   Row row;
-  ASSERT_TRUE(reader.RowAt(7, &row).ok());
+  reader.RowAt(7, &row);
   EXPECT_EQ(row[1].i64(), 7);
   EXPECT_EQ(row[3].i64(), 70);
   // The unprojected cell carries the column default, not the disk value.
   EXPECT_EQ(row[4].dbl(), 0.0);
   // Four chunks decoded (keys + bytes), and not the fifth — even after
   // reading every row.
-  for (int i = 0; i < 50; i++) ASSERT_TRUE(reader.RowAt(i, &row).ok());
+  for (int i = 0; i < 50; i++) reader.RowAt(i, &row);
   EXPECT_EQ(stats.column_chunks_decoded.load(), 4u);
 }
 
@@ -693,8 +703,8 @@ TEST_F(TabletIoTest, ProjectedCursorSkipsUnreferencedChunks) {
   ASSERT_TRUE(r->NewCursor(b, &schema_, nullptr, &c).ok());
   size_t n = 0;
   while (c->Valid()) {
-    EXPECT_EQ(c->row()[3].i64(), static_cast<int64_t>(n));
-    EXPECT_EQ(c->row()[4].dbl(), 0.0);  // Unprojected -> default.
+    EXPECT_EQ(RowOf(*c)[3].i64(), static_cast<int64_t>(n));
+    EXPECT_EQ(RowOf(*c)[4].dbl(), 0.0);  // Unprojected -> default.
     n++;
     ASSERT_TRUE(c->Next().ok());
   }
@@ -743,7 +753,7 @@ TEST_F(TabletIoTest, IncompressibleChunksStoredRawCompressibleStoredPacked) {
   ASSERT_TRUE(r->NewCursor(QueryBounds{}, &es, nullptr, &c).ok());
   size_t n = 0;
   while (c->Valid()) {
-    EXPECT_EQ(c->row()[2].bytes().size(), 2000u);
+    EXPECT_EQ(RowOf(*c)[2].bytes().size(), 2000u);
     n++;
     ASSERT_TRUE(c->Next().ok());
   }

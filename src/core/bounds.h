@@ -71,6 +71,20 @@ struct QueryBounds {
     return true;
   }
 
+  /// True if the key span [lo, hi] could contain keys satisfying the key
+  /// dimension (tablet pruning by footer min/max keys).
+  bool KeysOverlap(const Schema& schema, const Key& lo, const Key& hi) const {
+    if (min_key) {
+      int c = schema.CompareKeyToPrefix(hi, min_key->prefix);
+      if (min_key->inclusive ? c < 0 : c <= 0) return false;
+    }
+    if (max_key) {
+      int c = schema.CompareKeyToPrefix(lo, max_key->prefix);
+      if (max_key->inclusive ? c > 0 : c >= 0) return false;
+    }
+    return true;
+  }
+
   /// True if a row's key columns satisfy the key dimension.
   bool KeyInRange(const Schema& schema, const Row& row) const {
     if (min_key) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <limits>
+#include <ranges>
 
 #include "core/merge_policy.h"
 #include "core/row_codec.h"
@@ -161,16 +162,16 @@ Timestamp Table::ExpiryCutoffLocked(Timestamp now) const {
 
 void Table::QuarantineTabletLocked(const std::string& fname,
                                    const Status& why) {
+  auto it = std::find_if(tablets_.begin(), tablets_.end(),
+                         [&](const TabletMeta& m) { return m.filename == fname; });
+  // Readers load outside mu_: another may have quarantined it first, or a
+  // merge or TTL may have retired it.
+  if (it == tablets_.end()) return;
   const std::string path = TabletPath(fname);
   opts_.logger->Warn("tablet_quarantined",
                      {{"table", name_}, {"tablet", fname}, {"status", why}});
   readers_.erase(fname);
-  std::vector<TabletMeta> keep;
-  keep.reserve(tablets_.size());
-  for (TabletMeta& m : tablets_) {
-    if (m.filename != fname) keep.push_back(std::move(m));
-  }
-  tablets_ = std::move(keep);
+  tablets_.erase(it);
   if (env_->FileExists(path)) env_->RenameFile(path, path + ".corrupt");
   stats_.tablets_quarantined.fetch_add(1);
   // Persist the drop so the next open doesn't trip over the same tablet.
@@ -387,13 +388,121 @@ void Table::RecordMergeFailureLocked(Timestamp now) {
 }
 
 // ---------------------------------------------------------------------------
+// The read view: what queries, latest-row lookups and the uniqueness check
+// see.
+
+// A reader drops a disk source by resetting its reader.
+struct Table::Source {
+  Timestamp min_ts = 0, max_ts = 0;
+  std::shared_ptr<TabletReader> reader;  // Null for a memtablet.
+  std::string filename;                  // The tablet's: quarantine target.
+  std::vector<Row> rows;                 // A memtablet's rows, copied out.
+
+  // A memtablet visitor: adds `mt`'s rows within `bounds` (see
+  // MemTablet::Snapshot) to `out` as one source, if there are any.
+  static bool Snapshot(const MemTablet& mt, const QueryBounds& bounds,
+                       uint64_t limit, std::vector<Source>* out) {
+    std::vector<Row> rows;
+    mt.Snapshot(bounds, &rows, limit);
+    if (!rows.empty()) {
+      out->push_back({mt.min_ts(), mt.max_ts(), nullptr, {}, std::move(rows)});
+    }
+    return true;
+  }
+};
+
+template <typename MemFn>
+Status Table::VisitReadViewLocked(const QueryBounds& range, QueryTrace* trace,
+                                  MemFn&& mem,
+                                  std::vector<Source>* disk) const {
+  if (disk != nullptr) {
+    for (const TabletMeta& m : tablets_) {
+      if (trace) trace->tablets_considered++;
+      if (!range.TsOverlaps(m.min_ts, m.max_ts)) {
+        if (trace) trace->tablets_pruned_time++;
+        continue;
+      }
+      if (m.row_count == 0) continue;
+      auto it = readers_.find(m.filename);
+      if (it == readers_.end()) {
+        return Status::Aborted("internal: no reader for tablet " + m.filename);
+      }
+      disk->push_back({m.min_ts, m.max_ts, it->second, m.filename, {}});
+    }
+  }
+  // A memtablet leaves flushing_ in the critical section that puts its
+  // tablet in tablets_ (or puts it back in sealed_), so every row is in
+  // exactly one place here. all_of stops at the first visitor call that
+  // returns false.
+  auto visit = [&](const std::shared_ptr<MemTablet>& mt) {
+    return mt->empty() || !range.TsOverlaps(mt->min_ts(), mt->max_ts()) ||
+           mem(*mt);
+  };
+  std::ranges::all_of(filling_ | std::views::values, visit) &&
+      std::ranges::all_of(sealed_, visit) &&
+      std::ranges::all_of(flushing_, visit);
+  return Status::OK();
+}
+
+Status Table::LoadSource(Source* src) {
+  Status s = src->reader->Load();
+  if (s.ok() || !ShouldQuarantine(s)) return s;
+  // Unreadable tablet: quarantine it and serve the rest (§2.3.4 — persisted
+  // data stays recoverable; one bad file must not take the whole table
+  // down). It can no longer contribute rows, so the source is dropped.
+  std::lock_guard<std::mutex> lock(mu_);
+  QuarantineTabletLocked(src->filename, s);
+  src->reader.reset();
+  return Status::OK();
+}
+
+Status Table::MergeSources(std::span<Source> sources, const QueryBounds& bounds,
+                           const Schema* schema, const Key* bloom_prefix,
+                           std::atomic<uint64_t>* scanned, QueryTrace* trace,
+                           std::unique_ptr<Cursor>* out) {
+  std::vector<std::unique_ptr<Cursor>> cursors;
+  cursors.reserve(sources.size());
+  for (Source& src : sources) {
+    if (src.reader) {
+      LT_RETURN_IF_ERROR(LoadSource(&src));
+      if (!src.reader) continue;
+      if (bloom_prefix != nullptr) {
+        stats_.bloom_tablet_probes.fetch_add(1);
+        if (!src.reader->MayContainPrefix(*bloom_prefix)) {
+          stats_.bloom_tablet_skips.fetch_add(1);
+          src.reader.reset();
+          continue;
+        }
+      }
+      std::unique_ptr<Cursor> c;
+      LT_RETURN_IF_ERROR(
+          src.reader->NewCursor(bounds, schema, scanned, &c, trace));
+      cursors.push_back(std::move(c));
+    } else if (!src.rows.empty()) {
+      scanned->fetch_add(src.rows.size());
+      cursors.push_back(std::make_unique<VectorCursor>(
+          schema, std::move(src.rows), bounds.direction));
+    }
+  }
+  auto merged = std::make_unique<MergingCursor>(schema, std::move(cursors),
+                                                bounds.direction);
+  LT_RETURN_IF_ERROR(merged->status());
+  *out = std::move(merged);
+  return Status::OK();
+}
+
+// ---------------------------------------------------------------------------
 // Inserts.
 
 Status Table::CheckUnique(const Row& row,
                           const std::set<std::string>& batch_keys) {
+  auto duplicate = [this] {
+    stats_.duplicates_rejected.fetch_add(1);
+    return Status::AlreadyExists("duplicate key");
+  };
   std::shared_ptr<const Schema> schema;
-  std::vector<std::shared_ptr<TabletReader>> candidates;
   Key full_key;
+  std::vector<Source> candidates;
   {
     std::lock_guard<std::mutex> lock(mu_);
     schema = schema_;
@@ -412,72 +521,50 @@ Status Table::CheckUnique(const Row& row,
       stats_.unique_by_newest_ts.fetch_add(1);
       return Status::OK();
     }
-    // In-memory tablets: exact, cheap checks.
-    auto check_mem = [&](const std::shared_ptr<MemTablet>& mt) -> bool {
-      return !mt->empty() && mt->min_ts() <= ts && ts <= mt->max_ts() &&
-             mt->ContainsKey(row);
-    };
-    for (const auto& [start, mt] : filling_) {
-      if (check_mem(mt)) {
-        stats_.duplicates_rejected.fetch_add(1);
-        return Status::AlreadyExists("duplicate key");
-      }
-    }
-    for (const auto& mt : sealed_) {
-      if (check_mem(mt)) {
-        stats_.duplicates_rejected.fetch_add(1);
-        return Status::AlreadyExists("duplicate key");
-      }
-    }
-    // Fast path 2: within the row's time period, larger than every
-    // tablet's max key — provable from cached indexes alone. A duplicate
-    // shares the full key including ts, so only tablets whose timespan
-    // contains ts can hold one.
-    std::vector<std::pair<std::string, Status>> doomed;
-    for (const TabletMeta& m : tablets_) {
-      if (m.row_count == 0 || ts < m.min_ts || ts > m.max_ts) continue;
-      auto it = readers_.find(m.filename);
-      if (it == readers_.end()) {
-        return Status::Aborted("internal: no reader for tablet " + m.filename);
-      }
-      Status ls = it->second->Load();
-      if (!ls.ok()) {
-        if (!ShouldQuarantine(ls)) return ls;
-        // The tablet is unreadable, so it cannot hold a duplicate; drop it
-        // from the table and keep checking the rest.
-        doomed.emplace_back(m.filename, std::move(ls));
-        continue;
-      }
-      int c = CompareFullKeys(*schema, it->second->max_key(), full_key);
-      if (c == 0) {
-        stats_.duplicates_rejected.fetch_add(1);
-        return Status::AlreadyExists("duplicate key");
-      }
-      if (c > 0) candidates.push_back(it->second);
-    }
-    for (const auto& [fname, why] : doomed) QuarantineTabletLocked(fname, why);
-    if (candidates.empty()) {
-      stats_.unique_by_max_key.fetch_add(1);
-      return Status::OK();
+    // A duplicate shares the full key including ts, so only sources whose
+    // timespan contains ts can hold one. In-memory tablets: exact, cheap
+    // checks. Disk tablets: candidates for fast path 2.
+    QueryBounds at;
+    at.min_ts = at.max_ts = ts;
+    bool dup = false;
+    LT_RETURN_IF_ERROR(VisitReadViewLocked(
+        at, nullptr,
+        [&](const MemTablet& mt) { return !(dup = mt.ContainsKey(row)); },
+        &candidates));
+    if (dup) return duplicate();
+  }
+  // Fast path 2: larger than every candidate's max key — provable from
+  // cached footers alone. Footer loads and point queries run outside mu_ so
+  // concurrent queries proceed unencumbered (the paper's in-memory lock
+  // table is our insert_mu_, held by the caller).
+  bool point_query = false;
+  for (Source& c : candidates) {
+    LT_RETURN_IF_ERROR(LoadSource(&c));
+    if (!c.reader) continue;  // Quarantined: it cannot hold a duplicate.
+    int cmp = CompareFullKeys(*schema, c.reader->max_key(), full_key);
+    if (cmp == 0) return duplicate();
+    if (cmp < 0) {
+      c.reader.reset();  // Every key in it is smaller.
+    } else {
+      point_query = true;
     }
   }
-  // Slow path: point queries, outside mu_ so concurrent queries proceed
-  // unencumbered (the paper's in-memory lock table is our insert_mu_, held
-  // by the caller).
-  for (const auto& reader : candidates) {
+  if (!point_query) {
+    stats_.unique_by_max_key.fetch_add(1);
+    return Status::OK();
+  }
+  // Slow path: point queries.
+  for (const Source& c : candidates) {
+    if (!c.reader) continue;
     stats_.bloom_tablet_probes.fetch_add(1);
-    if (!reader->MayContainPrefix(full_key)) {
+    if (!c.reader->MayContainPrefix(full_key)) {
       stats_.bloom_tablet_skips.fetch_add(1);
       continue;
     }
-    QueryBounds bounds = QueryBounds::ForPrefix(full_key);
     std::unique_ptr<Cursor> cursor;
-    LT_RETURN_IF_ERROR(
-        reader->NewCursor(bounds, schema.get(), nullptr, &cursor));
-    if (cursor->Valid()) {
-      stats_.duplicates_rejected.fetch_add(1);
-      return Status::AlreadyExists("duplicate key");
-    }
+    LT_RETURN_IF_ERROR(c.reader->NewCursor(QueryBounds::ForPrefix(full_key),
+                                           schema.get(), nullptr, &cursor));
+    if (cursor->Valid()) return duplicate();
   }
   stats_.unique_by_point_query.fetch_add(1);
   return Status::OK();
@@ -706,11 +793,12 @@ Status Table::FlushSet(std::vector<uint64_t> root_ids) {
         ++it;
       }
     }
+    std::sort(victims.begin(), victims.end(),
+              [](const auto& a, const auto& b) { return a->id() < b->id(); });
+    flushing_ = victims;  // Still readable until they commit or requeue.
   }
   if (victims.empty()) return Status::OK();
   if (is_retry) stats_.flush_retries.fetch_add(1);
-  std::sort(victims.begin(), victims.end(),
-            [](const auto& a, const auto& b) { return a->id() < b->id(); });
 
   const Timestamp now = clock_->Now();
 
@@ -867,9 +955,11 @@ Status Table::FlushSet(std::vector<uint64_t> root_ids) {
     }
     // Unflushed victims return to the front of the flush queue (reverse id
     // order keeps the oldest first); their rows stay served from memory.
+    // The committed ones are served from their tablets from now on.
     for (size_t vi = victims.size(); vi-- > 0;) {
       if (!commit[vi]) sealed_.push_front(victims[vi]);
     }
+    flushing_.clear();
     committed_count = committed_ids.size();
     if (!fail.ok()) {
       RecordFlushFailureLocked(clock_->Now());
@@ -895,26 +985,24 @@ Status Table::FlushSet(std::vector<uint64_t> root_ids) {
 }
 
 Status Table::FlushAll() {
-  std::vector<uint64_t> roots;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& [start, mt] : filling_) roots.push_back(mt->id());
-    for (const auto& mt : sealed_) roots.push_back(mt->id());
-  }
-  if (roots.empty()) return Status::OK();
-  return FlushSet(std::move(roots));
+  return FlushThrough(std::numeric_limits<Timestamp>::max());
 }
 
 Status Table::FlushThrough(Timestamp ts) {
+  // Roots include memtablets a running flush holds: FlushSet waits for it
+  // on flush_mu_, so if it fails they are back in sealed_ and flush here.
   std::vector<uint64_t> roots;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& [start, mt] : filling_) {
-      if (!mt->empty() && mt->min_ts() <= ts) roots.push_back(mt->id());
-    }
-    for (const auto& mt : sealed_) {
-      if (!mt->empty() && mt->min_ts() <= ts) roots.push_back(mt->id());
-    }
+    QueryBounds through;
+    through.max_ts = ts;
+    LT_RETURN_IF_ERROR(VisitReadViewLocked(
+        through, nullptr,
+        [&](const MemTablet& mt) {
+          roots.push_back(mt.id());
+          return true;
+        },
+        nullptr));
   }
   if (roots.empty()) return Status::OK();
   return FlushSet(std::move(roots));
@@ -1168,107 +1256,56 @@ Status Table::NewQueryStream(const QueryBounds& user_bounds,
   const Timestamp now = clock_->Now();
   QueryBounds bounds = user_bounds;
 
-  std::shared_ptr<const Schema> schema;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    schema = schema_;
-  }
-  for (uint32_t c : bounds.projection) {
-    if (c >= schema->num_columns()) {
-      return Status::InvalidArgument("projection column index out of range");
-    }
-  }
   uint64_t limit = opts_.server_row_limit > 0
                        ? opts_.server_row_limit
                        : std::numeric_limits<uint64_t>::max();
   if (bounds.limit > 0 && bounds.limit < limit) limit = bounds.limit;
 
-  std::vector<std::shared_ptr<TabletReader>> disk;
-  std::vector<std::vector<Row>> mem_snapshots;
+  std::shared_ptr<const Schema> schema;
+  std::vector<Source> sources;
   {
     std::lock_guard<std::mutex> lock(mu_);
     schema = schema_;
+    for (uint32_t c : bounds.projection) {
+      if (c >= schema->num_columns()) {
+        return Status::InvalidArgument("projection column index out of range");
+      }
+    }
     // TTL is just a tighter lower timestamp bound (§3.3).
     Timestamp cutoff = ExpiryCutoffLocked(now);
     if (cutoff > bounds.min_ts) {
       bounds.min_ts = cutoff;
       bounds.min_ts_inclusive = true;
     }
-    std::vector<std::pair<std::string, Status>> doomed;
-    for (const TabletMeta& m : tablets_) {
-      tr->tablets_considered++;
-      if (!bounds.TsOverlaps(m.min_ts, m.max_ts)) {
-        tr->tablets_pruned_time++;
-        continue;
-      }
-      auto it = readers_.find(m.filename);
-      if (it == readers_.end()) {
-        return Status::Aborted("internal: no reader for tablet " + m.filename);
-      }
-      const auto& reader = it->second;
-      Status ls = reader->Load();
-      if (!ls.ok()) {
-        if (!ShouldQuarantine(ls)) return ls;
-        // Unreadable tablet: quarantine it and serve the rest (§2.3.4 —
-        // persisted data stays recoverable; one bad file must not take the
-        // whole table down).
-        doomed.emplace_back(m.filename, std::move(ls));
-        continue;
-      }
-      if (reader->row_count() == 0) continue;
-      // Key-range pruning from cached footer min/max keys.
-      if (bounds.min_key) {
-        int c = schema->CompareKeyToPrefix(reader->max_key(),
-                                           bounds.min_key->prefix);
-        if (bounds.min_key->inclusive ? c < 0 : c <= 0) {
-          tr->tablets_pruned_key++;
-          continue;
-        }
-      }
-      if (bounds.max_key) {
-        int c = schema->CompareKeyToPrefix(reader->min_key(),
-                                           bounds.max_key->prefix);
-        if (bounds.max_key->inclusive ? c > 0 : c >= 0) {
-          tr->tablets_pruned_key++;
-          continue;
-        }
-      }
-      disk.push_back(reader);
+    LT_RETURN_IF_ERROR(VisitReadViewLocked(
+        bounds, tr,
+        [&](const MemTablet& mt) {
+          return Source::Snapshot(mt, bounds, limit, &sources);
+        },
+        &sources));
+  }
+  // Key-range pruning from cached footer min/max keys.
+  for (Source& src : sources) {
+    if (!src.reader) continue;
+    LT_RETURN_IF_ERROR(LoadSource(&src));
+    if (src.reader && !bounds.KeysOverlap(*schema, src.reader->min_key(),
+                                          src.reader->max_key())) {
+      tr->tablets_pruned_key++;
+      src.reader.reset();
     }
-    auto snap = [&](const std::shared_ptr<MemTablet>& mt) {
-      if (mt->empty()) return;
-      if (!bounds.TsOverlaps(mt->min_ts(), mt->max_ts())) return;
-      std::vector<Row> rows;
-      mt->Snapshot(bounds, &rows, limit);
-      if (!rows.empty()) mem_snapshots.push_back(std::move(rows));
-    };
-    for (const auto& [start, mt] : filling_) snap(mt);
-    for (const auto& mt : sealed_) snap(mt);
-    for (const auto& [fname, why] : doomed) QuarantineTabletLocked(fname, why);
   }
 
-  std::vector<std::unique_ptr<Cursor>> cursors;
-  cursors.reserve(disk.size() + mem_snapshots.size());
-  for (const auto& reader : disk) {
-    std::unique_ptr<Cursor> c;
-    LT_RETURN_IF_ERROR(
-        reader->NewCursor(bounds, schema.get(), &qs->scanned_, &c, tr));
-    cursors.push_back(std::move(c));
+  std::unique_ptr<Cursor> merged;
+  LT_RETURN_IF_ERROR(MergeSources(sources, bounds, schema.get(), nullptr,
+                                  &qs->scanned_, tr, &merged));
+  // Disk cursors reference their readers; keep them alive.
+  for (Source& src : sources) {
+    if (src.reader) qs->readers_.push_back(std::move(src.reader));
   }
-  for (auto& rows : mem_snapshots) {
-    qs->scanned_.fetch_add(rows.size());
-    cursors.push_back(std::make_unique<VectorCursor>(
-        schema.get(), std::move(rows), bounds.direction));
-  }
-
-  auto merged = std::make_unique<MergingCursor>(
-      schema.get(), std::move(cursors), bounds.direction);
-  LT_RETURN_IF_ERROR(merged->status());
 
   qs->schema_ = std::move(schema);
   qs->bounds_ = std::move(bounds);
   qs->limit_ = limit;
-  qs->readers_ = std::move(disk);  // Cursors reference them; keep alive.
   qs->merged_ = std::move(merged);
   qs->finished_ = false;  // Fully constructed: Finish now records stats.
   *out = std::move(qs);
@@ -1367,12 +1404,6 @@ Status Table::LatestRowForPrefix(const Key& prefix, Row* row, bool* found) {
   const Timestamp op_start = MonotonicMicros();
   const Timestamp now = clock_->Now();
 
-  struct Source {
-    Timestamp min_ts, max_ts;
-    std::shared_ptr<TabletReader> reader;  // Null for in-memory snapshots.
-    std::vector<Row> rows;
-    std::string filename;  // Set for disk sources (quarantine target).
-  };
   std::vector<Source> sources;
   std::shared_ptr<const Schema> schema;
   Timestamp cutoff;
@@ -1382,25 +1413,14 @@ Status Table::LatestRowForPrefix(const Key& prefix, Row* row, bool* found) {
     std::lock_guard<std::mutex> lock(mu_);
     schema = schema_;
     cutoff = ExpiryCutoffLocked(now);
-    for (const TabletMeta& m : tablets_) {
-      if (m.row_count == 0 || m.max_ts < cutoff) continue;
-      auto it = readers_.find(m.filename);
-      if (it == readers_.end()) {
-        return Status::Aborted("internal: no reader for tablet " + m.filename);
-      }
-      sources.push_back(Source{m.min_ts, m.max_ts, it->second, {}, m.filename});
-    }
-    auto snap = [&](const std::shared_ptr<MemTablet>& mt) {
-      if (mt->empty() || mt->max_ts() < cutoff) return;
-      std::vector<Row> rows;
-      mt->Snapshot(prefix_bounds, &rows);
-      if (!rows.empty()) {
-        sources.push_back(Source{mt->min_ts(), mt->max_ts(), nullptr,
-                                 std::move(rows)});
-      }
-    };
-    for (const auto& [start, mt] : filling_) snap(mt);
-    for (const auto& mt : sealed_) snap(mt);
+    QueryBounds live;
+    live.min_ts = cutoff;
+    LT_RETURN_IF_ERROR(VisitReadViewLocked(
+        live, nullptr,
+        [&](const MemTablet& mt) {
+          return Source::Snapshot(mt, prefix_bounds, 0, &sources);
+        },
+        &sources));
   }
   if (sources.empty()) return Status::OK();
 
@@ -1429,47 +1449,22 @@ Status Table::LatestRowForPrefix(const Key& prefix, Row* row, bool* found) {
       prefix.size() + 1 == schema->num_key_columns();
 
   for (auto git = groups.rbegin(); git != groups.rend(); ++git) {
-    std::vector<std::unique_ptr<Cursor>> cursors;
-    for (size_t i = git->first; i < git->second; i++) {
-      Source& src = sources[i];
-      if (src.reader) {
-        Status ls = src.reader->Load();
-        if (!ls.ok()) {
-          if (!ShouldQuarantine(ls)) return ls;
-          // Unreadable tablet: drop it and keep searching the remaining
-          // sources; it can no longer contribute a latest row.
-          std::lock_guard<std::mutex> lock(mu_);
-          QuarantineTabletLocked(src.filename, ls);
-          continue;
-        }
-        stats_.bloom_tablet_probes.fetch_add(1);
-        if (!src.reader->MayContainPrefix(prefix)) {
-          stats_.bloom_tablet_skips.fetch_add(1);
-          continue;
-        }
-        std::unique_ptr<Cursor> c;
-        LT_RETURN_IF_ERROR(src.reader->NewCursor(
-            prefix_bounds, schema.get(), &stats_.rows_scanned, &c));
-        cursors.push_back(std::move(c));
-      } else {
-        stats_.rows_scanned.fetch_add(src.rows.size());
-        cursors.push_back(std::make_unique<VectorCursor>(
-            schema.get(), std::move(src.rows), Direction::kDescending));
-      }
-    }
-    if (cursors.empty()) continue;
-    MergingCursor merged(schema.get(), std::move(cursors),
-                         Direction::kDescending);
-    LT_RETURN_IF_ERROR(merged.status());
+    // Tablets load a group at a time: older groups stay unloaded once a
+    // newer one answers.
+    std::span<Source> group(sources.begin() + git->first,
+                            sources.begin() + git->second);
+    std::unique_ptr<Cursor> merged;
+    LT_RETURN_IF_ERROR(MergeSources(group, prefix_bounds, schema.get(), &prefix,
+                                    &stats_.rows_scanned, nullptr, &merged));
 
     bool have_best = false;
     Row best;
     Timestamp best_ts = 0;
-    while (merged.Valid()) {
-      Timestamp ts = merged.ts();
+    while (merged->Valid()) {
+      Timestamp ts = merged->ts();
       if (ts >= cutoff) {
         if (!have_best || ts > best_ts) {
-          merged.MaterializeRow(&best);
+          merged->MaterializeRow(&best);
           best_ts = ts;
           have_best = true;
         }
@@ -1477,7 +1472,7 @@ Status Table::LatestRowForPrefix(const Key& prefix, Row* row, bool* found) {
         // descending timestamp order, so the first hit is the latest.
         if (prefix_is_all_but_ts) break;
       }
-      LT_RETURN_IF_ERROR(merged.Next());
+      LT_RETURN_IF_ERROR(merged->Next());
     }
     if (have_best) {
       *row = std::move(best);
@@ -1531,7 +1526,7 @@ size_t Table::NumDiskTablets() const {
 
 size_t Table::NumMemTablets() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return filling_.size() + sealed_.size();
+  return filling_.size() + sealed_.size() + flushing_.size();
 }
 
 uint64_t Table::DiskBytes() const {
@@ -1546,6 +1541,7 @@ uint64_t Table::ApproxMemBytes() const {
   uint64_t total = 0;
   for (const auto& [start, mt] : filling_) total += mt->ApproximateBytes();
   for (const auto& mt : sealed_) total += mt->ApproximateBytes();
+  for (const auto& mt : flushing_) total += mt->ApproximateBytes();
   return total;
 }
 

@@ -24,6 +24,7 @@
 #include <memory>
 #include <mutex>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -275,6 +276,34 @@ class Table {
 
   Timestamp ExpiryCutoffLocked(Timestamp now) const;
 
+  /// One readable source: an on-disk tablet, or a memtablet's rows (table.cc).
+  struct Source;
+
+  /// The read view (§3.1), the one place that decides what a reader sees:
+  /// the on-disk tablets and the memtablets — filling, sealed or being
+  /// flushed — that hold rows in `range`'s timespan. When `disk` is set,
+  /// appends each such tablet to it as a source (in tablets_ order; `trace`,
+  /// optional, counts the tablets considered and pruned by time). Then
+  /// calls `mem(const MemTablet&)` for each such memtablet; a false return
+  /// ends the visit. Does no I/O. mu_ held.
+  template <typename MemFn>
+  Status VisitReadViewLocked(const QueryBounds& range, QueryTrace* trace,
+                             MemFn&& mem, std::vector<Source>* disk) const;
+
+  /// Loads a disk source's footer. An unusable tablet (ShouldQuarantine) is
+  /// quarantined and the source dropped (reader reset) with OK, so the rest
+  /// of the table keeps serving; any other error propagates. mu_ not held.
+  Status LoadSource(Source* src);
+
+  /// Merges `sources` in `bounds.direction`: memtablet rows (moved out)
+  /// through VectorCursor, disk tablets through NewCursor once LoadSource
+  /// keeps them — skipping, when `bloom_prefix` is set, those whose Bloom
+  /// filter rules it out. Every row decoded counts into `*scanned`.
+  Status MergeSources(std::span<Source> sources, const QueryBounds& bounds,
+                      const Schema* schema, const Key* bloom_prefix,
+                      std::atomic<uint64_t>* scanned, QueryTrace* trace,
+                      std::unique_ptr<Cursor>* out);
+
   /// Uniqueness check for one row (§3.4.4); `batch_keys` carries encoded
   /// keys earlier in the same batch. May read from disk (slow path).
   Status CheckUnique(const Row& row, const std::set<std::string>& batch_keys);
@@ -311,7 +340,8 @@ class Table {
 
   /// Removes an unreadable tablet from the table so the rest keeps serving:
   /// renames its file to `<name>.corrupt` (kept for post-mortems), drops it
-  /// from the descriptor and reader cache, and logs `why`. mu_ held.
+  /// from the descriptor and reader cache, and logs `why`. A no-op if the
+  /// tablet already left the table. mu_ held.
   void QuarantineTabletLocked(const std::string& fname, const Status& why);
 
   /// True for load failures that mean the tablet itself is unusable (vs.
@@ -351,6 +381,10 @@ class Table {
 
   std::map<Timestamp, std::shared_ptr<MemTablet>> filling_;  // By period start.
   std::deque<std::shared_ptr<MemTablet>> sealed_;
+  // The memtablets the running flush took from filling_/sealed_ (flush_mu_
+  // and mu_ to change). Readers keep seeing them here until the critical
+  // section that installs their tablets, or requeues them, removes them.
+  std::vector<std::shared_ptr<MemTablet>> flushing_;
   // Retry state after flush/merge failures (guarded by mu_): attempts are
   // skipped until the backoff deadline passes; consecutive failures double
   // the delay up to flush_retry_max_backoff.

@@ -579,36 +579,6 @@ Status Client::SetTtl(const std::string& table, Timestamp ttl) {
   return Status::OK();
 }
 
-Status Client::Stats(const std::string& table,
-                     std::map<std::string, uint64_t>* stats) {
-  return WithRetries([&] {
-    std::string req;
-    PutLengthPrefixedSlice(&req, table);
-    MsgType type;
-    std::string body;
-    LT_RETURN_IF_ERROR(RoundTrip(MsgType::kStats, req, &type, &body));
-    if (type == MsgType::kError) return ErrorFromBody(body);
-    if (type != MsgType::kStatsResult) {
-      return Status::NetworkError("unexpected response");
-    }
-    Slice in(body);
-    uint32_t count;
-    if (!GetVarint32(&in, &count)) {
-      return Status::Corruption("bad stats reply");
-    }
-    stats->clear();
-    for (uint32_t i = 0; i < count; i++) {
-      Slice name;
-      uint64_t value;
-      if (!GetLengthPrefixedSlice(&in, &name) || !GetVarint64(&in, &value)) {
-        return Status::Corruption("bad stats reply");
-      }
-      (*stats)[name.ToString()] = value;
-    }
-    return Status::OK();
-  });
-}
-
 Status Client::Stats(const std::string& table, ServerStats* stats) {
   return WithRetries([&] {
     std::string req;

@@ -88,8 +88,8 @@ struct HistogramQuantiles {
   uint64_t max = 0;
 };
 
-/// Everything a kStatsV2 reply carries: the kStats counter map plus the
-/// server's (and optionally one table's) latency distributions.
+/// Everything a kStatsV2 reply carries: a counter map plus the server's
+/// (and optionally one table's) latency distributions.
 struct ServerStats {
   std::map<std::string, uint64_t> counters;
   std::map<std::string, HistogramQuantiles> histograms;
@@ -168,17 +168,11 @@ class Client {
   Status WidenColumn(const std::string& table, const std::string& column);
   Status SetTtl(const std::string& table, Timestamp ttl);
 
-  /// Fetches server counters as a name -> value map: the shared block
-  /// cache's "cache.*" entries, plus `table`'s "table.*" entries when
-  /// `table` is non-empty. (Legacy kStats request — works against any
-  /// server version.)
-  Status Stats(const std::string& table,
-               std::map<std::string, uint64_t>* stats);
-
-  /// kStatsV2: the same counters plus "server.*" metrics and latency
-  /// quantiles — per-opcode request latencies (server.op.*.micros) and,
-  /// when `table` is non-empty, the table's insert/query/flush/merge/
-  /// block-read distributions (table.*_micros).
+  /// Fetches server counters and latency quantiles (kStatsV2): the shared
+  /// block cache's "cache.*" counters and the "server.*" metrics, including
+  /// per-opcode request latencies (server.op.*.micros); when `table` is
+  /// non-empty, also its "table.*" counters and its insert/query/flush/
+  /// merge/block-read distributions (table.*_micros).
   Status Stats(const std::string& table, ServerStats* stats);
 
   /// One request / one response frame, no retries: the building block the

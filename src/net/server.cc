@@ -65,7 +65,6 @@ const char* OpName(MsgType type) {
     case MsgType::kAppendColumn: return "append_column";
     case MsgType::kWidenColumn: return "widen_column";
     case MsgType::kSetTtl: return "set_ttl";
-    case MsgType::kStats: return "stats";
     case MsgType::kStatsV2: return "stats_v2";
     case MsgType::kCancel: return "cancel";
     case MsgType::kSetTenant: return "set_tenant";
@@ -1222,8 +1221,7 @@ void LittleTableServer::Dispatch(MsgType type, Slice body, std::string* out) {
     }
     return;
   }
-  if (db_ == nullptr && type != MsgType::kPing && type != MsgType::kStats &&
-      type != MsgType::kStatsV2) {
+  if (db_ == nullptr && type != MsgType::kPing && type != MsgType::kStatsV2) {
     // Pure-extension server (the coordinator): health checks and
     // server-wide stats work, everything table- or db-shaped does not.
     return ReplyError(out, ErrCode::kInvalidArgument,
@@ -1283,25 +1281,7 @@ void LittleTableServer::Dispatch(MsgType type, Slice body, std::string* out) {
 
     // Handled here rather than with the table-addressed requests below
     // because an empty name is legal: it asks for server-wide counters
-    // (today, the shared block cache) without any table's.
-    case MsgType::kStats: {
-      std::string name;
-      if (!GetName(&body, &name)) {
-        return ReplyError(out, ErrCode::kInvalidArgument, "bad request");
-      }
-      std::vector<std::pair<std::string, uint64_t>> entries;
-      Status s = CollectCounters(name, &entries);
-      if (!s.ok()) return ReplyStatus(out, s);
-      std::string resp;
-      PutVarint32(&resp, static_cast<uint32_t>(entries.size()));
-      for (const auto& [key, value] : entries) {
-        PutLengthPrefixedSlice(&resp, key);
-        PutVarint64(&resp, value);
-      }
-      *out += wire::Frame(MsgType::kStatsResult, resp);
-      return;
-    }
-
+    // without any table's.
     case MsgType::kStatsV2: {
       std::string name;
       if (!GetName(&body, &name)) {

@@ -43,7 +43,7 @@ enum class MsgType : uint8_t {
   kAppendColumn = 10, // body: name, column
   kWidenColumn = 11,  // body: name, column name
   kSetTtl = 12,       // body: name, ttl
-  kStats = 13,        // body: name ("" = server-wide counters only)
+  // 13 is reserved, never reused: the retired kStats request.
   kStatsV2 = 14,      // body: name ("" = server-wide); adds histograms
 
   // Cluster requests (src/cluster). A server without a cluster extension
@@ -81,12 +81,10 @@ enum class MsgType : uint8_t {
   kTableInfo = 67,   // body: schema, ttl
   kQueryChunk = 68,  // body: flags, schema version, row count, rows
   kRowResult = 69,   // body: found byte, schema version, row
-  kStatsResult = 70, // body: count, then (name, varint64 value) pairs
-  // kStats's counter section followed by latency histograms: varint32
-  // count, then per histogram (name, varint64 count, p50, p90, p99, p999,
-  // max — all microseconds). Old servers answer kStatsV2 with kError
-  // (unknown message type); old clients simply never send kStatsV2, so
-  // both directions stay backward compatible.
+  // 70 is reserved, never reused: the retired kStatsResult reply.
+  // Counters — varint32 count, then (name, varint64 value) pairs —
+  // followed by latency histograms: varint32 count, then per histogram
+  // (name, varint64 count, p50, p90, p99, p999, max — all microseconds).
   kStatsV2Result = 71,
   kShardMapResult = 72,  // body: encoded cluster::ShardMap
   // Body: varint64 contiguously-stored redo head. A kTabletSetSync reply

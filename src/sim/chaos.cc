@@ -487,7 +487,7 @@ void ChaosRun::DoMaintain() {
 }
 
 void ChaosRun::DoStats() {
-  std::map<std::string, uint64_t> stats;
+  ServerStats stats;
   Status s = client_->Stats(kTable, &stats);
   Log("stats status=" + s.ToString());
 }

@@ -701,25 +701,33 @@ TEST_F(TableTest, GroupCommitMatchesSerialDurableState) {
             static_cast<uint64_t>(kThreads * kBatchesPerThread));
 }
 
-// An Env whose random-access reads block while a gate is closed; lets the
-// coalescing test park a group-commit leader inside its critical section
-// (on a uniqueness point query) with no reliance on scheduler timing.
-class ReadGateEnv final : public Env {
+// An Env whose random-access reads and/or tablet-file writes block while
+// their gate is closed; lets tests park an operation at a chosen I/O with
+// no reliance on scheduler timing — a group-commit leader inside its
+// critical section (on a uniqueness point query), or a flush or merge
+// inside its tablet write.
+class GateEnv final : public Env {
  public:
-  explicit ReadGateEnv(Env* base) : base_(base) {}
+  enum Gate : int { kReads = 1, kTabletWrites = 2 };
 
-  void CloseGate() {
+  explicit GateEnv(Env* base) : base_(base) {}
+
+  void CloseGate(int gates = kReads) {
     std::lock_guard<std::mutex> lock(mu_);
-    closed_ = true;
+    closed_ = gates;
   }
-  void OpenGate() {
+  /// Opens every gate. Each write parked at the gate then returns
+  /// `parked_writes` instead of writing (OK lets it through); later writes
+  /// are unaffected.
+  void OpenGate(Status parked_writes = Status::OK()) {
     {
       std::lock_guard<std::mutex> lock(mu_);
-      closed_ = false;
+      closed_ = 0;
+      parked_writes_ = std::move(parked_writes);
     }
     cv_.notify_all();
   }
-  void WaitForBlockedReader() {
+  void WaitForBlocked() {
     std::unique_lock<std::mutex> lock(mu_);
     cv_.wait(lock, [this] { return waiting_ > 0; });
   }
@@ -738,7 +746,11 @@ class ReadGateEnv final : public Env {
   }
   Status NewWritableFile(const std::string& fname,
                          std::unique_ptr<WritableFile>* result) override {
-    return base_->NewWritableFile(fname, result);
+    LT_RETURN_IF_ERROR(base_->NewWritableFile(fname, result));
+    if (fname.ends_with(".tab")) {
+      result->reset(new GatedWritableFile(std::move(*result), this));
+    }
+    return Status::OK();
   }
   bool FileExists(const std::string& fname) override {
     return base_->FileExists(fname);
@@ -761,35 +773,56 @@ class ReadGateEnv final : public Env {
   }
 
  private:
+  // Blocks while `gate` is closed. Returns what the caller should do: OK to
+  // proceed, or (for a parked write) the status OpenGate handed out.
+  Status Pass(Gate gate) {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (!(closed_ & gate)) return Status::OK();
+    waiting_++;
+    cv_.notify_all();
+    cv_.wait(lock, [this, gate] { return !(closed_ & gate); });
+    waiting_--;
+    return gate == kTabletWrites ? parked_writes_ : Status::OK();
+  }
+
   class GatedFile final : public RandomAccessFile {
    public:
-    GatedFile(std::unique_ptr<RandomAccessFile> base, ReadGateEnv* env)
+    GatedFile(std::unique_ptr<RandomAccessFile> base, GateEnv* env)
         : base_(std::move(base)), env_(env) {}
     Status Read(uint64_t offset, size_t n, Slice* result,
                 char* scratch) const override {
-      {
-        std::unique_lock<std::mutex> lock(env_->mu_);
-        if (env_->closed_) {
-          env_->waiting_++;
-          env_->cv_.notify_all();
-          env_->cv_.wait(lock, [this] { return !env_->closed_; });
-          env_->waiting_--;
-        }
-      }
+      env_->Pass(kReads);
       return base_->Read(offset, n, result, scratch);
     }
     Status Size(uint64_t* size) const override { return base_->Size(size); }
 
    private:
     std::unique_ptr<RandomAccessFile> base_;
-    ReadGateEnv* const env_;
+    GateEnv* const env_;
+  };
+
+  class GatedWritableFile final : public WritableFile {
+   public:
+    GatedWritableFile(std::unique_ptr<WritableFile> base, GateEnv* env)
+        : base_(std::move(base)), env_(env) {}
+    Status Append(const Slice& data) override {
+      LT_RETURN_IF_ERROR(env_->Pass(kTabletWrites));
+      return base_->Append(data);
+    }
+    Status Sync() override { return base_->Sync(); }
+    Status Close() override { return base_->Close(); }
+
+   private:
+    std::unique_ptr<WritableFile> base_;
+    GateEnv* const env_;
   };
 
   Env* const base_;
   std::mutex mu_;
   std::condition_variable cv_;
-  bool closed_ = false;
+  int closed_ = 0;
   int waiting_ = 0;
+  Status parked_writes_;
 };
 
 TEST_F(TableTest, GroupCommitCoalescesQueuedBatches) {
@@ -798,7 +831,7 @@ TEST_F(TableTest, GroupCommitCoalescesQueuedBatches) {
   // a gated disk read, queue six more batches behind it, release — the six
   // must commit as ONE group.
   MemEnv mem;
-  ReadGateEnv env(&mem);
+  GateEnv env(&mem);
   TableOptions opts = opts_;
   opts.bloom_bits_per_key = 0;  // Force uniqueness point queries to disk.
   std::unique_ptr<Table> table;
@@ -814,7 +847,7 @@ TEST_F(TableTest, GroupCommitCoalescesQueuedBatches) {
   env.CloseGate();
   std::thread leader(
       [&] { EXPECT_TRUE(table->InsertBatch({UsageRow(1, 3, t0, 0, 0.0)}).ok()); });
-  env.WaitForBlockedReader();
+  env.WaitForBlocked();
 
   constexpr int kFollowers = 6;
   std::vector<std::thread> followers;
@@ -878,6 +911,134 @@ TEST_F(TableTest, GroupCommitKeepsBatchesAtomicUnderContention) {
             static_cast<uint64_t>(kThreads - 1));
 }
 
+// ----- Read view: flush and merge install against concurrent readers. -----
+
+class ReadViewTest : public TableTest {
+ protected:
+  void SetUp() override {
+    TableTest::SetUp();
+    ASSERT_TRUE(Table::Create(&gate_, clock_, "/db/gated", "gated",
+                              UsageSchema(), opts_, &gated_)
+                    .ok());
+  }
+
+  std::vector<Row> QueryGated() {
+    QueryResult result;
+    Status s = gated_->Query(QueryBounds{}, &result);
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    return result.rows;
+  }
+
+  // The timestamp of network 1's device `dev`'s latest row; -1 if none.
+  Timestamp LatestGated(int64_t dev) {
+    Row row;
+    bool found = false;
+    Status s = gated_->LatestRowForPrefix({Value::Int64(1), Value::Int64(dev)},
+                                          &row, &found);
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    return found ? row[2].AsInt() : -1;
+  }
+
+  MemEnv mem_;
+  GateEnv gate_{&mem_};
+  std::unique_ptr<Table> gated_;
+};
+
+TEST_F(ReadViewTest, ParkedFlushKeepsRowsVisibleToEveryReader) {
+  // §3.1: an acknowledged row is visible to queries, latest-row lookups
+  // and the uniqueness check. A flush takes its memtablets out of the
+  // insert path before it writes their tablet; parked inside that write,
+  // the rows must still be served from memory.
+  const Timestamp t0 = Now();
+  ASSERT_TRUE(gated_
+                  ->InsertBatch({UsageRow(1, 1, t0, 10, 0.0),
+                                 UsageRow(1, 2, t0 + 1, 20, 0.0)})
+                  .ok());
+  gate_.CloseGate(GateEnv::kTabletWrites);
+  Status flush;
+  std::thread flusher([&] { flush = gated_->FlushAll(); });
+  gate_.WaitForBlocked();
+
+  EXPECT_EQ(QueryGated().size(), 2u);
+  EXPECT_EQ(LatestGated(1), t0);
+  EXPECT_EQ(LatestGated(2), t0 + 1);
+  // Not newer than every row, so no fast path can accept it blind.
+  EXPECT_TRUE(gated_->InsertBatch({UsageRow(1, 1, t0, 99, 0.0)})
+                  .IsAlreadyExists());
+
+  gate_.OpenGate();
+  flusher.join();
+  ASSERT_TRUE(flush.ok()) << flush.ToString();
+  EXPECT_EQ(gated_->NumMemTablets(), 0u);
+  EXPECT_EQ(gated_->NumDiskTablets(), 1u);
+  EXPECT_EQ(QueryGated().size(), 2u);  // Once each, from the tablet.
+}
+
+TEST_F(ReadViewTest, ParkedMergeKeepsEveryRowVisibleOnce) {
+  // A merge installs its output and retires its inputs in one critical
+  // section: parked in its output write, and after, each row is served
+  // exactly once.
+  const Timestamp t0 = Now() - 10 * kMicrosPerWeek;  // One deep-past bin.
+  for (int dev = 0; dev < 4; dev++) {
+    ASSERT_TRUE(
+        gated_->InsertBatch({UsageRow(1, dev, t0 + dev, dev, 0.0)}).ok());
+    ASSERT_TRUE(gated_->FlushAll().ok());
+  }
+  ASSERT_EQ(gated_->NumDiskTablets(), 4u);
+  auto expect_each_once = [&] {
+    std::vector<Row> rows = QueryGated();
+    ASSERT_EQ(rows.size(), 4u);
+    for (int dev = 0; dev < 4; dev++) {
+      EXPECT_EQ(rows[dev][1].i64(), dev);
+      EXPECT_EQ(LatestGated(dev), t0 + dev);
+    }
+  };
+
+  gate_.CloseGate(GateEnv::kTabletWrites);
+  Status merge;
+  std::thread merger([&] { merge = gated_->MaintainNow(); });
+  gate_.WaitForBlocked();
+  expect_each_once();
+  gate_.OpenGate();
+  merger.join();
+  ASSERT_TRUE(merge.ok()) << merge.ToString();
+  EXPECT_EQ(gated_->stats().merges.load(), 1u);
+  EXPECT_LT(gated_->NumDiskTablets(), 4u);
+  expect_each_once();
+}
+
+TEST_F(ReadViewTest, FlushThroughWaitsOutAFailedInFlightFlush) {
+  // §4.1.2: FlushThrough(t) returning OK promises every row with ts <= t
+  // is durable. A concurrent flush already holding those rows may still
+  // fail; FlushThrough must not trust it.
+  const Timestamp t0 = Now();
+  std::vector<Row> batch;
+  for (int dev = 0; dev < 10; dev++) {
+    batch.push_back(UsageRow(1, dev, t0 + dev, dev, 0.0));
+  }
+  ASSERT_TRUE(gated_->InsertBatch(batch).ok());
+  gate_.CloseGate(GateEnv::kTabletWrites);
+  Status first;
+  std::thread flusher([&] { first = gated_->FlushAll(); });
+  gate_.WaitForBlocked();
+  Status through;
+  std::thread waiter([&] { through = gated_->FlushThrough(t0 + 9); });
+  // The sleep only lets FlushThrough look for its rows while the first
+  // flush holds them, which is when the bug it guards against shows; a
+  // correct FlushThrough is durable however the two interleave.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  gate_.OpenGate(Status::IOError("injected tablet write failure"));
+  flusher.join();
+  waiter.join();
+  EXPECT_TRUE(first.IsIOError()) << first.ToString();
+  ASSERT_TRUE(through.ok()) << through.ToString();
+
+  gated_.reset();
+  mem_.DropUnsynced();
+  ASSERT_TRUE(Table::Open(&gate_, clock_, "/db/gated", opts_, &gated_).ok());
+  EXPECT_EQ(QueryGated().size(), 10u);
+}
+
 // ----- Corruption recovery: quarantine and fail-closed behavior. -----
 
 class CorruptionRecoveryTest : public TableTest {
@@ -919,6 +1080,39 @@ TEST_F(CorruptionRecoveryTest, QueryQuarantinesCorruptTabletAndServesRest) {
   EXPECT_EQ(table_->NumDiskTablets(), 1u);
   EXPECT_EQ(Query(QueryBounds{}).size(), 1u);
   EXPECT_TRUE(env_.FileExists(paths[0] + ".corrupt"));
+}
+
+TEST_F(CorruptionRecoveryTest, LatestRowQuarantinesCorruptTabletAndServesRest) {
+  std::vector<std::string> paths = TwoTablets();
+  // The newer tablet: the newest-first search must load it to get past it.
+  SmashTrailer(paths[1]);
+  Reopen();
+  Row row;
+  bool found = false;
+  ASSERT_TRUE(
+      table_->LatestRowForPrefix({Value::Int64(1)}, &row, &found).ok());
+  ASSERT_TRUE(found);
+  EXPECT_EQ(row[3].i64(), 10);  // The intact tablet's row.
+  EXPECT_EQ(table_->stats().tablets_quarantined.load(), 1u);
+  EXPECT_EQ(table_->NumDiskTablets(), 1u);
+  EXPECT_TRUE(env_.FileExists(paths[1] + ".corrupt"));
+}
+
+TEST_F(CorruptionRecoveryTest, UniquenessCheckQuarantinesCorruptTabletAndServesRest) {
+  std::vector<std::string> paths = TwoTablets();
+  SmashTrailer(paths[0]);
+  Reopen();
+  // Inside the corrupt tablet's timespan and older than the newest row:
+  // the uniqueness check must open that tablet.
+  const Timestamp t0 = table_->DiskTablets()[0].min_ts;
+  ASSERT_TRUE(Insert(1, 0, t0, 30).ok());
+  EXPECT_EQ(table_->stats().tablets_quarantined.load(), 1u);
+  EXPECT_EQ(table_->NumDiskTablets(), 1u);
+  EXPECT_TRUE(env_.FileExists(paths[0] + ".corrupt"));
+  std::vector<Row> rows = Query(QueryBounds{});
+  ASSERT_EQ(rows.size(), 2u);  // The new row and the intact tablet's.
+  EXPECT_EQ(rows[0][3].i64(), 30);
+  EXPECT_EQ(rows[1][3].i64(), 20);
 }
 
 TEST_F(CorruptionRecoveryTest, MissingTabletFileQuarantinedAtOpen) {

@@ -1,6 +1,7 @@
 #include "core/block.h"
 
 #include <cassert>
+#include <cstring>
 
 #include "util/coding.h"
 #include "util/crc32c.h"
@@ -54,13 +55,45 @@ void AppendCell(const Value& v, ColumnValues* col) {
   }
 }
 
+// Decodes the cell at the front of `in` (well-formed, the column's type)
+// onto its column. Integers of every width are zigzag varints.
+void AppendEncodedCell(Slice* in, ColumnValues* col) {
+  switch (col->arm) {
+    case ColumnValues::Arm::kInt: {
+      uint64_t u = 0;
+      GetVarint64(in, &u);
+      col->ints.push_back(ZigZagDecode(u));
+      break;
+    }
+    case ColumnValues::Arm::kDouble: {
+      uint64_t bits = 0;
+      GetFixed64(in, &bits);
+      double d;
+      memcpy(&d, &bits, sizeof(d));
+      col->dbls.push_back(d);
+      break;
+    }
+    case ColumnValues::Arm::kBytes: {
+      Slice s;
+      GetLengthPrefixedSlice(in, &s);
+      col->strs.emplace_back(s.data(), s.size());
+      break;
+    }
+    case ColumnValues::Arm::kNone:
+      break;
+  }
+}
+
 }  // namespace
 
-void BlockBuilder::Add(const Row& row) {
-  offsets_.push_back(static_cast<uint32_t>(buffer_.size()));
-  EncodeRow(&buffer_, *schema_, row);
+void BlockBuilder::Add(const Slice& row) {
   num_rows_++;
-  if (format_version_ < 2) return;
+  data_bytes_ += row.size();
+  if (format_version_ < 2) {
+    offsets_.push_back(static_cast<uint32_t>(buffer_.size()));
+    buffer_.append(row.data(), row.size());
+    return;
+  }
 
   if (cols_.empty()) {
     cols_.resize(schema_->num_columns());
@@ -68,7 +101,14 @@ void BlockBuilder::Add(const Row& row) {
       cols_[c].arm = ArmFor(schema_->columns()[c].type);
     }
   }
-  for (size_t c = 0; c < cols_.size(); c++) AppendCell(row[c], &cols_[c]);
+  Slice in = row;
+  for (ColumnValues& col : cols_) AppendEncodedCell(&in, &col);
+}
+
+void BlockBuilder::Add(const Row& row) {
+  row_buf_.clear();
+  EncodeRow(&row_buf_, *schema_, row);
+  Add(Slice(row_buf_));
 }
 
 std::string BlockBuilder::Finish() {
@@ -79,6 +119,7 @@ std::string BlockBuilder::Finish() {
   buffer_.clear();
   offsets_.clear();
   num_rows_ = 0;
+  data_bytes_ = 0;
   return out;
 }
 
@@ -135,10 +176,13 @@ std::string BlockBuilder::FinishColumnar() {
   }
   for (size_t c = 0; c < ncols; c++) image += stored[c];
 
-  buffer_.clear();
-  offsets_.clear();
-  cols_.clear();
+  for (ColumnValues& col : cols_) {  // Keep the capacity for the next block.
+    col.ints.clear();
+    col.dbls.clear();
+    col.strs.clear();
+  }
   num_rows_ = 0;
+  data_bytes_ = 0;
   return image;
 }
 

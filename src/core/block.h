@@ -65,12 +65,17 @@ class BlockBuilder {
   explicit BlockBuilder(const Schema* schema, uint32_t format_version = 0)
       : schema_(schema), format_version_(format_version) {}
 
-  /// Appends a row. Rows must arrive in ascending key order.
+  /// Appends a row given as its encoding under the schema, well-formed (as
+  /// ParseRow checks). Rows must arrive in ascending key order. Row-wise
+  /// payloads take the bytes as they are; columnar mode decodes the cells
+  /// once, into the column accumulators.
+  void Add(const Slice& row);
+  /// Encodes `row` (which must match the schema) and adds it.
   void Add(const Row& row);
 
   size_t num_rows() const { return num_rows_; }
   /// Bytes of row data so far (the 64 kB target applies to this).
-  size_t data_bytes() const { return buffer_.size(); }
+  size_t data_bytes() const { return data_bytes_; }
   bool empty() const { return num_rows_ == 0; }
 
   /// Completes the payload (row-wise) or image (columnar) and returns it;
@@ -88,8 +93,10 @@ class BlockBuilder {
 
   const Schema* schema_;
   uint32_t format_version_;
-  std::string buffer_;
+  std::string buffer_;  // Row-wise: the row encodings; columnar: unused.
   std::vector<uint32_t> offsets_;
+  std::string row_buf_;  // Add(const Row&)'s encoding.
+  size_t data_bytes_ = 0;
   // Columnar mode: per-column value accumulators (indexed like the schema).
   std::vector<ColumnValues> cols_;
   size_t num_rows_ = 0;

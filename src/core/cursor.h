@@ -19,18 +19,10 @@
 #include <vector>
 
 #include "core/bounds.h"
+#include "core/row_codec.h"
 #include "core/schema.h"
 
 namespace lt {
-
-/// One primary-key cell, read in place. Key columns are never doubles
-/// (Schema::Validate), so a cell is an integer (int32, int64 and timestamp
-/// columns, in `i`) or a byte string (string and blob columns, in `s`,
-/// pointing into storage the cursor pins while it stays on the row).
-struct KeyCell {
-  int64_t i = 0;
-  Slice s;
-};
 
 /// Key-cell comparators for one schema, picked once per key column: each
 /// column compares as integers or as bytes. Key columns are never appended

@@ -1,92 +1,284 @@
 #include "core/memtablet.h"
 
 #include <algorithm>
+#include <cstring>
+#include <new>
 
 #include "core/row_codec.h"
 
 namespace lt {
 
+namespace {
+
+constexpr int kMaxHeight = 12;
+constexpr size_t kArenaBlockBytes = 128 << 10;
+
+}  // namespace
+
+// A skiplist node, in the arena. Followed there by its `height` links, then
+// its key cells, then the row's bytes.
+struct MemTablet::Node {
+  const char* row;
+  uint32_t row_len;
+  uint32_t seq;        // Insertion index: visible below a reader's watermark.
+  const KeyCell* key;  // num_key_columns cells; byte cells point into `row`.
+
+  std::atomic<Node*>* links() {
+    return reinterpret_cast<std::atomic<Node*>*>(this + 1);
+  }
+  const std::atomic<Node*>* links() const {
+    return reinterpret_cast<const std::atomic<Node*>*>(this + 1);
+  }
+  Node* Next(int level) const {
+    return links()[level].load(std::memory_order_acquire);
+  }
+};
+
+namespace {
+
+// The last node (or `head`) in key order for which `pred` holds; `pred` must
+// be monotone — true up to some point in key order, false after. Records the
+// level-by-level predecessors in `prev` when non-null.
+template <typename Node, typename Pred>
+Node* LastWhere(Node* head, int height, Pred&& pred, Node** prev = nullptr) {
+  Node* x = head;
+  for (int level = height - 1;;) {
+    Node* next = x->Next(level);
+    if (next != nullptr && pred(next)) {
+      x = next;
+    } else {
+      if (prev != nullptr) prev[level] = x;
+      if (level == 0) return x;
+      level--;
+    }
+  }
+}
+
+}  // namespace
+
 MemTablet::MemTablet(uint64_t id, std::shared_ptr<const Schema> schema,
                      Period period, Timestamp created_at)
     : id_(id),
       schema_(std::move(schema)),
+      order_(*schema_),
       period_(period),
       created_at_(created_at),
-      rows_(RowLess{schema_.get()}) {}
+      parsed_key_(schema_->num_key_columns()) {
+  char* mem = Allocate(sizeof(Node) + kMaxHeight * sizeof(std::atomic<Node*>));
+  head_ = new (mem) Node{nullptr, 0, 0, nullptr};
+  for (int i = 0; i < kMaxHeight; i++) {
+    new (&head_->links()[i]) std::atomic<Node*>(nullptr);
+  }
+}
 
-bool MemTablet::Insert(Row row) {
-  Timestamp ts = row[schema_->ts_index()].AsInt();
-  size_t bytes = ApproximateRowBytes(row);
-  auto [it, inserted] = rows_.insert(std::move(row));
-  if (!inserted) return false;
-  approx_bytes_ += bytes;
-  if (rows_.size() == 1) {
+MemTablet::~MemTablet() = default;
+
+char* MemTablet::Allocate(size_t bytes) {
+  bytes = (bytes + 7) & ~size_t{7};
+  if (bytes > alloc_left_) {
+    if (bytes > kArenaBlockBytes / 4) {
+      // A large row gets a block of its own; the current one keeps filling.
+      blocks_.emplace_back(new char[bytes]);
+      return blocks_.back().get();
+    }
+    blocks_.emplace_back(new char[kArenaBlockBytes]);
+    alloc_ptr_ = blocks_.back().get();
+    alloc_left_ = kArenaBlockBytes;
+  }
+  char* p = alloc_ptr_;
+  alloc_ptr_ += bytes;
+  alloc_left_ -= bytes;
+  return p;
+}
+
+int MemTablet::RandomHeight() {
+  // Branching factor 4, as in LevelDB.
+  int height = 1;
+  while (height < kMaxHeight) {
+    rnd_ ^= rnd_ << 13;
+    rnd_ ^= rnd_ >> 7;
+    rnd_ ^= rnd_ << 17;
+    if ((rnd_ & 3) != 0) break;
+    height++;
+  }
+  return height;
+}
+
+bool MemTablet::Insert(const Row& row) {
+  row_buf_.clear();
+  EncodeRow(&row_buf_, *schema_, row);
+  return InsertEncoded(row_buf_);
+}
+
+bool MemTablet::InsertEncoded(const Slice& row) {
+  const size_t nkey = parsed_key_.size();
+  Slice in = row;
+  size_t charge = 0;
+  if (!ParseRow(&in, *schema_, parsed_key_.data(), nullptr, &charge).ok() ||
+      !in.empty()) {
+    return false;
+  }
+  const KeyCell* key = parsed_key_.data();
+  Node* prev[kMaxHeight] = {};
+  const int height_now = max_height_.load(std::memory_order_relaxed);
+  Node* x = LastWhere(
+      head_, height_now,
+      [&](const Node* n) { return order_.Compare(n->key, key, nkey) < 0; },
+      prev);
+  const Node* at = x->Next(0);
+  if (at != nullptr && order_.Compare(at->key, key, nkey) == 0) return false;
+
+  const int height = RandomHeight();
+  if (height > height_now) {
+    for (int i = height_now; i < height; i++) prev[i] = head_;
+    // Readers may see the new height before the node: head's links at the
+    // new levels are then null, which reads as "descend".
+    max_height_.store(height, std::memory_order_relaxed);
+  }
+  char* mem = Allocate(sizeof(Node) + height * sizeof(std::atomic<Node*>) +
+                       nkey * sizeof(KeyCell) + row.size());
+  auto* links = reinterpret_cast<std::atomic<Node*>*>(mem + sizeof(Node));
+  KeyCell* cells = reinterpret_cast<KeyCell*>(links + height);
+  char* bytes = reinterpret_cast<char*>(cells + nkey);
+  memcpy(bytes, row.data(), row.size());
+  for (size_t c = 0; c < nkey; c++) new (&cells[c]) KeyCell(key[c]);
+  RebaseKeyCells(*schema_, row.data(), bytes, cells);
+  const size_t seq = num_rows_.load(std::memory_order_relaxed);
+  Node* node = new (mem) Node{bytes, static_cast<uint32_t>(row.size()),
+                              static_cast<uint32_t>(seq), cells};
+  // Publish bottom-up: the node is complete before the release store that
+  // links it, so a reader that reaches it sees every field.
+  for (int i = 0; i < height; i++) {
+    new (&links[i]) std::atomic<Node*>(
+        prev[i]->links()[i].load(std::memory_order_relaxed));
+    prev[i]->links()[i].store(node, std::memory_order_release);
+  }
+
+  const Timestamp ts = key[nkey - 1].i;
+  if (seq == 0) {
     min_ts_ = max_ts_ = ts;
   } else {
     if (ts < min_ts_) min_ts_ = ts;
     if (ts > max_ts_) max_ts_ = ts;
   }
+  approx_bytes_ += charge;
+  num_rows_.store(seq + 1, std::memory_order_release);
   return true;
 }
 
-bool MemTablet::ContainsKey(const Row& key_row) const {
-  return rows_.find(key_row) != rows_.end();
+bool MemTablet::ContainsKey(const KeyCell* key) const {
+  const size_t nkey = parsed_key_.size();
+  const Node* x = LastWhere(
+      head_, max_height_.load(std::memory_order_relaxed),
+      [&](const Node* n) { return order_.Compare(n->key, key, nkey) < 0; });
+  const Node* at = x->Next(0);
+  return at != nullptr && order_.Compare(at->key, key, nkey) == 0;
 }
 
-void MemTablet::Snapshot(const QueryBounds& bounds, std::vector<Row>* out,
-                         uint64_t limit) const {
-  const uint64_t want =
-      limit == 0 || limit == UINT64_MAX ? UINT64_MAX : limit + 1;
-  uint64_t in_range = 0;
-  const size_t ts_index = schema_->ts_index();
-  // True once this row completes the limit + 1 rows inside the ts bounds.
-  auto copy = [&](const Row& row) {
-    out->push_back(row);
-    return bounds.TsInRange(row[ts_index].AsInt()) && ++in_range >= want;
+// ---------------------------------------------------------------------------
+
+MemTabletCursor::MemTabletCursor(std::shared_ptr<const MemTablet> mt,
+                                 const QueryBounds& bounds, size_t watermark,
+                                 const Schema* current_schema,
+                                 std::atomic<uint64_t>* scanned)
+    : mt_(std::move(mt)),
+      current_schema_(current_schema),
+      watermark_(watermark),
+      scanned_(scanned),
+      direction_(bounds.direction),
+      key_(mt_->order_.num_key_columns()) {
+  const Schema& schema = *mt_->schema_;
+  for (size_t c = schema.num_columns(); c < current_schema_->num_columns();
+       c++) {
+    const Column& col = current_schema_->columns()[c];
+    EncodeValue(&appended_enc_, col.default_value, col.type);
+  }
+  const bool ascending = direction_ == Direction::kAscending;
+  const KeyOrder& order = mt_->order_;
+  trailing_ = ascending ? bounds.max_key : bounds.min_key;
+  if (trailing_) order.CellsOf(trailing_->prefix, &trailing_cells_);
+
+  // The leading bound (min ascending, max descending) picks the first row.
+  const std::optional<KeyBound>& lead = ascending ? bounds.min_key : bounds.max_key;
+  std::vector<KeyCell> lead_cells;
+  if (lead) order.CellsOf(lead->prefix, &lead_cells);
+  const bool inclusive = lead && lead->inclusive;
+  auto cmp = [&](const MemTablet::Node* n) {
+    return order.Compare(n->key, lead_cells.data(), lead_cells.size());
   };
-  if (bounds.direction == Direction::kAscending) {
-    // Seek to the first row satisfying the min-key bound, then copy rows
-    // until the max-key bound fails.
-    auto it = rows_.begin();
-    if (bounds.min_key) {
-      // First row with CompareKeyToPrefix >= 0 (inclusive) or > 0.
-      const KeyBound& kb = *bounds.min_key;
-      KeyProbe probe{&kb.prefix};
-      it = kb.inclusive ? rows_.lower_bound(probe) : rows_.upper_bound(probe);
-    }
-    for (; it != rows_.end(); ++it) {
-      if (bounds.max_key) {
-        int c = schema_->CompareKeyToPrefix(*it, bounds.max_key->prefix);
-        if (bounds.max_key->inclusive ? c > 0 : c >= 0) break;
-      }
-      if (copy(*it)) break;
-    }
-    return;
+  const MemTablet::Node* head = mt_->head_;
+  const int height = mt_->max_height_.load(std::memory_order_relaxed);
+  if (ascending) {
+    // First row at or past the bound: after the last one before it.
+    node_ = LastWhere(head, height, [&](const MemTablet::Node* n) {
+              if (!lead) return false;
+              int c = cmp(n);
+              return inclusive ? c < 0 : c <= 0;
+            })->Next(0);
+  } else {
+    // Last row within the bound (with no bound, cmp is always 0).
+    const MemTablet::Node* x =
+        LastWhere(head, height, [&](const MemTablet::Node* n) {
+          int c = cmp(n);
+          return !lead || inclusive ? c <= 0 : c < 0;
+        });
+    node_ = x == head ? nullptr : x;
   }
-  // Descending: seek one past the last row satisfying the max-key bound,
-  // copy backwards until the min-key bound fails, then restore ascending
-  // order.
-  const size_t first = out->size();
-  auto it = rows_.end();
-  if (bounds.max_key) {
-    // First row with CompareKeyToPrefix > 0 (inclusive) or >= 0.
-    const KeyBound& kb = *bounds.max_key;
-    KeyProbe probe{&kb.prefix};
-    it = kb.inclusive ? rows_.upper_bound(probe) : rows_.lower_bound(probe);
-  }
-  while (it != rows_.begin()) {
-    --it;
-    if (bounds.min_key) {
-      int c = schema_->CompareKeyToPrefix(*it, bounds.min_key->prefix);
-      if (bounds.min_key->inclusive ? c < 0 : c <= 0) break;
-    }
-    if (copy(*it)) break;
-  }
-  std::reverse(out->begin() + first, out->end());
+  Settle();
 }
 
-std::vector<Row> MemTablet::AllRows() const {
-  return std::vector<Row>(rows_.begin(), rows_.end());
+const MemTablet::Node* MemTabletCursor::Step(const MemTablet::Node* n) const {
+  if (direction_ == Direction::kAscending) return n->Next(0);
+  const size_t nkey = key_.size();
+  const MemTablet::Node* head = mt_->head_;
+  const MemTablet::Node* x = LastWhere(
+      head, mt_->max_height_.load(std::memory_order_relaxed),
+      [&](const MemTablet::Node* m) {
+        return mt_->order_.Compare(m->key, n->key, nkey) < 0;
+      });
+  return x == head ? nullptr : x;
+}
+
+void MemTabletCursor::Settle() {
+  while (node_ != nullptr && node_->seq >= watermark_) node_ = Step(node_);
+  if (node_ == nullptr) return;
+  if (trailing_) {
+    int c = mt_->order_.Compare(node_->key, trailing_cells_.data(),
+                                trailing_cells_.size());
+    bool past = direction_ == Direction::kAscending
+                    ? (trailing_->inclusive ? c > 0 : c >= 0)
+                    : (trailing_->inclusive ? c < 0 : c <= 0);
+    if (past) {
+      node_ = nullptr;
+      return;
+    }
+  }
+  std::copy(node_->key, node_->key + key_.size(), key_.begin());
+  if (scanned_) scanned_->fetch_add(1, std::memory_order_relaxed);
+}
+
+Status MemTabletCursor::Next() {
+  if (node_ != nullptr) {
+    node_ = Step(node_);
+    Settle();
+  }
+  return Status::OK();
+}
+
+Slice MemTabletCursor::row() const { return Slice(node_->row, node_->row_len); }
+
+void MemTabletCursor::AppendEncoded(std::string* dst) const {
+  dst->append(node_->row, node_->row_len);
+  dst->append(appended_enc_);
+}
+
+void MemTabletCursor::MaterializeRow(Row* out) const {
+  const Schema& schema = *mt_->schema_;
+  Slice in = row();
+  DecodeRow(&in, schema, out);  // Validated at insert; cannot fail.
+  if (schema.version() != current_schema_->version()) {
+    *out = current_schema_->TranslateRow(schema, *out);
+  }
 }
 
 }  // namespace lt

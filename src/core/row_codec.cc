@@ -1,6 +1,33 @@
 #include "core/row_codec.h"
 
+#include <algorithm>
+
+#include "util/coding.h"
+
 namespace lt {
+
+namespace {
+
+int VarintLength(uint64_t v) {
+  int len = 1;
+  while (v >= 0x80) {
+    v >>= 7;
+    len++;
+  }
+  return len;
+}
+
+// std::string's inline (small-string) capacity, part of the seal charge.
+const size_t kInlineCapacity = std::string().capacity();
+
+// Reads a varint that must be in canonical (shortest) form.
+bool GetCanonicalVarint(Slice* input, uint64_t* v) {
+  const size_t before = input->size();
+  return GetVarint64(input, v) &&
+         before - input->size() == static_cast<size_t>(VarintLength(*v));
+}
+
+}  // namespace
 
 void EncodeRow(std::string* dst, const Schema& schema, const Row& row) {
   for (size_t i = 0; i < schema.num_columns(); i++) {
@@ -36,12 +63,65 @@ Status DecodeKey(Slice* input, const Schema& schema, Key* out) {
   return Status::OK();
 }
 
-size_t ApproximateRowBytes(const Row& row) {
-  size_t total = sizeof(Row) + row.size() * sizeof(Value);
-  for (const Value& v : row) {
-    if (v.is_bytes()) total += v.bytes().capacity();
+Status ParseRow(Slice* input, const Schema& schema, KeyCell* key,
+                uint32_t* key_ends, size_t* charge) {
+  const char* const start = input->data();
+  const size_t num_keys = schema.num_key_columns();
+  size_t bytes_charge = 0;
+  for (size_t c = 0; c < schema.num_columns(); c++) {
+    KeyCell cell;
+    switch (schema.columns()[c].type) {
+      case ColumnType::kInt32:
+      case ColumnType::kInt64:
+      case ColumnType::kTimestamp: {
+        uint64_t u;
+        if (!GetCanonicalVarint(input, &u)) {
+          return Status::Corruption("bad integer cell");
+        }
+        cell.i = ZigZagDecode(u);
+        if (schema.columns()[c].type == ColumnType::kInt32 &&
+            (cell.i < INT32_MIN || cell.i > INT32_MAX)) {
+          return Status::Corruption("int32 cell out of range");
+        }
+        break;
+      }
+      case ColumnType::kDouble:
+        if (input->size() < 8) return Status::Corruption("bad double cell");
+        input->remove_prefix(8);
+        break;
+      case ColumnType::kString:
+      case ColumnType::kBlob: {
+        uint64_t len;
+        if (!GetCanonicalVarint(input, &len) || input->size() < len) {
+          return Status::Corruption("bad bytes cell");
+        }
+        cell.s = Slice(input->data(), len);
+        input->remove_prefix(len);
+        bytes_charge += std::max<size_t>(len, kInlineCapacity);
+        break;
+      }
+    }
+    if (c < num_keys) {
+      if (key != nullptr) key[c] = cell;
+      if (key_ends != nullptr) {
+        key_ends[c] = static_cast<uint32_t>(input->data() - start);
+      }
+    }
   }
-  return total;
+  if (charge != nullptr) {
+    *charge = sizeof(Row) + schema.num_columns() * sizeof(Value) + bytes_charge;
+  }
+  return Status::OK();
+}
+
+void RebaseKeyCells(const Schema& schema, const char* from, const char* to,
+                    KeyCell* key) {
+  for (size_t c = 0; c < schema.num_key_columns(); c++) {
+    ColumnType t = schema.columns()[c].type;
+    if (t == ColumnType::kString || t == ColumnType::kBlob) {
+      key[c].s = Slice(to + (key[c].s.data() - from), key[c].s.size());
+    }
+  }
 }
 
 }  // namespace lt

@@ -4,10 +4,12 @@
 #include <cstdio>
 #include <limits>
 #include <ranges>
+#include <string_view>
 
 #include "core/merge_policy.h"
 #include "core/row_codec.h"
 #include "core/tablet_writer.h"
+#include "util/bloom.h"
 #include "util/fault.h"
 #include "util/logger.h"
 
@@ -27,14 +29,6 @@ void SortMetas(std::vector<TabletMeta>* metas) {
               if (a.max_ts != b.max_ts) return a.max_ts < b.max_ts;
               return a.filename < b.filename;
             });
-}
-
-int CompareFullKeys(const Schema& schema, const Key& a, const Key& b) {
-  for (size_t i = 0; i < schema.num_key_columns(); i++) {
-    int r = a[i].Compare(b[i]);
-    if (r != 0) return r;
-  }
-  return 0;
 }
 
 }  // namespace
@@ -396,16 +390,19 @@ struct Table::Source {
   Timestamp min_ts = 0, max_ts = 0;
   std::shared_ptr<TabletReader> reader;  // Null for a memtablet.
   std::string filename;                  // The tablet's: quarantine target.
-  std::vector<Row> rows;                 // A memtablet's rows, copied out.
+  std::unique_ptr<Cursor> mem;           // A memtablet's rows, positioned.
 
-  // A memtablet visitor: adds `mt`'s rows within `bounds` (see
-  // MemTablet::Snapshot) to `out` as one source, if there are any.
-  static bool Snapshot(const MemTablet& mt, const QueryBounds& bounds,
-                       uint64_t limit, std::vector<Source>* out) {
-    std::vector<Row> rows;
-    mt.Snapshot(bounds, &rows, limit);
-    if (!rows.empty()) {
-      out->push_back({mt.min_ts(), mt.max_ts(), nullptr, {}, std::move(rows)});
+  // A memtablet visitor: adds a cursor over `mt`'s rows within `bounds`
+  // to `out` as one source, if there are any. mu_ held: the cursor's
+  // watermark is the memtablet's row count as the view is taken.
+  static bool OpenMem(const std::shared_ptr<MemTablet>& mt,
+                      const QueryBounds& bounds, const Schema* schema,
+                      std::atomic<uint64_t>* scanned,
+                      std::vector<Source>* out) {
+    auto cursor = std::make_unique<MemTabletCursor>(mt, bounds, mt->num_rows(),
+                                                    schema, scanned);
+    if (cursor->Valid()) {
+      out->push_back({mt->min_ts(), mt->max_ts(), nullptr, {}, std::move(cursor)});
     }
     return true;
   }
@@ -427,7 +424,7 @@ Status Table::VisitReadViewLocked(const QueryBounds& range, QueryTrace* trace,
       if (it == readers_.end()) {
         return Status::Aborted("internal: no reader for tablet " + m.filename);
       }
-      disk->push_back({m.min_ts, m.max_ts, it->second, m.filename, {}});
+      disk->push_back({m.min_ts, m.max_ts, it->second, m.filename, nullptr});
     }
   }
   // A memtablet leaves flushing_ in the critical section that puts its
@@ -436,7 +433,7 @@ Status Table::VisitReadViewLocked(const QueryBounds& range, QueryTrace* trace,
   // returns false.
   auto visit = [&](const std::shared_ptr<MemTablet>& mt) {
     return mt->empty() || !range.TsOverlaps(mt->min_ts(), mt->max_ts()) ||
-           mem(*mt);
+           mem(mt);
   };
   std::ranges::all_of(filling_ | std::views::values, visit) &&
       std::ranges::all_of(sealed_, visit) &&
@@ -478,10 +475,8 @@ Status Table::MergeSources(std::span<Source> sources, const QueryBounds& bounds,
       LT_RETURN_IF_ERROR(
           src.reader->NewCursor(bounds, schema, scanned, &c, trace));
       cursors.push_back(std::move(c));
-    } else if (!src.rows.empty()) {
-      scanned->fetch_add(src.rows.size());
-      cursors.push_back(std::make_unique<VectorCursor>(
-          schema, std::move(src.rows), bounds.direction));
+    } else if (src.mem) {
+      cursors.push_back(std::move(src.mem));
     }
   }
   auto merged = std::make_unique<MergingCursor>(schema, std::move(cursors),
@@ -494,68 +489,140 @@ Status Table::MergeSources(std::span<Source> sources, const QueryBounds& bounds,
 // ---------------------------------------------------------------------------
 // Inserts.
 
-Status Table::CheckUnique(const Row& row,
-                          const std::set<std::string>& batch_keys) {
+namespace {
+
+// An open-addressing set of byte strings that point into storage the caller
+// keeps alive: a commit group's encoded keys, which are byte prefixes of its
+// rows. Sized for the group up front, so it never rehashes.
+class KeySet {
+ public:
+  explicit KeySet(size_t max_keys) {
+    size_t n = 16;
+    while (n < 2 * max_keys) n <<= 1;
+    slots_.resize(n);
+  }
+  /// Adds `key`; false if it is already present.
+  bool Insert(const Slice& key) {
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = BloomHash(key) & mask;; i = (i + 1) & mask) {
+      std::string_view& slot = slots_[i];
+      if (slot.data() == nullptr) {
+        slot = key.view();
+        return true;
+      }
+      if (slot == key.view()) return false;
+    }
+  }
+  void Clear() { std::fill(slots_.begin(), slots_.end(), std::string_view()); }
+
+ private:
+  std::vector<std::string_view> slots_;
+};
+
+// A full key as Values, from its cells (the uniqueness slow path's probe).
+Key KeyOfCells(const Schema& schema, const KeyCell* cells) {
+  Key key;
+  for (size_t c = 0; c < schema.num_key_columns(); c++) {
+    switch (schema.columns()[c].type) {
+      case ColumnType::kInt32:
+        key.push_back(Value::Int32(static_cast<int32_t>(cells[c].i)));
+        break;
+      case ColumnType::kString:
+        key.push_back(Value::String(cells[c].s.ToString()));
+        break;
+      case ColumnType::kBlob:
+        key.push_back(Value::Blob(cells[c].s.ToString()));
+        break;
+      default:
+        key.push_back(Value::Int64(cells[c].i));
+        break;
+    }
+  }
+  return key;
+}
+
+}  // namespace
+
+// The table as a commit group's uniqueness checks see it: the newest-row
+// bound, then — taken once, when the first row needs it — the memtablets
+// and disk tablets of the read view. Nothing applies while a group checks
+// (insert_mu_ is held), so one view serves every row of the group.
+struct Table::UniqueView {
+  explicit UniqueView(const Schema& schema) : order(schema) {}
+
+  KeyOrder order;
+  bool has_rows = false;
+  Timestamp max_row_ts = 0;
+  bool taken = false;
+  std::vector<std::shared_ptr<MemTablet>> mem;
+  std::vector<Source> disk;
+  std::vector<char> loaded;                  // Per disk source.
+  std::vector<std::vector<KeyCell>> max_key;  // Per loaded disk source.
+  std::vector<size_t> probe;                  // Sources a row point-queries.
+};
+
+Status Table::CheckUnique(const Schema& schema, const KeyCell* key,
+                          UniqueView* v) {
   auto duplicate = [this] {
     stats_.duplicates_rejected.fetch_add(1);
     return Status::AlreadyExists("duplicate key");
   };
-  std::shared_ptr<const Schema> schema;
-  Key full_key;
-  std::vector<Source> candidates;
-  {
+  const size_t nkey = schema.num_key_columns();
+  const Timestamp ts = key[nkey - 1].i;
+  // Fast path 1 (§3.4.4): newer than every existing row — provable from
+  // cached metadata alone. Common because most applications timestamp
+  // rows with the current time.
+  if (!v->has_rows || ts > v->max_row_ts) {
+    stats_.unique_by_newest_ts.fetch_add(1);
+    return Status::OK();
+  }
+  if (!v->taken) {
     std::lock_guard<std::mutex> lock(mu_);
-    schema = schema_;
-    full_key = schema->KeyOf(row);
-    std::string enc;
-    EncodeKey(&enc, *schema, full_key);
-    if (batch_keys.count(enc)) {
-      stats_.duplicates_rejected.fetch_add(1);
-      return Status::AlreadyExists("duplicate key within batch");
-    }
-    Timestamp ts = row[schema->ts_index()].AsInt();
-    // Fast path 1 (§3.4.4): newer than every existing row — provable from
-    // cached metadata alone. Common because most applications timestamp
-    // rows with the current time.
-    if (!has_rows_ || ts > max_row_ts_) {
-      stats_.unique_by_newest_ts.fetch_add(1);
-      return Status::OK();
-    }
-    // A duplicate shares the full key including ts, so only sources whose
-    // timespan contains ts can hold one. In-memory tablets: exact, cheap
-    // checks. Disk tablets: candidates for fast path 2.
-    QueryBounds at;
-    at.min_ts = at.max_ts = ts;
-    bool dup = false;
     LT_RETURN_IF_ERROR(VisitReadViewLocked(
-        at, nullptr,
-        [&](const MemTablet& mt) { return !(dup = mt.ContainsKey(row)); },
-        &candidates));
-    if (dup) return duplicate();
+        QueryBounds(), nullptr,
+        [&](const std::shared_ptr<MemTablet>& mt) {
+          v->mem.push_back(mt);
+          return true;
+        },
+        &v->disk));
+    v->loaded.assign(v->disk.size(), 0);
+    v->max_key.resize(v->disk.size());
+    v->taken = true;
+  }
+  // A duplicate shares the full key including ts, so only sources whose
+  // timespan contains ts can hold one. In-memory tablets: exact, cheap
+  // checks (this thread is their only writer, so no lock is needed).
+  for (const std::shared_ptr<MemTablet>& mt : v->mem) {
+    if (ts >= mt->min_ts() && ts <= mt->max_ts() && mt->ContainsKey(key)) {
+      return duplicate();
+    }
   }
   // Fast path 2: larger than every candidate's max key — provable from
   // cached footers alone. Footer loads and point queries run outside mu_ so
   // concurrent queries proceed unencumbered (the paper's in-memory lock
   // table is our insert_mu_, held by the caller).
-  bool point_query = false;
-  for (Source& c : candidates) {
-    LT_RETURN_IF_ERROR(LoadSource(&c));
-    if (!c.reader) continue;  // Quarantined: it cannot hold a duplicate.
-    int cmp = CompareFullKeys(*schema, c.reader->max_key(), full_key);
-    if (cmp == 0) return duplicate();
-    if (cmp < 0) {
-      c.reader.reset();  // Every key in it is smaller.
-    } else {
-      point_query = true;
+  v->probe.clear();
+  for (size_t d = 0; d < v->disk.size(); d++) {
+    Source& c = v->disk[d];
+    if (!c.reader || ts < c.min_ts || ts > c.max_ts) continue;
+    if (!v->loaded[d]) {
+      LT_RETURN_IF_ERROR(LoadSource(&c));
+      v->loaded[d] = 1;
+      if (!c.reader) continue;  // Quarantined: it cannot hold a duplicate.
+      v->order.CellsOf(c.reader->max_key(), &v->max_key[d]);
     }
+    int cmp = v->order.Compare(v->max_key[d].data(), key, nkey);
+    if (cmp == 0) return duplicate();
+    if (cmp > 0) v->probe.push_back(d);  // Else every key in it is smaller.
   }
-  if (!point_query) {
+  if (v->probe.empty()) {
     stats_.unique_by_max_key.fetch_add(1);
     return Status::OK();
   }
   // Slow path: point queries.
-  for (const Source& c : candidates) {
-    if (!c.reader) continue;
+  const Key full_key = KeyOfCells(schema, key);
+  for (size_t d : v->probe) {
+    const Source& c = v->disk[d];
     stats_.bloom_tablet_probes.fetch_add(1);
     if (!c.reader->MayContainPrefix(full_key)) {
       stats_.bloom_tablet_skips.fetch_add(1);
@@ -563,7 +630,7 @@ Status Table::CheckUnique(const Row& row,
     }
     std::unique_ptr<Cursor> cursor;
     LT_RETURN_IF_ERROR(c.reader->NewCursor(QueryBounds::ForPrefix(full_key),
-                                           schema.get(), nullptr, &cursor));
+                                           &schema, nullptr, &cursor));
     if (cursor->Valid()) return duplicate();
   }
   stats_.unique_by_point_query.fetch_add(1);
@@ -585,6 +652,20 @@ constexpr size_t kMaxInsertGroupRows = 65536;
 }  // namespace
 
 Status Table::InsertBatch(const std::vector<Row>& rows) {
+  if (rows.empty()) return Status::OK();
+  std::shared_ptr<const Schema> schema = this->schema();
+  EncodedRows encoded;
+  encoded.Clear(schema->version());
+  for (const Row& r : rows) {
+    if (!schema->RowMatches(r)) {
+      return Status::InvalidArgument("row does not match table schema");
+    }
+    encoded.Add(*schema, r);
+  }
+  return InsertEncoded(encoded);
+}
+
+Status Table::InsertEncoded(const EncodedRows& rows) {
   if (rows.empty()) return Status::OK();
   const Timestamp op_start = MonotonicMicros();
 
@@ -653,53 +734,82 @@ void Table::RunInsertGroup(const std::vector<InsertWaiter*>& group) {
   }
 
   std::shared_ptr<const Schema> schema = this->schema();
+  const size_t nkey = schema->num_key_columns();
+  size_t group_rows = 0;
+  for (InsertWaiter* w : group) group_rows += w->rows->size();
 
   // Validate and uniqueness-check each batch independently. group_keys
-  // accumulates the keys of batches already accepted in this group: they
+  // holds the encoded keys of batches already accepted in this group: they
   // are not yet in any memtablet, so CheckUnique's fast paths cannot see
   // them, and a cross-batch duplicate must be caught here exactly as it
   // would have been had the batches run serially (earlier queue position
   // wins). A rejected batch's keys are rolled back so it cannot shadow a
   // later batch.
-  std::set<std::string> group_keys;
+  KeySet group_keys(group_rows);
+  UniqueView view(*schema);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    view.has_rows = has_rows_;
+    view.max_row_ts = max_row_ts_;
+  }
+  std::vector<Timestamp> row_ts(group_rows);  // Per group row, queue order.
+  std::vector<KeyCell> cells(nkey);
+  std::vector<uint32_t> ends(nkey);
+  // The key bytes of `rows`' row i (a prefix of the row); fills cells.
+  auto parse_key = [&](const EncodedRows& rows, size_t i) {
+    Slice row = rows.row(i), in = row;
+    ParseRow(&in, *schema, cells.data(), ends.data());
+    return Slice(row.data(), ends[nkey - 1]);
+  };
   std::vector<InsertWaiter*> accepted;
-  size_t accepted_rows = 0;
+  size_t first_row = 0;
   for (InsertWaiter* w : group) {
+    const EncodedRows& rows = *w->rows;
+    w->first_row = first_row;
+    first_row += rows.size();
     Status s;
-    for (const Row& r : *w->rows) {
-      if (!schema->RowMatches(r)) {
+    if (rows.schema_version != schema->version()) {
+      s = Status::InvalidArgument("row does not match table schema");
+    }
+    for (size_t i = 0; s.ok() && i < rows.size(); i++) {
+      Slice in = rows.row(i);
+      if (!ParseRow(&in, *schema).ok() || !in.empty()) {
         s = Status::InvalidArgument("row does not match table schema");
-        break;
       }
     }
-    std::vector<std::string> added;
-    if (s.ok()) {
-      for (const Row& r : *w->rows) {
-        s = CheckUnique(r, group_keys);
-        if (!s.ok()) break;
-        std::string enc;
-        EncodeKey(&enc, *schema, schema->KeyOf(r));
-        if (group_keys.insert(enc).second) added.push_back(std::move(enc));
+    for (size_t i = 0; s.ok() && i < rows.size(); i++) {
+      if (!group_keys.Insert(parse_key(rows, i))) {
+        stats_.duplicates_rejected.fetch_add(1);
+        s = Status::AlreadyExists("duplicate key within batch");
+        break;
       }
+      row_ts[w->first_row + i] = cells[nkey - 1].i;
+      s = CheckUnique(*schema, cells.data(), &view);
     }
     w->status = s;
     if (s.ok()) {
       accepted.push_back(w);
-      accepted_rows += w->rows->size();
     } else {
-      for (const std::string& enc : added) group_keys.erase(enc);
+      group_keys.Clear();
+      for (InsertWaiter* a : accepted) {
+        for (size_t i = 0; i < a->rows->size(); i++) {
+          group_keys.Insert(parse_key(*a->rows, i));
+        }
+      }
     }
   }
 
   if (!accepted.empty()) {
     // One mu_ critical section applies every accepted batch, in queue
     // order — the coalescing that turns many small device batches into
-    // amortized work.
+    // amortized work. Readers take their memtablet watermarks under mu_,
+    // so they see the whole group or none of it.
     std::lock_guard<std::mutex> lock(mu_);
     const Timestamp now = clock_->Now();
     for (InsertWaiter* w : accepted) {
-      for (const Row& r : *w->rows) {
-        Timestamp ts = r[schema->ts_index()].AsInt();
+      const EncodedRows& rows = *w->rows;
+      for (size_t i = 0; i < rows.size(); i++) {
+        Timestamp ts = row_ts[w->first_row + i];
         Period p = PeriodFor(ts, now);
         std::shared_ptr<MemTablet> mt;
         auto it = filling_.find(p.start);
@@ -713,7 +823,7 @@ void Table::RunInsertGroup(const std::vector<InsertWaiter*>& group) {
                                            now);
           filling_[p.start] = mt;
         }
-        if (!mt->Insert(r)) {
+        if (!mt->InsertEncoded(rows.row(i))) {
           w->status = Status::Aborted("uniqueness race despite insert lock");
           break;
         }
@@ -730,7 +840,7 @@ void Table::RunInsertGroup(const std::vector<InsertWaiter*>& group) {
       }
       if (w->status.ok()) {
         stats_.insert_batches.fetch_add(1);
-        stats_.rows_inserted.fetch_add(w->rows->size());
+        stats_.rows_inserted.fetch_add(rows.size());
       }
     }
   }
@@ -835,9 +945,10 @@ Status Table::FlushSet(std::vector<uint64_t> root_ids) {
     wopts.stats = &stats_;
     TabletWriter writer(env_, TabletPath(fname), mt->schema().get(), wopts);
     Status s;
-    for (const Row& r : mt->AllRows()) {
-      s = writer.Add(r);
-      if (!s.ok()) break;
+    for (MemTabletCursor rows(mt, QueryBounds(), mt->num_rows(),
+                              mt->schema().get(), nullptr);
+         s.ok() && rows.Valid(); rows.Next()) {
+      s = writer.Add(rows.row());
     }
     TabletMeta meta;
     if (s.ok()) s = writer.Finish(&meta);
@@ -998,8 +1109,8 @@ Status Table::FlushThrough(Timestamp ts) {
     through.max_ts = ts;
     LT_RETURN_IF_ERROR(VisitReadViewLocked(
         through, nullptr,
-        [&](const MemTablet& mt) {
-          roots.push_back(mt.id());
+        [&](const std::shared_ptr<MemTablet>& mt) {
+          roots.push_back(mt->id());
           return true;
         },
         nullptr));
@@ -1140,11 +1251,12 @@ Status Table::MaybeMerge(Timestamp now) {
   // loses nothing — the next attempt re-picks the same inputs.
   MergingCursor merged(schema.get(), std::move(cursors), Direction::kAscending);
   Status ws;
-  Row row;
+  std::string row;
   while (merged.Valid()) {
     if (merged.ts() >= cutoff) {
-      merged.MaterializeRow(&row);
-      ws = writer.Add(row);
+      row.clear();
+      merged.AppendEncoded(&row);
+      ws = writer.Add(Slice(row));
       if (!ws.ok()) break;
     }
     ws = merged.Next();
@@ -1279,8 +1391,9 @@ Status Table::NewQueryStream(const QueryBounds& user_bounds,
     }
     LT_RETURN_IF_ERROR(VisitReadViewLocked(
         bounds, tr,
-        [&](const MemTablet& mt) {
-          return Source::Snapshot(mt, bounds, limit, &sources);
+        [&](const std::shared_ptr<MemTablet>& mt) {
+          return Source::OpenMem(mt, bounds, schema.get(), &qs->scanned_,
+                                 &sources);
         },
         &sources));
   }
@@ -1417,8 +1530,9 @@ Status Table::LatestRowForPrefix(const Key& prefix, Row* row, bool* found) {
     live.min_ts = cutoff;
     LT_RETURN_IF_ERROR(VisitReadViewLocked(
         live, nullptr,
-        [&](const MemTablet& mt) {
-          return Source::Snapshot(mt, prefix_bounds, 0, &sources);
+        [&](const std::shared_ptr<MemTablet>& mt) {
+          return Source::OpenMem(mt, prefix_bounds, schema.get(),
+                                 &stats_.rows_scanned, &sources);
         },
         &sources));
   }

@@ -34,6 +34,7 @@
 #include "core/memtablet.h"
 #include "core/options.h"
 #include "core/query_trace.h"
+#include "core/row_codec.h"
 #include "core/stats.h"
 #include "core/tablet_reader.h"
 #include "env/env.h"
@@ -158,6 +159,13 @@ class Table {
   /// the others in its group). Equivalent to some serial order of the
   /// batches — queue order — so durable state matches serial execution.
   Status InsertBatch(const std::vector<Row>& rows);
+
+  /// The same insert, with the rows given as their encodings under
+  /// schema version rows.schema_version (see EncodedRows): the write path
+  /// InsertBatch encodes into, and the server's. The rows must be
+  /// canonical encodings under the current schema (ParseRow); a batch
+  /// under another schema version is rejected whole.
+  Status InsertEncoded(const EncodedRows& rows);
 
   /// Executes a 2-D bounded scan (§3.1). TTL-expired rows are filtered; the
   /// row limit is min(bounds.limit, server cap), and more_available is set
@@ -284,7 +292,8 @@ class Table {
   /// flushed — that hold rows in `range`'s timespan. When `disk` is set,
   /// appends each such tablet to it as a source (in tablets_ order; `trace`,
   /// optional, counts the tablets considered and pruned by time). Then
-  /// calls `mem(const MemTablet&)` for each such memtablet; a false return
+  /// calls `mem(const std::shared_ptr<MemTablet>&)` for each such
+  /// memtablet (read its watermark here, under mu_); a false return
   /// ends the visit. Does no I/O. mu_ held.
   template <typename MemFn>
   Status VisitReadViewLocked(const QueryBounds& range, QueryTrace* trace,
@@ -295,23 +304,30 @@ class Table {
   /// of the table keeps serving; any other error propagates. mu_ not held.
   Status LoadSource(Source* src);
 
-  /// Merges `sources` in `bounds.direction`: memtablet rows (moved out)
-  /// through VectorCursor, disk tablets through NewCursor once LoadSource
-  /// keeps them — skipping, when `bloom_prefix` is set, those whose Bloom
-  /// filter rules it out. Every row decoded counts into `*scanned`.
+  /// Merges `sources` in `bounds.direction`: memtablet cursors (moved out)
+  /// as they are, disk tablets through NewCursor once LoadSource keeps
+  /// them — skipping, when `bloom_prefix` is set, those whose Bloom filter
+  /// rules it out. Every disk row decoded counts into `*scanned` (memtablet
+  /// cursors count into the counter they were opened with).
   Status MergeSources(std::span<Source> sources, const QueryBounds& bounds,
                       const Schema* schema, const Key* bloom_prefix,
                       std::atomic<uint64_t>* scanned, QueryTrace* trace,
                       std::unique_ptr<Cursor>* out);
 
-  /// Uniqueness check for one row (§3.4.4); `batch_keys` carries encoded
-  /// keys earlier in the same batch. May read from disk (slow path).
-  Status CheckUnique(const Row& row, const std::set<std::string>& batch_keys);
+  /// What a commit group's uniqueness checks read (table.cc).
+  struct UniqueView;
 
-  /// One queued InsertBatch call awaiting (or leading) a commit group.
+  /// Uniqueness check (§3.4.4) of one row's full key — `key`, one cell per
+  /// key column — against the table as `view` sees it. May read from disk
+  /// (slow path).
+  Status CheckUnique(const Schema& schema, const KeyCell* key,
+                     UniqueView* view);
+
+  /// One queued insert call awaiting (or leading) a commit group.
   struct InsertWaiter {
-    explicit InsertWaiter(const std::vector<Row>* r) : rows(r) {}
-    const std::vector<Row>* rows;
+    explicit InsertWaiter(const EncodedRows* r) : rows(r) {}
+    const EncodedRows* rows;
+    size_t first_row = 0;  // Index of its first row within the group.
     Status status;
     bool done = false;  // Guarded by writers_mu_.
     std::condition_variable cv;

@@ -1,5 +1,7 @@
 #include "core/tablet_writer.h"
 
+#include <cstring>
+
 #include "util/coding.h"
 #include "util/crc32c.h"
 #include "util/fault.h"
@@ -14,7 +16,12 @@ TabletWriter::TabletWriter(Env* env, std::string fname, const Schema* schema,
       schema_(schema),
       opts_(options),
       block_(schema, options.format_version),
-      bloom_(options.bloom_bits_per_key > 0 ? options.bloom_bits_per_key : 1) {
+      bloom_(options.bloom_bits_per_key > 0 ? options.bloom_bits_per_key : 1),
+      order_(*schema),
+      cells_(schema->num_key_columns()),
+      ends_(schema->num_key_columns()),
+      last_cells_(schema->num_key_columns()),
+      last_ends_(schema->num_key_columns()) {
   if (opts_.format_version > kTabletFormatLatest) {
     open_status_ = Status::InvalidArgument("unknown tablet format version");
     return;
@@ -27,36 +34,58 @@ Status TabletWriter::Add(const Row& row) {
   if (!schema_->RowMatches(row)) {
     return Status::InvalidArgument("row does not match tablet schema");
   }
-  if (rows_added_ > 0 && schema_->CompareKeys(last_row_, row) >= 0) {
+  row_buf_.clear();
+  EncodeRow(&row_buf_, *schema_, row);
+  return Add(Slice(row_buf_));
+}
+
+Status TabletWriter::Add(const Slice& row) {
+  LT_RETURN_IF_ERROR(open_status_);
+  Slice in = row;
+  if (!ParseRow(&in, *schema_, cells_.data(), ends_.data()).ok() ||
+      !in.empty()) {
+    return Status::InvalidArgument("row does not match tablet schema");
+  }
+  const size_t nkey = cells_.size();
+  if (rows_added_ > 0 &&
+      order_.Compare(last_cells_.data(), cells_.data(), nkey) >= 0) {
     return Status::InvalidArgument("rows not in strictly ascending key order");
   }
 
-  std::string key_enc;
-  EncodeKey(&key_enc, *schema_, schema_->KeyOf(row));
+  const Slice key(row.data(), ends_[nkey - 1]);
   if (opts_.bloom_bits_per_key > 0) {
     // Every proper prefix of the key (for §3.4.5 latest-row queries) plus
-    // the full key (for §3.4.4 duplicate checks). Prefix encodings are
-    // length-delimited per cell, so prefix i is a byte prefix of the key;
-    // we still hash each cumulative encoding separately for exact lookups.
-    std::string prefix_enc;
-    for (size_t i = 0; i + 1 < schema_->num_key_columns(); i++) {
-      EncodeValue(&prefix_enc, row[i], schema_->columns()[i].type);
-      bloom_.Add(prefix_enc);
+    // the full key (for §3.4.4 duplicate checks), each a byte prefix of the
+    // row. Rows arrive sorted, so leading prefixes usually repeat the last
+    // row's: those are counted, not hashed again (encodings are canonical,
+    // so equal bytes are equal cells).
+    bool repeat = rows_added_ > 0;
+    for (size_t i = 0; i + 1 < nkey; i++) {
+      const uint32_t begin = i == 0 ? 0 : ends_[i - 1];
+      repeat = repeat && ends_[i] == last_ends_[i] &&
+               memcmp(row.data() + begin, last_key_.data() + begin,
+                      ends_[i] - begin) == 0;
+      if (repeat) {
+        bloom_.AddRepeat();
+      } else {
+        bloom_.Add(Slice(row.data(), ends_[i]));
+      }
     }
-    bloom_.Add(key_enc);
+    bloom_.Add(key);
   }
 
-  Timestamp ts = row[schema_->ts_index()].AsInt();
+  Timestamp ts = cells_[nkey - 1].i;
   if (rows_added_ == 0) {
     min_ts_ = max_ts_ = ts;
-    min_key_ = key_enc;
+    min_key_.assign(key.data(), key.size());
   } else {
     if (ts < min_ts_) min_ts_ = ts;
     if (ts > max_ts_) max_ts_ = ts;
   }
-  max_key_ = key_enc;
-  pending_last_key_ = std::move(key_enc);
-  last_row_ = row;
+  last_key_.assign(key.data(), key.size());
+  last_cells_ = cells_;
+  RebaseKeyCells(*schema_, row.data(), last_key_.data(), last_cells_.data());
+  last_ends_ = ends_;
   rows_added_++;
 
   block_.Add(row);
@@ -69,7 +98,7 @@ Status TabletWriter::Add(const Row& row) {
 Status TabletWriter::FlushBlock() {
   if (block_.empty()) return Status::OK();
   IndexEntry entry;
-  entry.last_key = pending_last_key_;
+  entry.last_key = last_key_;
   entry.offset = file_offset_;
   entry.row_count = static_cast<uint32_t>(block_.num_rows());
   std::string payload = block_.Finish();
@@ -112,7 +141,7 @@ Status TabletWriter::Finish(TabletMeta* meta) {
   PutVarint64(&footer, ZigZagEncode(max_ts_));
   PutVarint64(&footer, rows_added_);
   PutLengthPrefixedSlice(&footer, min_key_);
-  PutLengthPrefixedSlice(&footer, max_key_);
+  PutLengthPrefixedSlice(&footer, last_key_);
   if (opts_.bloom_bits_per_key > 0 && rows_added_ > 0) {
     PutLengthPrefixedSlice(&footer, bloom_.Finish());
   } else {

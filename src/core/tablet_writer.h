@@ -76,9 +76,13 @@ class TabletWriter {
   TabletWriter(Env* env, std::string fname, const Schema* schema,
                TabletWriterOptions options);
 
-  /// Appends a row. Rows must arrive in strictly ascending key order (the
-  /// writer checks and rejects regressions — flushes and merges both
-  /// produce sorted, duplicate-free streams).
+  /// Appends a row given as its encoding under the schema (EncodeRow
+  /// bytes; malformed input is rejected). Rows must arrive in strictly
+  /// ascending key order (the writer checks and rejects regressions —
+  /// flushes and merges both produce sorted, duplicate-free streams). The
+  /// row's key encoding and every Bloom key prefix are byte prefixes of it.
+  Status Add(const Slice& row);
+  /// Checks `row` against the schema, encodes it and adds it.
   Status Add(const Row& row);
 
   uint64_t rows_added() const { return rows_added_; }
@@ -112,12 +116,21 @@ class TabletWriter {
   BlockBuilder block_;
   std::vector<IndexEntry> index_;
   BloomFilterBuilder bloom_;
+  KeyOrder order_;
   uint64_t file_offset_ = 0;
   uint64_t rows_added_ = 0;
   Timestamp min_ts_ = 0, max_ts_ = 0;
-  std::string min_key_, max_key_;   // Encoded full keys.
-  Row last_row_;                    // For ordering checks.
-  std::string pending_last_key_;    // Encoded key of last row in open block.
+  std::string min_key_;  // Encoded full key of the first row.
+  // The row being added: its key cells and the end offset of each.
+  std::vector<KeyCell> cells_;
+  std::vector<uint32_t> ends_;
+  // The last row added, for ordering checks and repeated Bloom prefixes:
+  // its encoded key (the max key, and the open block's last key), and its
+  // key cells (byte cells pointing into last_key_) and their end offsets.
+  std::string last_key_;
+  std::vector<KeyCell> last_cells_;
+  std::vector<uint32_t> last_ends_;
+  std::string row_buf_;  // Add(const Row&)'s encoding.
   bool finished_ = false;
 };
 

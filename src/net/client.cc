@@ -153,8 +153,12 @@ Status Client::ErrorFromBody(Slice body) {
 
 Status Client::RoundTrip(MsgType type, const std::string& body,
                          MsgType* resp_type, std::string* resp_body) {
+  return RoundTripFrame(wire::Frame(type, body), resp_type, resp_body);
+}
+
+Status Client::RoundTripFrame(const std::string& frame, MsgType* resp_type,
+                              std::string* resp_body) {
   LT_RETURN_IF_ERROR(EnsureConnectedLocked());
-  std::string frame = wire::Frame(type, body);
   Status s = conn_->WriteAll(frame.data(), frame.size());
   if (s.ok()) s = ReadFrame(resp_type, resp_body);
   if (!s.ok()) conn_.reset();
@@ -345,19 +349,21 @@ Status Client::Insert(const std::string& table, const std::vector<Row>& rows) {
   for (int attempt = 0; attempt < 2; attempt++) {
     LT_ASSIGN_OR_RETURN(std::shared_ptr<const Schema> schema,
                         SchemaLocked(table));
-    std::string req;
-    PutLengthPrefixedSlice(&req, table);
-    PutVarint32(&req, schema->version());
-    PutVarint32(&req, static_cast<uint32_t>(rows.size()));
+    std::string& frame = insert_frame_;
+    wire::StartFrame(&frame, MsgType::kInsert);
+    PutLengthPrefixedSlice(&frame, table);
+    PutVarint32(&frame, schema->version());
+    PutVarint32(&frame, static_cast<uint32_t>(rows.size()));
     for (const Row& row : rows) {
       if (!schema->RowMatches(row)) {
         return Status::InvalidArgument("row does not match table schema");
       }
-      EncodeRow(&req, *schema, row);
+      EncodeRow(&frame, *schema, row);
     }
+    wire::FinishFrame(&frame);
     MsgType type;
     std::string body;
-    LT_RETURN_IF_ERROR(RoundTrip(MsgType::kInsert, req, &type, &body));
+    LT_RETURN_IF_ERROR(RoundTripFrame(frame, &type, &body));
     if (type == MsgType::kOk) return Status::OK();
     if (type != MsgType::kError) {
       return Status::NetworkError("unexpected response");

@@ -230,6 +230,9 @@ class Client {
   /// on any transport error so the next request reconnects cleanly.
   Status RoundTrip(wire::MsgType type, const std::string& body,
                    wire::MsgType* resp_type, std::string* resp_body);
+  /// RoundTrip for a frame the caller built (wire::StartFrame).
+  Status RoundTripFrame(const std::string& frame, wire::MsgType* resp_type,
+                        std::string* resp_body);
   Status ReadFrame(wire::MsgType* type, std::string* body);
   /// Drops the cached schema for `table` (on kSchemaChanged).
   void InvalidateSchema(const std::string& table);
@@ -250,6 +253,9 @@ class Client {
   std::atomic<uint64_t> connect_count_{0};
   std::unique_ptr<net::Connection> conn_;
   std::map<std::string, std::shared_ptr<const Schema>> schema_cache_;
+  // Insert's request frame, reused: each batch encodes into the capacity
+  // the previous one left.
+  std::string insert_frame_;
 };
 
 }  // namespace lt

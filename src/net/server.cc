@@ -1375,24 +1375,38 @@ void LittleTableServer::Dispatch(MsgType type, Slice body, std::string* out) {
       if (!GetVarint32(&body, &count) || count > 10u * 1000 * 1000) {
         return ReplyError(out, ErrCode::kInvalidArgument, "bad row count");
       }
-      std::vector<Row> rows;
-      rows.reserve(count);
+      // Rows stay in their wire encoding, which is the table's. A client
+      // may omit a row's timestamp entirely, in which case the server sets
+      // it to the current time (§3.1): only such rows, and rows whose cells
+      // are well-formed but not canonically encoded, are decoded and
+      // re-encoded.
+      EncodedRows rows;
+      rows.Clear(schema->version());
+      rows.bytes.reserve(body.size());
+      rows.ends.reserve(count);
+      std::vector<KeyCell> key(schema->num_key_columns());
+      const size_t ts_index = schema->ts_index();
       const Timestamp now = db_->clock()->Now();
       for (uint32_t i = 0; i < count; i++) {
+        const Slice start = body;
+        if (ParseRow(&body, *schema, key.data()).ok() &&
+            key[ts_index].i != wire::kOmittedTimestamp) {
+          rows.AddEncoded(Slice(start.data(), body.data() - start.data()));
+          continue;
+        }
+        body = start;
         Row row;
         if (!DecodeRow(&body, *schema, &row).ok()) {
           return ReplyError(out, ErrCode::kInvalidArgument, "bad row");
         }
-        // A client may omit a row's timestamp entirely, in which case the
-        // server sets it to the current time (§3.1).
-        if (row[schema->ts_index()].AsInt() == wire::kOmittedTimestamp) {
-          row[schema->ts_index()] = Value::Ts(now);
+        if (row[ts_index].AsInt() == wire::kOmittedTimestamp) {
+          row[ts_index] = Value::Ts(now);
         }
-        rows.push_back(std::move(row));
+        rows.Add(*schema, row);
       }
       // Concurrent inserts from other connections' workers group-commit
-      // inside InsertBatch (one critical section, statuses fanned out).
-      return ReplyStatus(out, table->InsertBatch(rows));
+      // inside InsertEncoded (one critical section, statuses fanned out).
+      return ReplyStatus(out, table->InsertEncoded(rows));
     }
 
     case MsgType::kQuery: {

@@ -7,10 +7,20 @@ namespace wire {
 
 std::string Frame(MsgType type, const std::string& body) {
   std::string out;
-  PutFixed32(&out, static_cast<uint32_t>(body.size() + 1));
-  out.push_back(static_cast<char>(type));
+  out.reserve(5 + body.size());
+  StartFrame(&out, type);
   out += body;
+  FinishFrame(&out);
   return out;
+}
+
+void StartFrame(std::string* dst, MsgType type) {
+  dst->assign(4, '\0');  // The length prefix, filled in by FinishFrame.
+  dst->push_back(static_cast<char>(type));
+}
+
+void FinishFrame(std::string* dst) {
+  EncodeFixed32(dst->data(), static_cast<uint32_t>(dst->size() - 4));
 }
 
 void EncodeKeyPrefix(std::string* dst, const Schema& schema, const Key& key) {

@@ -141,6 +141,12 @@ constexpr uint32_t kMaxFrameBytes = 64u << 20;
 /// Builds a complete frame (length prefix + type + body).
 std::string Frame(MsgType type, const std::string& body);
 
+/// Builds a frame in place, in a buffer the caller reuses: StartFrame
+/// clears `dst` (keeping its capacity) and writes the header, the caller
+/// appends the body, and FinishFrame fills in the length prefix.
+void StartFrame(std::string* dst, MsgType type);
+void FinishFrame(std::string* dst);
+
 // ---- Body encodings. ----
 
 void EncodeBounds(std::string* dst, const Schema& schema,

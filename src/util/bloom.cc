@@ -22,6 +22,7 @@ BloomFilterBuilder::BloomFilterBuilder(int bits_per_key)
 
 void BloomFilterBuilder::Add(const Slice& key) {
   hashes_.push_back(BloomHash(key));
+  num_keys_++;
 }
 
 std::string BloomFilterBuilder::Finish() const {
@@ -30,7 +31,7 @@ std::string BloomFilterBuilder::Finish() const {
   if (k < 1) k = 1;
   if (k > 30) k = 30;
 
-  size_t bits = hashes_.size() * static_cast<size_t>(bits_per_key_);
+  size_t bits = num_keys_ * static_cast<size_t>(bits_per_key_);
   if (bits < 64) bits = 64;
   size_t bytes = (bits + 7) / 8;
   bits = bytes * 8;

@@ -21,7 +21,12 @@ class BloomFilterBuilder {
   explicit BloomFilterBuilder(int bits_per_key = 10);
 
   void Add(const Slice& key);
-  size_t NumKeys() const { return hashes_.size(); }
+  /// Counts a key equal to one already added (sorted input repeats key
+  /// prefixes row after row). Its bits are set already, so only the filter
+  /// size, num_keys * bits_per_key, sees it: Finish's output is the same
+  /// as if the key were added again.
+  void AddRepeat() { num_keys_++; }
+  size_t NumKeys() const { return num_keys_; }
 
   /// Serializes the filter (bit array + probe count). Safe to call on an
   /// empty builder; the resulting filter matches nothing.
@@ -29,7 +34,8 @@ class BloomFilterBuilder {
 
  private:
   int bits_per_key_;
-  std::vector<uint64_t> hashes_;
+  size_t num_keys_ = 0;
+  std::vector<uint64_t> hashes_;  // Of the keys added, repeats excluded.
 };
 
 /// Read-side view over a serialized Bloom filter.

@@ -2,9 +2,13 @@
 // skipping extension) and HyperLogLog (the §4.1.2 distinct-client sketches).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "util/bloom.h"
+#include "util/coding.h"
 #include "util/hyperloglog.h"
 #include "util/random.h"
 
@@ -72,6 +76,72 @@ TEST(BloomTest, DifferentBitsPerKeyTradeoff) {
     return static_cast<double>(fp) / 5000;
   };
   EXPECT_GT(fp_rate(4), fp_rate(16));
+}
+
+// The filter a builder that stores every key's hash, repeats included,
+// would serialize — the format Finish writes, spelled out independently.
+std::string ReferenceFilter(const std::vector<std::string>& keys,
+                            int bits_per_key) {
+  int k = std::clamp(static_cast<int>(bits_per_key * 0.69), 1, 30);
+  size_t bits = std::max<size_t>(keys.size() * bits_per_key, 64);
+  const size_t bytes = (bits + 7) / 8;
+  bits = bytes * 8;
+  std::string array(bytes, '\0');
+  for (const std::string& key : keys) {
+    const uint64_t h = BloomHash(key);
+    const uint64_t delta = (h >> 32) | (h << 32);
+    for (int i = 0; i < k; i++) {
+      const uint64_t bit = (h + static_cast<uint64_t>(i) * delta) % bits;
+      array[bit / 8] |= static_cast<char>(1 << (bit % 8));
+    }
+  }
+  std::string out;
+  PutVarint32(&out, static_cast<uint32_t>(k));
+  PutLengthPrefixedSlice(&out, array);
+  return out;
+}
+
+TEST(BloomTest, CountedRepeatsSerializeLikeStoredRepeats) {
+  // Sorted rows' key prefixes come in long runs: a few networks, each over
+  // many devices, each over many timestamps. AddRepeat for a prefix equal
+  // to the previous row's must produce the same bytes as adding it again.
+  for (int bits_per_key : {1, 10, 16}) {
+    BloomFilterBuilder builder(bits_per_key);
+    std::vector<std::string> all;
+    std::string prev_net, prev_dev;
+    for (int net = 0; net < 3; net++) {
+      for (int dev = 0; dev < 40; dev++) {
+        for (int ts = 0; ts < 25; ts++) {
+          const std::string n = "n" + std::to_string(net);
+          const std::string d = n + "/d" + std::to_string(dev);
+          const std::string key = d + "/" + std::to_string(ts);
+          if (n == prev_net) {
+            builder.AddRepeat();
+          } else {
+            builder.Add(n);
+          }
+          if (d == prev_dev) {
+            builder.AddRepeat();
+          } else {
+            builder.Add(d);
+          }
+          builder.Add(key);
+          all.insert(all.end(), {n, d, key});
+          prev_net = n;
+          prev_dev = d;
+        }
+      }
+    }
+    EXPECT_EQ(builder.NumKeys(), all.size());
+    EXPECT_EQ(builder.Finish(), ReferenceFilter(all, bits_per_key))
+        << bits_per_key << " bits per key";
+  }
+  // Small and empty inputs (the 64-bit minimum filter).
+  BloomFilterBuilder small(10);
+  small.Add("a");
+  small.AddRepeat();
+  EXPECT_EQ(small.Finish(), ReferenceFilter({"a", "a"}, 10));
+  EXPECT_EQ(BloomFilterBuilder(10).Finish(), ReferenceFilter({}, 10));
 }
 
 TEST(HllTest, SmallCardinalitiesNearExact) {

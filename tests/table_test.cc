@@ -17,6 +17,7 @@
 #include "core/tablet_writer.h"
 #include "env/mem_env.h"
 #include "tests/test_util.h"
+#include "util/crc32c.h"
 #include "util/logger.h"
 #include "util/random.h"
 
@@ -1563,6 +1564,154 @@ TEST_F(TableTest, SlowQueryLogOffByDefault) {
   Query(QueryBounds{});
   for (const std::string& line : sink->lines()) {
     EXPECT_EQ(line.find("slow_query"), std::string::npos) << line;
+  }
+}
+
+
+// ---- Tablet bytes: the write path's output, pinned. ----
+
+// A deterministic workload over every column type — int32, int64, double,
+// string and blob cells, strings both inside and beyond std::string's
+// inline capacity — flushed at each tablet format with a small flush_bytes
+// (so memtablets seal by size) and small blocks, then merged. Every tablet
+// file's length and CRC32C is pinned: a moved block boundary, seal point,
+// Bloom bit or cell byte fails this test.
+std::vector<std::string> PinnedTabletFiles(uint32_t format_version) {
+  MemEnv env;
+  // Rows span the day boundary: two periods fill at once (§3.4.3).
+  auto clock =
+      std::make_shared<SimClock>(100 * kMicrosPerWeek + 3 * kMicrosPerHour);
+  TableOptions opts;
+  opts.format_version = format_version;
+  opts.flush_bytes = 256 << 10;
+  opts.block_bytes = 2048;
+  opts.merge.min_tablet_age = 0;
+  opts.merge.rollover_delay_frac = 0;
+  const Schema schema({Column("site", ColumnType::kInt32),
+                       Column("host", ColumnType::kString),
+                       Column("dev", ColumnType::kInt64),
+                       Column("ts", ColumnType::kTimestamp),
+                       Column("load", ColumnType::kDouble),
+                       Column("payload", ColumnType::kBlob),
+                       Column("count", ColumnType::kInt64),
+                       Column("flags", ColumnType::kInt32)},
+                      /*num_key_columns=*/4);
+  std::unique_ptr<Table> table;
+  EXPECT_TRUE(
+      Table::Create(&env, clock, "/pin", "pin", schema, opts, &table).ok());
+  if (!table) return {};
+
+  Random rnd(20170514);
+  std::vector<std::string> hosts;
+  for (int h = 0; h < 8; h++) {
+    hosts.push_back(h % 3 == 0 ? "host-with-a-long-name-" + std::to_string(h)
+                               : "h" + std::to_string(h));
+  }
+  const Timestamp start = clock->Now() - 6 * kMicrosPerHour;
+  for (int poll = 0; poll < 60; poll++) {
+    std::vector<Row> batch;
+    for (int site = 0; site < 3; site++) {
+      for (int h = 0; h < 8; h++) {
+        for (int dev = 0; dev < 4; dev++) {
+          const Timestamp ts = start + poll * 5 * kMicrosPerMinute +
+                               static_cast<Timestamp>(rnd.Uniform(1000));
+          batch.push_back(
+              {Value::Int32(site - 1), Value::String(hosts[h]),
+               Value::Int64(dev * 1000003 - 2000000), Value::Ts(ts),
+               Value::Double(static_cast<double>(rnd.Uniform(1 << 20)) / 7),
+               Value::Blob(std::string(rnd.Uniform(40), 'a' + poll % 26)),
+               Value::Int64(rnd.UniformRange(-1000000000, 1000000000)),
+               Value::Int32(static_cast<int32_t>(rnd.Uniform(4)))});
+        }
+      }
+    }
+    // Not key order: the memtablet sorts.
+    for (size_t i = batch.size(); i > 1; i--) {
+      std::swap(batch[i - 1], batch[rnd.Uniform(i)]);
+    }
+    for (size_t i = 0; i < batch.size(); i += 64) {
+      std::vector<Row> part(batch.begin() + i,
+                            batch.begin() + std::min(batch.size(), i + 64));
+      EXPECT_TRUE(table->InsertBatch(part).ok());
+    }
+  }
+  std::vector<std::string> out;
+  auto record = [&](const std::string& phase) {
+    std::vector<std::string> names;
+    EXPECT_TRUE(env.GetChildren("/pin", &names).ok());
+    std::sort(names.begin(), names.end());
+    for (const std::string& n : names) {
+      if (n.size() < 4 || n.substr(n.size() - 4) != ".tab") continue;
+      std::string data;
+      EXPECT_TRUE(ReadFileToString(&env, "/pin/" + n, &data).ok());
+      char line[96];
+      snprintf(line, sizeof(line), "%s %s %zu %08x", phase.c_str(), n.c_str(),
+               data.size(), crc32c::Value(data.data(), data.size()));
+      out.push_back(line);
+    }
+  };
+  EXPECT_TRUE(table->FlushAll().ok());
+  record("flush");
+  clock->Advance(kMicrosPerMinute);
+  for (int i = 0; i < 16 && table->HasMaintenanceWork(); i++) {
+    EXPECT_TRUE(table->MaintainNow().ok());
+  }
+  EXPECT_GE(table->stats().merges.load(), 1u);
+  record("merge");
+  return out;
+}
+
+TEST(TabletBytesTest, FlushAndMergeOutputIsPinned) {
+  // Recorded from the Row-based write path (std::set memtablet, flush and
+  // merge through TabletWriter::Add(const Row&)); one list per format.
+  const std::vector<std::vector<std::string>> expected = {
+      {
+          "flush 000001.tab 25932 968ee4f6",
+          "flush 000002.tab 25936 1e713569",
+          "flush 000003.tab 25879 5df11482",
+          "flush 000004.tab 25979 d35afc9a",
+          "flush 000005.tab 25864 9bec1593",
+          "flush 000006.tab 1967 b347fff2",
+          "flush 000007.tab 25899 6ac7e6f5",
+          "flush 000008.tab 25906 262919e0",
+          "flush 000009.tab 25877 ed57ae5d",
+          "flush 000010.tab 9987 205ff593",
+          "merge 000011.tab 104820 749eec64",
+          "merge 000012.tab 70526 6a47bde6",
+      },
+      {
+          "flush 000001.tab 26010 110f7b82",
+          "flush 000002.tab 26012 bc110189",
+          "flush 000003.tab 25955 2ed5f49d",
+          "flush 000004.tab 26059 a6522c3a",
+          "flush 000005.tab 25940 b2fec925",
+          "flush 000006.tab 1975 b213aab0",
+          "flush 000007.tab 25975 b7f971c7",
+          "flush 000008.tab 25982 756843a8",
+          "flush 000009.tab 25957 29f96567",
+          "flush 000010.tab 10015 88be449e",
+          "merge 000011.tab 104820 749eec64",
+          "merge 000012.tab 70526 6a47bde6",
+      },
+      {
+          "flush 000001.tab 21505 e4f105f6",
+          "flush 000002.tab 21455 f51a6a0c",
+          "flush 000003.tab 21538 3e9450e6",
+          "flush 000004.tab 21552 86822ae1",
+          "flush 000005.tab 21567 33f5b92c",
+          "flush 000006.tab 1625 52441090",
+          "flush 000007.tab 21412 a6aff588",
+          "flush 000008.tab 21461 06335c15",
+          "flush 000009.tab 21471 d4d4636e",
+          "flush 000010.tab 8369 da317df1",
+          "merge 000011.tab 104820 749eec64",
+          "merge 000012.tab 70526 6a47bde6",
+      },
+  };
+  for (uint32_t v = 0; v <= kTabletFormatLatest; v++) {
+    SCOPED_TRACE("format " + std::to_string(v));
+    std::vector<std::string> got = PinnedTabletFiles(v);
+    EXPECT_EQ(got, expected[v]);
   }
 }
 

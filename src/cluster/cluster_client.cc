@@ -293,21 +293,9 @@ Status ClusterClient::QueryGroup(uint32_t group_id, const std::string& table,
           if (type != MsgType::kQueryChunk) {
             return Status::NetworkError("unexpected response");
           }
-          if (in.empty()) return Status::Corruption("bad chunk");
-          const uint8_t flags = static_cast<uint8_t>(in[0]);
-          in.remove_prefix(1);
-          uint32_t version, count;
-          if (!GetVarint32(&in, &version) || !GetVarint32(&in, &count)) {
-            return Status::Corruption("bad chunk");
-          }
-          if (version != schema->version()) {
-            return Status::Aborted("schema changed mid-query");
-          }
-          for (uint32_t i = 0; i < count; i++) {
-            Row row;
-            LT_RETURN_IF_ERROR(DecodeRow(&in, *schema, &row));
-            result->rows.push_back(std::move(row));
-          }
+          uint8_t flags;
+          LT_RETURN_IF_ERROR(
+              Client::DecodeQueryChunk(in, *schema, &flags, &result->rows));
           if (flags & wire::kChunkFinal) {
             result->more_available = flags & wire::kChunkMoreAvailable;
             *done = true;

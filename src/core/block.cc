@@ -388,8 +388,13 @@ Status BlockReader::Prepare() {
   // whole at Parse, and keep serving their real cells.
   const bool project = needed_ != nullptr && contents_->columnar;
   cols_.assign(ncols, nullptr);
+  defaults_.assign(ncols, std::string());
   for (size_t c = 0; c < ncols; c++) {
-    if (project && !(*needed_)[c]) continue;
+    if (project && !(*needed_)[c]) {
+      const Column& def = schema_->columns()[c];
+      EncodeValue(&defaults_[c], def.default_value, def.type);
+      continue;
+    }
     LT_RETURN_IF_ERROR(EnsureColumn(c));
     cols_[c] = &contents_->column(c);
   }
@@ -409,8 +414,7 @@ void BlockReader::AppendEncodedAt(size_t i, std::string* dst) const {
   for (size_t c = 0; c < cols_.size(); c++) {
     const ColumnValues* col = cols_[c];
     if (col == nullptr) {
-      const Column& def = schema_->columns()[c];
-      EncodeValue(dst, def.default_value, def.type);
+      dst->append(defaults_[c]);
       continue;
     }
     // Prepare matched every arm to its declared type, so each arm encodes
@@ -432,6 +436,102 @@ void BlockReader::AppendEncodedAt(size_t i, std::string* dst) const {
         break;
     }
   }
+}
+
+size_t BlockReader::AppendRows(size_t first, size_t count, bool descending,
+                               const Slice& tail, size_t byte_target,
+                               std::string* dst,
+                               std::vector<size_t>* offsets) const {
+  assert(prepared_ && count > 0 &&
+         (descending ? first + 1 >= count : first + count <= num_rows()));
+  const ptrdiff_t step = descending ? -1 : 1;
+  // Pass 1, column by column: each row's encoded length.
+  size_t fixed = tail.size();
+  for (size_t c = 0; c < cols_.size(); c++) {
+    if (cols_[c] == nullptr) {
+      fixed += defaults_[c].size();
+    } else if (cols_[c]->arm == ColumnValues::Arm::kDouble) {
+      fixed += 8;
+    }
+  }
+  offsets->assign(count, fixed);
+  size_t* len = offsets->data();
+  for (const ColumnValues* col : cols_) {
+    if (col == nullptr) continue;
+    if (col->arm == ColumnValues::Arm::kInt) {
+      const int64_t* v = col->ints.data() + first;
+      for (size_t k = 0; k < count; k++) {
+        len[k] += VarintLength(ZigZagEncode(v[static_cast<ptrdiff_t>(k) * step]));
+      }
+    } else if (col->arm == ColumnValues::Arm::kBytes) {
+      const std::string* v = col->strs.data() + first;
+      for (size_t k = 0; k < count; k++) {
+        const size_t n = v[static_cast<ptrdiff_t>(k) * step].size();
+        len[k] += VarintLength(n) + n;
+      }
+    }
+  }
+  // The rows that fit; lengths become start offsets.
+  size_t end = dst->size();
+  size_t n = 0;
+  while (n < count) {
+    const size_t row_len = len[n];
+    len[n++] = end;
+    end += row_len;
+    if (end >= byte_target) break;
+  }
+  dst->resize(end);
+  char* const base = dst->data();
+  // Pass 2, column by column: each cell at its row's write offset.
+  for (size_t c = 0; c < cols_.size(); c++) {
+    const ColumnValues* col = cols_[c];
+    if (col == nullptr) {
+      const std::string& d = defaults_[c];
+      for (size_t k = 0; k < n; k++) {
+        memcpy(base + len[k], d.data(), d.size());
+        len[k] += d.size();
+      }
+      continue;
+    }
+    // Prepare matched every arm to its declared type, so each arm encodes
+    // exactly as EncodeValue would (int32 and int64 share zigzag varints).
+    switch (col->arm) {
+      case ColumnValues::Arm::kInt: {
+        const int64_t* v = col->ints.data() + first;
+        for (size_t k = 0; k < n; k++) {
+          char* p = base + len[k];
+          len[k] = EncodeVarint64(p, ZigZagEncode(v[static_cast<ptrdiff_t>(k) * step])) - base;
+        }
+        break;
+      }
+      case ColumnValues::Arm::kDouble: {
+        const double* v = col->dbls.data() + first;
+        for (size_t k = 0; k < n; k++) {
+          uint64_t bits;
+          memcpy(&bits, &v[static_cast<ptrdiff_t>(k) * step], 8);
+          EncodeFixed64(base + len[k], bits);
+          len[k] += 8;
+        }
+        break;
+      }
+      case ColumnValues::Arm::kBytes: {
+        const std::string* v = col->strs.data() + first;
+        for (size_t k = 0; k < n; k++) {
+          const std::string& cell = v[static_cast<ptrdiff_t>(k) * step];
+          char* p = EncodeVarint64(base + len[k], cell.size());
+          memcpy(p, cell.data(), cell.size());
+          len[k] = p + cell.size() - base;
+        }
+        break;
+      }
+      case ColumnValues::Arm::kNone:
+        break;
+    }
+  }
+  if (!tail.empty()) {
+    for (size_t k = 0; k < n; k++) memcpy(base + len[k], tail.data(), tail.size());
+  }
+  return n;
 }
 
 void BlockReader::RowAt(size_t i, Row* out) const {

@@ -227,8 +227,35 @@ class BlockReader {
 
   /// The row's key cells, one per key column.
   void KeyAt(size_t i, KeyCell* out) const;
+  /// Three-way comparison of the row's first `n` key cells with `cells`
+  /// (n <= num_key_columns), straight from the key columns; the same
+  /// order as KeyOrder::Compare.
+  int CompareKeyAt(size_t i, const KeyCell* cells, size_t n) const {
+    for (size_t c = 0; c < n; c++) {
+      const ColumnValues& col = *cols_[c];
+      int r;
+      if (col.arm == ColumnValues::Arm::kBytes) {
+        r = Slice(col.strs[i]).compare(cells[c].s);
+      } else {
+        const int64_t v = col.ints[i];
+        r = v < cells[c].i ? -1 : (v > cells[c].i ? 1 : 0);
+      }
+      if (r != 0) return r;
+    }
+    return 0;
+  }
+  /// The decoded integers of key column `c` (every key column is one).
+  const int64_t* KeyInts(size_t c) const { return cols_[c]->ints.data(); }
   /// Appends the row's encoding under the block's schema (EncodeRow bytes).
   void AppendEncodedAt(size_t i, std::string* dst) const;
+  /// Appends the encodings of up to `count` rows starting at row `first`
+  /// and moving down (`descending`) or up, each followed by `tail`, and
+  /// stops after the row that brings dst->size() to `byte_target`.
+  /// Returns the rows appended. The output is sized once and filled column
+  /// by column; `offsets` is scratch.
+  size_t AppendRows(size_t first, size_t count, bool descending,
+                    const Slice& tail, size_t byte_target, std::string* dst,
+                    std::vector<size_t>* offsets) const;
   /// Builds the row as Values under the block's schema.
   void RowAt(size_t i, Row* out) const;
 
@@ -247,8 +274,9 @@ class BlockReader {
   TableStats* stats_ = nullptr;
   const std::vector<char>* needed_ = nullptr;
   // Set by Prepare: per column, its values, or null when the projection
-  // skips it.
+  // skips it — and then, in defaults_, its default value's encoding.
   std::vector<const ColumnValues*> cols_;
+  std::vector<std::string> defaults_;
   bool prepared_ = false;
 };
 

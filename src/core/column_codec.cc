@@ -8,15 +8,6 @@ namespace lt {
 
 namespace {
 
-size_t VarintLength(uint64_t v) {
-  size_t len = 1;
-  while (v >= 0x80) {
-    v >>= 7;
-    len++;
-  }
-  return len;
-}
-
 // Signed deltas are computed in uint64 space so overflow wraps (lossless:
 // the decoder reverses with the same wrapping adds) instead of being UB.
 uint64_t WrapDelta(int64_t cur, int64_t prev) {
@@ -155,49 +146,81 @@ ChunkEncoding ChooseBytesEncoding(const std::vector<std::string>& v) {
 
 namespace {
 
+// The int and double decoders write into storage sized once to `count`
+// (DecodeChunk bounded count by the chunk bytes) through an inlined varint
+// loop; on error the partial values are dropped.
 Status DecodeIntChunk(Slice in, ChunkEncoding enc, uint32_t count,
                       ColumnValues* out) {
   out->arm = ColumnValues::Arm::kInt;
-  out->ints.reserve(count);
+  out->ints.resize(count);
+  int64_t* v = out->ints.data();
+  const char* p = in.data();
+  const char* const limit = p + in.size();
   if (enc == ChunkEncoding::kZigZag) {
     for (uint32_t i = 0; i < count; i++) {
       uint64_t u;
-      if (!GetVarint64(&in, &u)) return Status::Corruption("short int chunk");
-      out->ints.push_back(ZigZagDecode(u));
+      p = DecodeVarint64(p, limit, &u);
+      if (p == nullptr) {
+        out->ints.clear();
+        return Status::Corruption("short int chunk");
+      }
+      v[i] = ZigZagDecode(u);
     }
   } else {
     uint64_t value = 0, delta = 0;
     for (uint32_t i = 0; i < count; i++) {
       uint64_t u;
-      if (!GetVarint64(&in, &u)) return Status::Corruption("short dod chunk");
+      p = DecodeVarint64(p, limit, &u);
+      if (p == nullptr) {
+        out->ints.clear();
+        return Status::Corruption("short dod chunk");
+      }
       if (i == 0) {
         value = static_cast<uint64_t>(ZigZagDecode(u));
       } else {
         delta += static_cast<uint64_t>(ZigZagDecode(u));
         value += delta;
       }
-      out->ints.push_back(static_cast<int64_t>(value));
+      v[i] = static_cast<int64_t>(value);
     }
   }
-  if (!in.empty()) return Status::Corruption("int chunk trailing bytes");
+  if (p != limit) {
+    out->ints.clear();
+    return Status::Corruption("int chunk trailing bytes");
+  }
   return Status::OK();
 }
 
 Status DecodeDoubleChunk(Slice in, uint32_t count, ColumnValues* out) {
   out->arm = ColumnValues::Arm::kDouble;
-  out->dbls.reserve(count);
+  out->dbls.resize(count);
+  double* v = out->dbls.data();
+  const char* p = in.data();
+  const char* const limit = p + in.size();
   uint64_t prev = 0;
   for (uint32_t i = 0; i < count; i++) {
     if (i == 0) {
-      if (!GetFixed64(&in, &prev)) return Status::Corruption("short xor chunk");
+      if (limit - p < 8) {
+        out->dbls.clear();
+        return Status::Corruption("short xor chunk");
+      }
+      prev = DecodeFixed64(p);
+      p += 8;
     } else {
       uint64_t x;
-      if (!GetVarint64(&in, &x)) return Status::Corruption("short xor chunk");
+      p = DecodeVarint64(p, limit, &x);
+      if (p == nullptr) {
+        out->dbls.clear();
+        return Status::Corruption("short xor chunk");
+      }
       prev ^= x;
     }
-    out->dbls.push_back(BitsDouble(prev));
+    v[i] = BitsDouble(prev);
   }
-  if (!in.empty()) return Status::Corruption("xor chunk trailing bytes");
+  if (p != limit) {
+    out->dbls.clear();
+    return Status::Corruption("xor chunk trailing bytes");
+  }
   return Status::OK();
 }
 

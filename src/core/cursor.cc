@@ -37,6 +37,55 @@ void KeyOrder::CellsOf(const Key& key, std::vector<KeyCell>* out) const {
   for (size_t c = 0; c < n; c++) out->push_back(CellOf(key[c]));
 }
 
+Status Cursor::AppendRun(RunState* run, std::string* dst) {
+  // Steps past the current row, counting what the step scanned.
+  auto advance = [&] {
+    const uint64_t before =
+        run->counter ? run->counter->load(std::memory_order_relaxed) : 0;
+    Status s = Next();
+    if (s.ok()) s = status();
+    if (run->counter) {
+      run->scanned += run->counter->load(std::memory_order_relaxed) - before;
+    }
+    return s;
+  };
+  if (run->on_row) {
+    run->on_row = false;
+    LT_RETURN_IF_ERROR(advance());
+  }
+  while (Valid()) {
+    if (run->PastStop(key())) {
+      run->end = RunEnd::kStop;
+      return Status::OK();
+    }
+    if (!run->filter->TsInRange(ts())) {
+      LT_RETURN_IF_ERROR(advance());
+      if (--run->filter_left == 0) {
+        run->end = RunEnd::kYield;
+        return Status::OK();
+      }
+      continue;
+    }
+    if (run->limit_left == 0) {
+      run->end = RunEnd::kLimit;
+      return Status::OK();
+    }
+    AppendEncoded(dst);
+    run->rows++;
+    run->max_rows--;
+    run->limit_left--;
+    if (run->ChunkEnds(dst->size())) {
+      run->on_row = true;
+      run->end = RunEnd::kFull;
+      return Status::OK();
+    }
+    run->filter_left = run->scan_cap - run->scanned;
+    LT_RETURN_IF_ERROR(advance());
+  }
+  run->end = RunEnd::kExhausted;
+  return status();
+}
+
 VectorCursor::VectorCursor(const Schema* schema, std::vector<Row> rows,
                            Direction direction)
     : schema_(schema),
@@ -108,17 +157,11 @@ void MergingCursor::Fail(Status s) {
   heap_.clear();
 }
 
-Status MergingCursor::Next() {
-  if (heap_.empty()) return status_;
+bool MergingCursor::ReplaceTop() {
   Cursor* top = children_[heap_[0]].get();
-  Status s = top->Next();
-  if (!s.ok()) {
-    Fail(s);
-    return status_;
-  }
   if (!top->status().ok()) {
     Fail(top->status());
-    return status_;
+    return false;
   }
   if (top->Valid()) {
     SiftDown(0);  // Re-place the advanced child by its new row.
@@ -127,8 +170,47 @@ Status MergingCursor::Next() {
     heap_.pop_back();
     if (!heap_.empty()) SiftDown(0);
   }
-  LoadKey();
-  return Status::OK();
+  return true;
+}
+
+Status MergingCursor::Next() {
+  if (heap_.empty()) return status_;
+  Status s = children_[heap_[0]]->Next();
+  if (!s.ok()) {
+    Fail(s);
+    return status_;
+  }
+  if (ReplaceTop()) LoadKey();
+  return status_;
+}
+
+Status MergingCursor::AppendRun(RunState* run, std::string* dst) {
+  // Merges never nest; a stop key from a parent takes the one-row loop.
+  if (run->stop != nullptr) return Cursor::AppendRun(run, dst);
+  while (!heap_.empty()) {
+    // The top child runs until its rows pass the runner-up's, where a
+    // one-row merge would first hand the top to another child.
+    if (heap_.size() > 1) {
+      size_t next = heap_[1];
+      if (heap_.size() > 2 && Before(heap_[2], next)) next = heap_[2];
+      run->stop = child_keys_[next];
+      run->stop_order = &order_;
+      run->descending = direction_ == Direction::kDescending;
+    }
+    Status s = children_[heap_[0]]->AppendRun(run, dst);
+    run->stop = nullptr;
+    if (!s.ok()) {
+      Fail(s);
+      break;
+    }
+    if (!ReplaceTop()) break;
+    if (run->end != RunEnd::kStop && run->end != RunEnd::kExhausted) {
+      LoadKey();
+      return Status::OK();
+    }
+  }
+  run->end = RunEnd::kExhausted;
+  return status_;
 }
 
 }  // namespace lt

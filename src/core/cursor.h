@@ -11,9 +11,16 @@
 // that need Values (query results, merge rewrites, uniqueness checks).
 // A streaming scan therefore goes from decoded chunk to socket with no
 // per-row allocation.
+//
+// The streamed scan moves a run at a time (AppendRun): a cursor appends the
+// encodings of consecutive rows until the next one would fall past a stop
+// key — in a merge, the runner-up child's key — or a chunk limit ends the
+// run. It applies, row by row, the same rules the one-row loop applies, so
+// runs change no chunk boundary and no scan counter.
 #ifndef LITTLETABLE_CORE_CURSOR_H_
 #define LITTLETABLE_CORE_CURSOR_H_
 
+#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
@@ -56,6 +63,79 @@ class KeyOrder {
   std::vector<char> bytes_;  // Per key column: compare as bytes?
 };
 
+/// Why a Cursor::AppendRun call returned.
+enum class RunEnd : uint8_t {
+  /// The chunk is complete: the last appended row used up its row cap,
+  /// reached its byte target, or found the scan cap spent. The cursor rests
+  /// on that row (RunState::on_row).
+  kFull,
+  /// The chunk's filtered-row allowance is spent; the cursor rests on a row
+  /// not yet examined.
+  kYield,
+  /// A matching row beyond the query's row limit: the scan is done with
+  /// more rows available. The cursor rests on that row, not appended.
+  kLimit,
+  /// The cursor's row lies past RunState::stop; it rests on that row.
+  kStop,
+  /// No rows are left (the cursor is invalid, maybe with an error).
+  kExhausted,
+};
+
+/// The limits one run works within and the counters it advances: the
+/// rules of a streamed query's chunk (QueryStream::NextChunk), which a run
+/// applies exactly as the one-row loop would:
+///   - a row outside `filter`'s ts range is skipped; each skip spends one
+///     of `filter_left`, and the chunk yields when none is left;
+///   - a matching row when `limit_left` is 0 ends the scan (kLimit);
+///   - otherwise the row is appended, and the chunk ends on it (kFull) when
+///     `max_rows` reaches 0, the output reaches `byte_target`, or `scanned`
+///     has reached `scan_cap`; if not, `filter_left` is reset to
+///     scan_cap - scanned and the cursor steps past the row.
+/// `scanned` counts what the stream's rows-scanned counter gains since the
+/// chunk began: one per row a tablet cursor lands on (a row past its
+/// trailing key bound included), one per row a memtablet cursor lands on
+/// inside its bounds.
+struct RunState {
+  // ---- Fixed for the scan. ----
+  const QueryBounds* filter = nullptr;
+  /// The stream's rows-scanned counter (null: nothing is counted).
+  const std::atomic<uint64_t>* counter = nullptr;
+  uint64_t scan_cap = 0;  // > 0.
+
+  // ---- Per chunk. ----
+  size_t max_rows = 0;     // Rows the chunk may still take.
+  uint64_t limit_left = 0; // Rows the query may still return.
+  size_t byte_target = 0;  // Output size at which the chunk ends.
+  uint64_t scanned = 0;
+  uint64_t filter_left = 0;
+
+  // ---- Set by a merging parent for one child's run. ----
+  /// Key cells the run must not pass: a row strictly after them in scan
+  /// direction ends the run (kStop). Null = no stop.
+  const KeyCell* stop = nullptr;
+  const KeyOrder* stop_order = nullptr;
+  bool descending = false;
+
+  // ---- Carried across chunks. ----
+  bool on_row = false;  // The cursor rests on a row already appended.
+
+  // ---- Output. ----
+  size_t rows = 0;  // Rows appended.
+  RunEnd end = RunEnd::kExhausted;
+
+  /// True if key cells `key` lie past the stop key.
+  bool PastStop(const KeyCell* key) const {
+    if (stop == nullptr) return false;
+    const int c = stop_order->Compare(key, stop, stop_order->num_key_columns());
+    return descending ? c < 0 : c > 0;
+  }
+  /// After appending a row (output now `size` bytes): true if the chunk
+  /// ends on it.
+  bool ChunkEnds(size_t size) const {
+    return max_rows == 0 || size >= byte_target || scanned >= scan_cap;
+  }
+};
+
 /// An ordered stream of rows. A freshly created cursor is already positioned
 /// on its first row (Valid() is false for an empty stream). All rows stream
 /// in the cursor's scan direction by primary key.
@@ -81,6 +161,12 @@ class Cursor {
   virtual void AppendEncoded(std::string* dst) const = 0;
   /// Builds the row as Values, in current-schema column order.
   virtual void MaterializeRow(Row* out) const = 0;
+
+  /// Appends a run of rows to `dst` under `run`'s rules (see RunState) and
+  /// sets run->end. With run->on_row set it first steps past the current
+  /// row. The default is the one-row loop over Next; cursors that hold
+  /// rows in bulk override it.
+  virtual Status AppendRun(RunState* run, std::string* dst);
 };
 
 /// A cursor over an in-memory vector of rows (conforming to `schema`),
@@ -150,6 +236,9 @@ class MergingCursor final : public Cursor {
   void MaterializeRow(Row* out) const override {
     children_[heap_[0]]->MaterializeRow(out);
   }
+  /// Serves runs from the top child, with the runner-up's key as the
+  /// child's stop key, and re-places the child once per run.
+  Status AppendRun(RunState* run, std::string* dst) override;
 
  private:
   /// True if child a's current row precedes child b's in scan direction.
@@ -160,6 +249,9 @@ class MergingCursor final : public Cursor {
   }
   /// Restores the heap property below heap_[i].
   void SiftDown(size_t i);
+  /// Re-places the top child after it moved: sifts it down, or drops it
+  /// once exhausted. False (the cursor failed) if the child failed.
+  bool ReplaceTop();
   /// Copies the top child's key cells into key_.
   void LoadKey();
   void Fail(Status s);

@@ -8,15 +8,6 @@ namespace lt {
 
 namespace {
 
-int VarintLength(uint64_t v) {
-  int len = 1;
-  while (v >= 0x80) {
-    v >>= 7;
-    len++;
-  }
-  return len;
-}
-
 // std::string's inline (small-string) capacity, part of the seal charge.
 const size_t kInlineCapacity = std::string().capacity();
 

@@ -1465,6 +1465,34 @@ Status QueryStream::Next(uint64_t max_scan_rows, bool* have_row,
   return merged_->status();
 }
 
+Status QueryStream::NextChunk(size_t max_rows, size_t target_bytes,
+                              uint64_t scan_cap, std::string* dst,
+                              uint32_t* rows, bool* final) {
+  *rows = 0;
+  *final = done_;
+  if (done_) return Status::OK();
+  RunState run;
+  run.filter = &bounds_;
+  run.counter = &scanned_;
+  run.scan_cap = scan_cap;
+  run.max_rows = max_rows;
+  run.limit_left = limit_ - returned_;
+  run.byte_target = dst->size() + target_bytes;
+  run.filter_left = scan_cap;
+  run.on_row = on_row_;
+  Status s = merged_->AppendRun(&run, dst);
+  on_row_ = run.on_row;
+  returned_ += run.rows;
+  *rows = static_cast<uint32_t>(run.rows);
+  LT_RETURN_IF_ERROR(s);
+  if (run.end == RunEnd::kExhausted || run.end == RunEnd::kLimit) {
+    more_available_ = run.end == RunEnd::kLimit;
+    done_ = true;
+    *final = true;
+  }
+  return merged_->status();
+}
+
 void QueryStream::Finish() {
   if (finished_) return;
   finished_ = true;

@@ -85,6 +85,20 @@ class QueryStream {
   /// max_scan_rows = 0 means no scan budget (never yields without a row).
   Status Next(uint64_t max_scan_rows, bool* have_row, bool* exhausted);
 
+  /// Appends one streamed chunk's rows to `dst` — their encodings under
+  /// schema(), straight from the cursors a run at a time — and reports
+  /// how many (`*rows`) and whether the scan is complete (`*final`; see
+  /// more_available()). The chunk ends after the row that makes it
+  /// `max_rows` rows or brings it to `target_bytes` bytes; after a row,
+  /// once `scan_cap` rows were scanned since the chunk began; and, with no
+  /// row to end on, when the rows skipped by the ts filter since the last
+  /// appended row use up what the scan cap had left (the cooperative
+  /// yield: *rows may then be 0). These are the rules of a Next loop
+  /// called with max_scan_rows = scan_cap minus the rows scanned so far in
+  /// the chunk. `scan_cap` must be > 0.
+  Status NextChunk(size_t max_rows, size_t target_bytes, uint64_t scan_cap,
+                   std::string* dst, uint32_t* rows, bool* final);
+
   /// The row the last Next stopped on (it reported *have_row = true):
   /// appends its encoding under schema() — the EncodeRow bytes — or builds
   /// it as Values.
@@ -121,7 +135,7 @@ class QueryStream {
   QueryTrace local_trace_;
   Timestamp op_start_ = 0;
   uint64_t returned_ = 0;
-  bool on_row_ = false;  // merged_ rests on the row Next last returned.
+  bool on_row_ = false;  // merged_ rests on a row already returned.
   bool more_available_ = false;
   bool done_ = false;
   // Starts true so a stream abandoned mid-construction records nothing;

@@ -1,5 +1,7 @@
 #include "core/tablet_reader.h"
 
+#include <algorithm>
+
 #include "core/row_codec.h"
 #include "core/tablet_writer.h"  // kTabletMagic, kTabletTrailerSize
 #include "util/clock.h"
@@ -89,7 +91,23 @@ class TabletCursor final : public Cursor {
     }
   }
 
+  // Runs over the decoded block columns: the run's end is found by
+  // comparing key and ts columns in place, its rows are encoded column by
+  // column (BlockReader::AppendRows), and the rows landed on are counted
+  // into `scanned_` once per call.
+  Status AppendRun(RunState* run, std::string* dst) override {
+    uint64_t landed = 0;
+    RunRows(run, dst, &landed);
+    if (scanned_ != nullptr && landed > 0) {
+      scanned_->fetch_add(landed, std::memory_order_relaxed);
+    }
+    if (valid_) block_.KeyAt(row_idx_, key_.data());
+    return status_;
+  }
+
  private:
+  // Where a run step landed.
+  enum class Landed { kRow, kPastStop, kEnd };
   void Fail(Status s) {
     status_ = std::move(s);
     valid_ = false;
@@ -173,62 +191,198 @@ class TabletCursor final : public Cursor {
     LoadCurrentRow();
   }
 
-  // Positions on (block_idx_, row_idx_): reads its key cells and applies
-  // the trailing key bound. A block's needed columns are ensured and
-  // validated once, on the first row visited in it — a seek that only
-  // binary-searches a block never decodes its value chunks.
+  // Positions on (block_idx_, row_idx_): counts it as scanned, applies the
+  // trailing key bound and reads its key cells.
   void LoadCurrentRow() {
-    if (!block_.prepared()) {
-      Status s = block_.Prepare();
-      if (!s.ok()) return Fail(s);
-    }
-    if (row_idx_ >= block_.num_rows()) {
-      return Fail(Status::Corruption("empty block"));
+    if (!PrepareRow()) return;
+    if (scanned_) scanned_->fetch_add(1, std::memory_order_relaxed);
+    if (PastTrailing(row_idx_)) {
+      valid_ = false;
+      return;
     }
     block_.KeyAt(row_idx_, key_.data());
-    if (scanned_) scanned_->fetch_add(1, std::memory_order_relaxed);
-
-    if (trailing_) {
-      int c = order_.Compare(key_.data(), trailing_cells_.data(),
-                             trailing_cells_.size());
-      bool past = direction_ == Direction::kAscending
-                      ? (trailing_->inclusive ? c > 0 : c >= 0)
-                      : (trailing_->inclusive ? c < 0 : c <= 0);
-      if (past) {
-        valid_ = false;
-        return;
-      }
-    }
     valid_ = true;
   }
 
-  void Advance() {
+  // A block's needed columns are ensured and validated once, on the first
+  // row visited in it — a seek that only binary-searches a block never
+  // decodes its value chunks. False (the cursor failed) on error.
+  bool PrepareRow() {
+    if (!block_.prepared()) {
+      Status s = block_.Prepare();
+      if (!s.ok()) {
+        Fail(s);
+        return false;
+      }
+    }
+    if (row_idx_ >= block_.num_rows()) {
+      Fail(Status::Corruption("empty block"));
+      return false;
+    }
+    return true;
+  }
+
+  bool PastTrailing(size_t i) const {
+    if (!trailing_) return false;
+    int c = block_.CompareKeyAt(i, trailing_cells_.data(),
+                                trailing_cells_.size());
+    return direction_ == Direction::kAscending
+               ? (trailing_->inclusive ? c > 0 : c >= 0)
+               : (trailing_->inclusive ? c < 0 : c <= 0);
+  }
+
+  bool PastStop(const RunState& run, size_t i) const {
+    if (run.stop == nullptr) return false;
+    int c = block_.CompareKeyAt(i, run.stop, key_.size());
+    return direction_ == Direction::kAscending ? c > 0 : c < 0;
+  }
+
+  // Moves to the next row position in scan direction, loading the next
+  // block when this one ends. False at the end of the tablet or on a
+  // failed load; the cursor is then invalid.
+  bool StepPosition() {
     if (direction_ == Direction::kAscending) {
       row_idx_++;
       if (row_idx_ >= block_.num_rows()) {
         if (block_idx_ + 1 >= reader_->num_blocks()) {
           valid_ = false;
-          return;
+          return false;
         }
         Status s = LoadBlockAt(block_idx_ + 1);
-        if (!s.ok()) return Fail(s);
+        if (!s.ok()) {
+          Fail(s);
+          return false;
+        }
         row_idx_ = 0;
       }
+    } else if (row_idx_ > 0) {
+      row_idx_--;
     } else {
-      if (row_idx_ == 0) {
-        if (block_idx_ == 0) {
-          valid_ = false;
+      if (block_idx_ == 0) {
+        valid_ = false;
+        return false;
+      }
+      Status s = LoadBlockAt(block_idx_ - 1);
+      if (!s.ok()) {
+        Fail(s);
+        return false;
+      }
+      if (block_.num_rows() == 0) {
+        Fail(Status::Corruption("empty block"));
+        return false;
+      }
+      row_idx_ = block_.num_rows() - 1;
+    }
+    return true;
+  }
+
+  void Advance() {
+    if (StepPosition()) LoadCurrentRow();
+  }
+
+  // Advance for a run: the landed row counts into `*landed` and the run's
+  // scanned, and a row past the run's stop key ends the run but not the
+  // cursor.
+  Landed RunStep(RunState* run, uint64_t* landed) {
+    if (!StepPosition() || !PrepareRow()) return Landed::kEnd;
+    if (scanned_ != nullptr) {
+      ++*landed;
+      ++run->scanned;
+    }
+    if (PastTrailing(row_idx_)) {
+      valid_ = false;
+      return Landed::kEnd;
+    }
+    return PastStop(*run, row_idx_) ? Landed::kPastStop : Landed::kRow;
+  }
+
+  // Row index `i` moved `n` rows in direction `step`.
+  static ptrdiff_t Offset(size_t i, size_t n, ptrdiff_t step) {
+    return static_cast<ptrdiff_t>(i) + static_cast<ptrdiff_t>(n) * step;
+  }
+
+  // True if row `i` of the block can join a run going on from the row
+  // before it (in scan direction): it exists, and lies inside the trailing
+  // bound, before the stop key, and inside or outside the ts range as
+  // `in_range` says.
+  bool Continues(const RunState& run, ptrdiff_t i, const int64_t* ts,
+                 bool in_range) const {
+    return i >= 0 && static_cast<size_t>(i) < block_.num_rows() &&
+           run.filter->TsInRange(ts[i]) == in_range && !PastTrailing(i) &&
+           !PastStop(run, i);
+  }
+
+  // The run loop: the rules of RunState, applied a stretch of rows at a
+  // time. A stretch stays inside one block, so the rows after its first
+  // are each landed on with one count; the step off a stretch goes through
+  // RunStep, which crosses blocks and ends the cursor or the run.
+  void RunRows(RunState* run, std::string* dst, uint64_t* landed) {
+    if (!valid_) {
+      run->end = RunEnd::kExhausted;
+      return;
+    }
+    Landed at = Landed::kRow;
+    if (run->on_row) {
+      run->on_row = false;
+      at = RunStep(run, landed);
+    }
+    const bool descending = direction_ == Direction::kDescending;
+    const ptrdiff_t step = descending ? -1 : 1;
+    const size_t ts_col = key_.size() - 1;
+    const uint64_t counted = scanned_ != nullptr ? 1 : 0;
+    while (at == Landed::kRow) {
+      const size_t i = row_idx_;
+      const int64_t* ts = block_.KeyInts(ts_col);
+      if (!run->filter->TsInRange(ts[i])) {
+        // Skip filtered rows; the chunk yields when its allowance is spent.
+        size_t n = 1;
+        while (n < run->filter_left &&
+               Continues(*run, Offset(i, n, step), ts, false)) {
+          n++;
+        }
+        row_idx_ = static_cast<size_t>(Offset(i, n - 1, step));
+        *landed += (n - 1) * counted;
+        run->scanned += (n - 1) * counted;
+        run->filter_left -= n - 1;
+        at = RunStep(run, landed);
+        if (--run->filter_left == 0) {
+          run->end = RunEnd::kYield;
           return;
         }
-        Status s = LoadBlockAt(block_idx_ - 1);
-        if (!s.ok()) return Fail(s);
-        if (block_.num_rows() == 0) return Fail(Status::Corruption("empty block"));
-        row_idx_ = block_.num_rows() - 1;
-      } else {
-        row_idx_--;
+        continue;
       }
+      if (run->limit_left == 0) {
+        run->end = RunEnd::kLimit;
+        return;
+      }
+      // Append matching rows: at most the chunk's rows, the query's limit,
+      // and the rows until the scan cap ends the chunk on one.
+      const uint64_t scan_rows =
+          run->scanned >= run->scan_cap ? 1 : run->scan_cap - run->scanned + 1;
+      const uint64_t most =
+          std::min<uint64_t>({run->max_rows, run->limit_left, scan_rows});
+      size_t n = 1;
+      while (n < most &&
+             Continues(*run, Offset(i, n, step), ts, true)) {
+        n++;
+      }
+      n = block_.AppendRows(i, n, descending, appended_enc_, run->byte_target,
+                            dst, &offsets_);
+      row_idx_ = static_cast<size_t>(Offset(i, n - 1, step));
+      *landed += (n - 1) * counted;
+      run->scanned += (n - 1) * counted;
+      run->rows += n;
+      run->max_rows -= n;
+      run->limit_left -= n;
+      if (run->ChunkEnds(dst->size())) {
+        run->on_row = true;
+        run->end = RunEnd::kFull;
+        return;
+      }
+      run->filter_left = run->scan_cap - run->scanned;
+      at = RunStep(run, landed);
     }
-    LoadCurrentRow();
+    run->end = at == Landed::kPastStop ? RunEnd::kStop : RunEnd::kExhausted;
   }
 
   std::shared_ptr<const TabletReader> reader_;
@@ -248,6 +402,7 @@ class TabletCursor final : public Cursor {
   uint64_t skipped_per_block_ = 0;
 
   BlockReader block_;
+  std::vector<size_t> offsets_;  // AppendRows scratch.
   size_t block_idx_ = 0;
   size_t row_idx_ = 0;
   std::vector<KeyCell> key_;

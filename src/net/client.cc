@@ -128,8 +128,11 @@ Status Client::ReadFrame(MsgType* type, std::string* body) {
   if (len == 0 || len > wire::kMaxFrameBytes) {
     return Status::NetworkError("bad frame length");
   }
-  std::string payload(len, '\0');
-  Status s = conn_->ReadAll(payload.data(), len);
+  // The type byte, then the body straight into the caller's buffer.
+  char type_byte;
+  body->resize(len - 1);
+  Status s = conn_->ReadAll(&type_byte, 1);
+  if (s.ok()) s = conn_->ReadAll(body->data(), len - 1);
   if (!s.ok()) {
     // A close after the header is a torn frame, not a clean goodbye.
     if (s.IsUnavailable()) {
@@ -137,8 +140,7 @@ Status Client::ReadFrame(MsgType* type, std::string* body) {
     }
     return s;
   }
-  *type = static_cast<MsgType>(payload[0]);
-  body->assign(payload, 1, payload.size() - 1);
+  *type = static_cast<MsgType>(type_byte);
   return Status::OK();
 }
 
@@ -149,6 +151,86 @@ Status Client::ErrorFromBody(Slice body) {
   Slice message;
   GetLengthPrefixedSlice(&body, &message);
   return wire::StatusForCode(code, message.ToString());
+}
+
+Status Client::DecodeQueryChunk(Slice body, const Schema& schema,
+                                uint8_t* flags, std::vector<Row>* rows) {
+  if (body.empty()) return Status::Corruption("bad chunk");
+  *flags = static_cast<uint8_t>(body[0]);
+  body.remove_prefix(1);
+  uint32_t version, count;
+  if (!GetVarint32(&body, &version) || !GetVarint32(&body, &count)) {
+    return Status::Corruption("bad chunk");
+  }
+  if (version != schema.version()) {
+    return Status::Aborted("schema changed mid-query");
+  }
+  // Every row takes at least one byte: a larger count is corrupt, and is
+  // caught before it can size the row vector.
+  if (count > body.size()) {
+    return Status::Corruption("chunk row count exceeds its bytes");
+  }
+  if (rows->capacity() - rows->size() < count) {
+    rows->reserve(std::max(rows->size() + count, 2 * rows->capacity()));
+  }
+  const std::vector<Column>& columns = schema.columns();
+  const char* p = body.data();
+  const char* const limit = p + body.size();
+  // Decodes one cell of `row` at p; null p on a malformed cell.
+  auto cell = [&](ColumnType type, Row* row) -> const char* {
+    uint64_t u;
+    switch (type) {
+      case ColumnType::kInt32: {
+        const char* q = DecodeVarint64(p, limit, &u);
+        if (q == nullptr) return nullptr;
+        const int64_t v = ZigZagDecode(u);
+        if (v < INT32_MIN || v > INT32_MAX) return nullptr;
+        row->push_back(Value::Int32(static_cast<int32_t>(v)));
+        return q;
+      }
+      case ColumnType::kInt64:
+      case ColumnType::kTimestamp: {
+        const char* q = DecodeVarint64(p, limit, &u);
+        if (q == nullptr) return nullptr;
+        row->push_back(Value::Int64(ZigZagDecode(u)));
+        return q;
+      }
+      case ColumnType::kDouble: {
+        if (limit - p < 8) return nullptr;
+        const uint64_t bits = DecodeFixed64(p);
+        double d;
+        __builtin_memcpy(&d, &bits, 8);
+        row->push_back(Value::Double(d));
+        return p + 8;
+      }
+      case ColumnType::kString:
+      case ColumnType::kBlob: {
+        const char* q = DecodeVarint64(p, limit, &u);
+        if (q == nullptr || u > static_cast<uint64_t>(limit - q)) {
+          return nullptr;
+        }
+        std::string bytes(q, u);
+        row->push_back(type == ColumnType::kString
+                           ? Value::String(std::move(bytes))
+                           : Value::Blob(std::move(bytes)));
+        return q + u;
+      }
+    }
+    return nullptr;
+  };
+  for (uint32_t r = 0; r < count; r++) {
+    Row& row = rows->emplace_back();
+    row.reserve(columns.size());
+    for (const Column& col : columns) {
+      p = cell(col.type, &row);
+      if (p == nullptr) {
+        rows->pop_back();
+        return Status::Corruption("bad cell in chunk row");
+      }
+    }
+  }
+  if (p != limit) return Status::Corruption("chunk trailing bytes");
+  return Status::OK();
 }
 
 Status Client::RoundTrip(MsgType type, const std::string& body,
@@ -401,9 +483,9 @@ Status Client::QueryLocked(const std::string& table, const QueryBounds& bounds,
 
     result->rows.clear();
     bool schema_changed = false;
+    std::string body;  // Reused by every chunk.
     while (true) {
       MsgType type;
-      std::string body;
       LT_RETURN_IF_ERROR(ReadFrame(&type, &body));
       if (type == MsgType::kError) {
         if (!body.empty() &&
@@ -417,22 +499,9 @@ Status Client::QueryLocked(const std::string& table, const QueryBounds& bounds,
       if (type != MsgType::kQueryChunk) {
         return Status::NetworkError("unexpected response");
       }
-      Slice in(body);
-      if (in.empty()) return Status::Corruption("bad chunk");
-      uint8_t flags = static_cast<uint8_t>(in[0]);
-      in.remove_prefix(1);
-      uint32_t version, count;
-      if (!GetVarint32(&in, &version) || !GetVarint32(&in, &count)) {
-        return Status::Corruption("bad chunk");
-      }
-      if (version != schema->version()) {
-        return Status::Aborted("schema changed mid-query");
-      }
-      for (uint32_t i = 0; i < count; i++) {
-        Row row;
-        LT_RETURN_IF_ERROR(DecodeRow(&in, *schema, &row));
-        result->rows.push_back(std::move(row));
-      }
+      uint8_t flags;
+      LT_RETURN_IF_ERROR(
+          DecodeQueryChunk(Slice(body), *schema, &flags, &result->rows));
       if (flags & wire::kChunkFinal) {
         result->more_available = flags & wire::kChunkMoreAvailable;
         return Status::OK();

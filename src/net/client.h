@@ -196,6 +196,15 @@ class Client {
   /// cluster router, which interprets raw response frames from Call.
   static Status ErrorFromBody(Slice body);
 
+  /// Decodes a kQueryChunk body whose rows are encoded under `schema`:
+  /// returns its flags byte in `*flags` and appends its rows to `*rows`.
+  /// Fails closed — Corruption for a malformed header, a row count larger
+  /// than the body bytes, a truncated or out-of-range cell, or bytes past
+  /// the last row (the complete rows before a bad one stay appended);
+  /// Aborted when the chunk's schema version is not `schema`'s.
+  static Status DecodeQueryChunk(Slice body, const Schema& schema,
+                                 uint8_t* flags, std::vector<Row>* rows);
+
   /// Number of transport connects performed (1 for the initial connect;
   /// each reconnect adds one). Exposed for tests and monitoring.
   uint64_t connect_count() const {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 
 #include "core/row_codec.h"
 #include "util/coding.h"
@@ -36,6 +37,11 @@ constexpr uint64_t kChunkScanCap = 16384;
 // kChunkRows rows). Shrunk when the query byte budget is tight so the
 // budget still fits several chunks.
 constexpr size_t kChunkTargetBytes = 64 * 1024;
+
+// Room in front of a kQueryChunk's rows for its frame header: the length
+// prefix, type and flags bytes, and the schema version and row count as
+// varint32s.
+constexpr size_t kChunkHeaderRoom = 4 + 1 + 1 + 5 + 5;
 
 // When the flushed prefix of an outbound buffer exceeds this, compact.
 constexpr size_t kOutbufCompactBytes = 1024 * 1024;
@@ -654,14 +660,14 @@ void LittleTableServer::TryFlushLocked(ConnState* cs) {
 }
 
 void LittleTableServer::AppendOutput(const std::shared_ptr<ConnState>& cs,
-                                     const std::string& data) {
+                                     const Slice& data) {
   if (data.empty()) return;
   bool leftover;
   {
     std::lock_guard<std::mutex> lock(cs->out_mu);
     if (cs->write_failed) return;  // The peer will never see it anyway.
     if (cs->outbuf.empty()) cs->last_out_progress = idle_clock_->Now();
-    cs->outbuf.append(data);
+    cs->outbuf.append(data.data(), data.size());
     if (!cs->out_counted) {
       cs->out_counted = true;
       unflushed_conns_.fetch_add(1);
@@ -849,17 +855,11 @@ LittleTableServer::SliceResult LittleTableServer::ExecuteQuerySlice(
   // terminal frame (empty when silence is the answer — dead peer),
   // release the slot, detach. Stats are recorded BEFORE the terminal
   // frame is appended: once the client can observe the response, the
-  // table's query counters must already reflect it (the deterministic
-  // chaos sampler depends on that ordering).
-  auto finalize = [&](bool release_slot, const std::string& terminal) {
+  // table's query counters and the server's stream histograms must
+  // already reflect it (the deterministic chaos sampler depends on that
+  // ordering).
+  auto finalize = [&](bool release_slot, const Slice& terminal) {
     if (st->qs) st->qs->Finish();
-    if (!terminal.empty()) AppendOutput(cs, terminal);
-    if (release_slot && !st->slot_exempt) {
-      std::vector<AdmissionController::Departure> granted;
-      admission_->Release(&granted);
-      ResumeGranted(granted);
-      UpdateScanGauges();
-    }
     if (st->queue_wait_micros >= 0) {
       queue_wait_micros_->Record(static_cast<uint64_t>(st->queue_wait_micros));
     }
@@ -868,6 +868,13 @@ LittleTableServer::SliceResult LittleTableServer::ExecuteQuerySlice(
     }
     if (LatencyHistogram* h = op_micros_[kQueryOp]) {
       h->Record(static_cast<uint64_t>(MonotonicMicros() - st->op_start));
+    }
+    if (!terminal.empty()) AppendOutput(cs, terminal);
+    if (release_slot && !st->slot_exempt) {
+      std::vector<AdmissionController::Departure> granted;
+      admission_->Release(&granted);
+      ResumeGranted(granted);
+      UpdateScanGauges();
     }
     std::lock_guard<std::mutex> lock(sched_mu_);
     cs->stream.reset();
@@ -982,28 +989,15 @@ LittleTableServer::SliceResult LittleTableServer::ExecuteQuerySlice(
       if (!stopping_.load()) poller_->Wakeup();
       return SliceResult::kParked;
     }
-    // Pull one chunk's rows.
-    std::string rowbuf;
+    // Pull one chunk's rows straight into its frame, after room for the
+    // header, which is written in front of the rows once their count is
+    // known.
+    std::string& frame = st->frame;
+    frame.assign(kChunkHeaderRoom, '\0');
     uint32_t n = 0;
     bool final = false;
-    const uint64_t scan_start = st->qs->rows_scanned();
-    Status s = Status::OK();
-    while (n < kChunkRows && rowbuf.size() < chunk_target) {
-      const uint64_t scanned_here = st->qs->rows_scanned() - scan_start;
-      if (scanned_here >= kChunkScanCap) break;
-      bool have = false, exhausted = false;
-      s = st->qs->Next(kChunkScanCap - scanned_here, &have, &exhausted);
-      if (!s.ok()) break;
-      if (have) {
-        st->qs->AppendEncoded(&rowbuf);
-        n++;
-      } else if (exhausted) {
-        final = true;
-        break;
-      } else {
-        break;  // Scan-budget yield: recheck the kill switches.
-      }
-    }
+    Status s = st->qs->NextChunk(kChunkRows, chunk_target, kChunkScanCap,
+                                 &frame, &n, &final);
     // Bill the newly scanned rows to the tenant's row bucket; a scan that
     // outran its tenant's budget is shed mid-stream.
     const uint64_t scanned_total = st->qs->rows_scanned();
@@ -1026,23 +1020,27 @@ LittleTableServer::SliceResult LittleTableServer::ExecuteQuerySlice(
         flags |= wire::kChunkFinal;
         if (st->qs->more_available()) flags |= wire::kChunkMoreAvailable;
       }
-      std::string chunk;
-      chunk.push_back(static_cast<char>(flags));
       // The rows are encoded under the stream's own schema snapshot, which
       // a schema change while the scan was queued makes newer than the
       // request's; the client rejects a version it does not hold.
-      PutVarint32(&chunk, st->qs->schema()->version());
-      PutVarint32(&chunk, n);
-      chunk += rowbuf;
-      const std::string frame = wire::Frame(MsgType::kQueryChunk, chunk);
+      char header[kChunkHeaderRoom];
+      char* p = header + 4;  // The length prefix goes in last.
+      *p++ = static_cast<char>(MsgType::kQueryChunk);
+      *p++ = static_cast<char>(flags);
+      p = EncodeVarint64(p, st->qs->schema()->version());
+      p = EncodeVarint64(p, n);
+      const size_t start = kChunkHeaderRoom - (p - header);
+      EncodeFixed32(header, static_cast<uint32_t>(frame.size() - start - 4));
+      memcpy(frame.data() + start, header, p - header);
+      const Slice chunk(frame.data() + start, frame.size() - start);
       // Accounted memory this query pins at its worst moment: undrained
       // earlier chunks plus the frame about to be appended. Measured
       // before the flush so the number is budget-vs-gate, not peer speed.
-      st->peak_bytes = std::max(st->peak_bytes, out_pending + frame.size());
+      st->peak_bytes = std::max(st->peak_bytes, out_pending + chunk.size());
       // The final chunk rides through finalize so table stats land before
       // the client can observe the end of the stream.
-      if (final) return finalize(true, frame);
-      AppendOutput(cs, frame);
+      if (final) return finalize(true, chunk);
+      AppendOutput(cs, chunk);
     }
   }
   return SliceResult::kYield;  // Share the pool with other connections.

@@ -188,6 +188,7 @@ class LittleTableServer {
     Timestamp op_start = 0;          // MonotonicMicros at first slice.
     uint64_t charged_rows = 0;       // Scanned rows already billed to quota.
     size_t peak_bytes = 0;           // Max outbound bytes pinned at once.
+    std::string frame;  // The chunk being built, reused across chunks.
   };
 
   // Per-connection state. The event loop owns conn I/O state (inbuf,
@@ -261,8 +262,7 @@ class LittleTableServer {
   /// Appends response bytes to `cs`'s outbound buffer and flushes what the
   /// transport will take without blocking. Never blocks a worker on a slow
   /// peer; leftover bytes are flushed by the event loop as the peer drains.
-  void AppendOutput(const std::shared_ptr<ConnState>& cs,
-                    const std::string& data);
+  void AppendOutput(const std::shared_ptr<ConnState>& cs, const Slice& data);
   /// Flushes as much buffered output as the transport accepts (out_mu
   /// held). Sets write_failed and drops the buffer on a transport error.
   void TryFlushLocked(ConnState* cs);

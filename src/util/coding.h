@@ -34,6 +34,41 @@ bool GetVarint32(Slice* input, uint32_t* value);
 bool GetVarint64(Slice* input, uint64_t* value);
 bool GetLengthPrefixedSlice(Slice* input, Slice* result);
 
+/// Bytes the varint encoding of `v` takes (1–10).
+inline int VarintLength(uint64_t v) {
+  return (70 - __builtin_clzll(v | 1)) / 7;
+}
+
+/// Writes the varint encoding of `v` at `dst`, which must have room for
+/// VarintLength(v) bytes; returns the byte just past it.
+inline char* EncodeVarint64(char* dst, uint64_t v) {
+  unsigned char* p = reinterpret_cast<unsigned char*>(dst);
+  while (v >= 0x80) {
+    *p++ = static_cast<unsigned char>(v) | 0x80;
+    v >>= 7;
+  }
+  *p++ = static_cast<unsigned char>(v);
+  return reinterpret_cast<char*>(p);
+}
+
+/// Decodes the varint at [p, limit) — the GetVarint64 rules: at most ten
+/// bytes, bits past 64 dropped. Returns the byte just past it, or null when
+/// the input ends first. (GetVarint64 keeps its own loop: routed through
+/// this one, the insert path measured slower.)
+inline const char* DecodeVarint64(const char* p, const char* limit,
+                                  uint64_t* value) {
+  uint64_t result = 0;
+  for (int shift = 0; shift <= 63 && p < limit; shift += 7) {
+    const uint64_t byte = static_cast<unsigned char>(*p++);
+    if (byte < 0x80) {
+      *value = result | (byte << shift);
+      return p;
+    }
+    result |= (byte & 0x7f) << shift;
+  }
+  return nullptr;
+}
+
 /// ZigZag maps signed integers to unsigned so small magnitudes stay small.
 inline uint64_t ZigZagEncode(int64_t v) {
   return (static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63);

@@ -10,6 +10,15 @@
 // must be exactly the model rows' EncodeRow bytes. A second pass repeats the
 // queries after maintenance merges the mixed tablets.
 //
+// Streamed chunks: QueryStream::NextChunk fills each chunk a run at a time
+// (merge runs, tablet runs over block columns). Every query also checks
+// that chunking, call by call — row bytes, row count, final and
+// more-available flags, rows scanned — against a model that chunks the
+// one-row stream (QueryStream::Next) by the chunk rules, under several
+// row caps, byte targets and scan caps, the tiny ones included; and the
+// server's kQueryChunk frames, one by one, against the same model under
+// the server's own rules.
+//
 // The fail-closed cases install tablets whose footer schema lies about a
 // column: an int32 column holding an out-of-range cell in a later block,
 // and a double column whose chunk holds integers. Both must surface
@@ -18,7 +27,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <set>
+#include <utility>
 
 #include "core/db.h"
 #include "core/row_codec.h"
@@ -42,6 +53,14 @@ using wire::MsgType;
 
 constexpr uint16_t kPort = 7821;
 constexpr char kTable[] = "diff";
+
+// The server's chunk rules (server.cc): rows per chunk, scan cap, and the
+// byte target for a query budget.
+constexpr size_t kServerChunkRows = 512;
+constexpr uint64_t kServerScanCap = 16384;
+size_t ServerChunkTarget(size_t budget) {
+  return std::min<size_t>(64 * 1024, std::max<size_t>(1024, budget / 4));
+}
 
 // ---- Random schemas and cells. ----
 
@@ -249,6 +268,7 @@ class CursorDiffTest : public ::testing::Test {
     sopts.clock = clock_;
     sopts.poll_interval_ms = 5;
     sopts.query_budget_bytes = query_budget_bytes;
+    chunk_target_ = ServerChunkTarget(query_budget_bytes);
     server_ = std::make_unique<LittleTableServer>(db_.get(), sopts);
     ASSERT_TRUE(server_->Start().ok());
     ClientOptions copts;
@@ -283,13 +303,16 @@ class CursorDiffTest : public ::testing::Test {
   }
 
   /// Sends one raw kQuery and collects the row bytes of every kQueryChunk
-  /// until the final chunk (OK) or an error frame (its status).
+  /// until the final chunk (OK) or an error frame (its status); `chunks`
+  /// (optional) receives each chunk's row count and row bytes.
   Status WireQuery(const std::string& table, const Schema& schema,
                    const QueryBounds& bounds, std::string* rows, uint64_t* count,
-                   bool* more) {
+                   bool* more,
+                   std::vector<std::pair<uint32_t, std::string>>* chunks = nullptr) {
     rows->clear();
     *count = 0;
     *more = false;
+    if (chunks != nullptr) chunks->clear();
     std::string req;
     PutLengthPrefixedSlice(&req, table);
     PutVarint32(&req, schema.version());
@@ -313,6 +336,7 @@ class CursorDiffTest : public ::testing::Test {
       EXPECT_EQ(version, schema.version());
       *count += n;
       rows->append(in.data(), in.size());
+      if (chunks != nullptr) chunks->emplace_back(n, in.ToString());
       if (flags & wire::kChunkFinal) {
         *more = (flags & wire::kChunkMoreAvailable) != 0;
         return Status::OK();
@@ -328,7 +352,119 @@ class CursorDiffTest : public ::testing::Test {
   std::unique_ptr<LittleTableServer> server_;
   std::unique_ptr<Client> client_;
   std::unique_ptr<net::Connection> raw_;
+  size_t chunk_target_ = 0;  // The running server's chunk byte target.
 };
+
+// ---- Chunks: runs against the one-row loop. ----
+
+struct ChunkRules {
+  size_t max_rows;
+  size_t target_bytes;
+  uint64_t scan_cap;
+};
+
+struct Chunk {
+  std::string bytes;
+  uint32_t rows = 0;
+  bool final = false;
+  bool more = false;
+  uint64_t scanned = 0;  // The stream's rows scanned after the chunk.
+  bool ok = true;
+};
+
+// The model: one chunk by the chunk rules, over the one-row stream —
+// rows until the row cap or byte target, the scan cap re-checked before
+// each row, the rest of it handed to Next as its yield budget.
+Chunk OneRowChunk(QueryStream* qs, const ChunkRules& r) {
+  Chunk c;
+  const uint64_t start = qs->rows_scanned();
+  while (c.rows < r.max_rows && c.bytes.size() < r.target_bytes) {
+    const uint64_t here = qs->rows_scanned() - start;
+    if (here >= r.scan_cap) break;
+    bool have = false, exhausted = false;
+    c.ok = qs->Next(r.scan_cap - here, &have, &exhausted).ok();
+    if (!c.ok) break;
+    if (!have) {
+      c.final = exhausted;
+      break;
+    }
+    qs->AppendEncoded(&c.bytes);
+    c.rows++;
+  }
+  c.more = qs->more_available();
+  c.scanned = qs->rows_scanned();
+  return c;
+}
+
+Chunk RunChunk(QueryStream* qs, const ChunkRules& r) {
+  Chunk c;
+  c.ok = qs->NextChunk(r.max_rows, r.target_bytes, r.scan_cap, &c.bytes,
+                       &c.rows, &c.final)
+             .ok();
+  c.more = qs->more_available();
+  c.scanned = qs->rows_scanned();
+  return c;
+}
+
+// The model's chunks for a whole query (the server's sequence: chunks
+// with rows, and the final one).
+std::vector<Chunk> ModelChunks(Table* table, const QueryBounds& b,
+                               const ChunkRules& r) {
+  std::vector<Chunk> out;
+  std::unique_ptr<QueryStream> qs;
+  EXPECT_TRUE(table->NewQueryStream(b, &qs).ok());
+  if (qs == nullptr) return out;
+  while (true) {
+    Chunk c = OneRowChunk(qs.get(), r);
+    if (!c.ok) break;
+    const bool final = c.final;
+    if (c.rows > 0 || final) out.push_back(std::move(c));
+    if (final) break;
+  }
+  return out;
+}
+
+// Every NextChunk call against the model's chunk from the same position.
+void CheckChunks(Table* table, const QueryBounds& b, const ChunkRules& r,
+                 const std::string& what) {
+  std::unique_ptr<QueryStream> model, runs;
+  ASSERT_TRUE(table->NewQueryStream(b, &model).ok()) << what;
+  ASSERT_TRUE(table->NewQueryStream(b, &runs).ok()) << what;
+  for (int i = 0;; i++) {
+    ASSERT_LT(i, 1000000) << what;
+    const Chunk want = OneRowChunk(model.get(), r);
+    const Chunk got = RunChunk(runs.get(), r);
+    const std::string at = what + " chunk " + std::to_string(i);
+    ASSERT_EQ(got.ok, want.ok) << at;
+    ASSERT_EQ(got.rows, want.rows) << at;
+    ASSERT_TRUE(got.bytes == want.bytes) << at << ": row bytes differ";
+    ASSERT_EQ(got.final, want.final) << at;
+    ASSERT_EQ(got.more, want.more) << at;
+    ASSERT_EQ(got.scanned, want.scanned) << at;
+    if (!want.ok || want.final) break;
+  }
+  ASSERT_EQ(runs->rows_returned(), model->rows_returned()) << what;
+}
+
+// Chunk rules from the server's down to one row, one byte and one scanned
+// row per chunk, plus a random set.
+void CheckChunkRules(Table* table, const QueryBounds& b, Random* rnd,
+                     const std::string& what) {
+  const ChunkRules rules[] = {
+      {kServerChunkRows, 64 * 1024, kServerScanCap},
+      {kServerChunkRows, 1024, kServerScanCap},
+      {1, 1, 1},
+      {3, 1 << 20, 2},
+      {1 << 20, 60, 7},
+      {1 + rnd->Uniform(40), 1 + rnd->Uniform(400), 1 + rnd->Uniform(60)}};
+  for (const ChunkRules& r : rules) {
+    CheckChunks(table, b, r,
+                what + " rules " + std::to_string(r.max_rows) + "/" +
+                    std::to_string(r.target_bytes) + "/" +
+                    std::to_string(r.scan_cap));
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
 
 // One query through every surface, checked against the model.
 void CheckQuery(CursorDiffTest* t, Table* table, const Model& model,
@@ -360,17 +496,29 @@ void CheckQuery(CursorDiffTest* t, Table* table, const Model& model,
       }
     }
   }
+  Random rules_rnd(std::hash<std::string>()(what));
+  CheckChunkRules(table, b, &rules_rnd, what);
+  if (::testing::Test::HasFatalFailure()) return;
   if (!b.projection.empty()) return;  // The wire carries no projection.
   EXPECT_EQ(EncodeAll(s, got.rows), EncodeAll(s, want)) << what;
 
   std::string bytes;
   uint64_t count;
   bool more;
-  st = t->WireQuery(kTable, s, b, &bytes, &count, &more);
+  std::vector<std::pair<uint32_t, std::string>> chunks;
+  st = t->WireQuery(kTable, s, b, &bytes, &count, &more, &chunks);
   ASSERT_TRUE(st.ok()) << what << " " << st.ToString();
   EXPECT_EQ(count, want.size()) << what;
   EXPECT_EQ(more, want_more) << what;
   EXPECT_TRUE(bytes == EncodeAll(s, want)) << what << ": wire bytes differ";
+  const std::vector<Chunk> model_chunks = ModelChunks(
+      table, b, {kServerChunkRows, t->chunk_target_, kServerScanCap});
+  ASSERT_EQ(chunks.size(), model_chunks.size()) << what;
+  for (size_t i = 0; i < chunks.size(); i++) {
+    EXPECT_EQ(chunks[i].first, model_chunks[i].rows) << what << " frame " << i;
+    EXPECT_TRUE(chunks[i].second == model_chunks[i].bytes)
+        << what << " frame " << i << ": chunk body differs";
+  }
 
   QueryResult client_result;
   st = t->client_->Query(kTable, b, &client_result);

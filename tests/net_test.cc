@@ -11,11 +11,13 @@
 #include <thread>
 
 #include "core/db.h"
+#include "core/row_codec.h"
 #include "env/mem_env.h"
 #include "net/client.h"
 #include "net/server.h"
 #include "net/socket.h"
 #include "net/stats_text.h"
+#include "net/wire.h"
 #include "tests/test_util.h"
 #include "util/coding.h"
 
@@ -507,6 +509,117 @@ TEST_F(NetTest, UnknownOpcodeRejectedWithoutDroppingConnection) {
   ASSERT_FALSE(payload.empty());
   EXPECT_EQ(static_cast<uint8_t>(payload[0]),
             static_cast<uint8_t>(wire::MsgType::kOk));
+}
+
+// The client decodes each kQueryChunk in place. A chunk recorded off the
+// wire, cut at every length and with every bit flipped in turn, must decode
+// to exactly the rows the row codec reads from the same bytes, or fail —
+// Corruption, or Aborted where a flip lands in the schema version — and
+// never crash (the ASan+UBSan CI step runs this case).
+TEST_F(NetTest, QueryChunkDecodeFuzzFailsClosed) {
+  const Schema schema({Column("k", ColumnType::kString),
+                       Column("n", ColumnType::kInt32),
+                       Column("ts", ColumnType::kTimestamp),
+                       Column("v", ColumnType::kInt64),
+                       Column("d", ColumnType::kDouble),
+                       Column("b", ColumnType::kBlob)},
+                      3);
+  ASSERT_TRUE(client_->CreateTable("cells", schema, 0).ok());
+  const Timestamp t = clock_->Now();
+  std::vector<Row> rows;
+  const int32_t ints[] = {INT32_MIN, -1, 0, 1, 300, INT32_MAX};
+  for (int i = 0; i < 6; i++) {
+    rows.push_back({Value::String(std::string(i * 30, 'a' + i)),
+                    Value::Int32(ints[i]), Value::Ts(t + i),
+                    Value::Int64(i % 2 ? INT64_MIN + i : int64_t{1} << (i * 9)),
+                    Value::Double(i * -0.75),
+                    Value::Blob(std::string(i, '\xff'))});
+  }
+  ASSERT_TRUE(client_->Insert("cells", rows).ok());
+  auto fetched = client_->TableSchema("cells");
+  ASSERT_TRUE(fetched.ok());
+  const std::shared_ptr<const Schema> current = fetched.value();
+
+  // Record the one chunk that answers a full scan.
+  net::Socket raw;
+  ASSERT_TRUE(net::Connect("127.0.0.1", server_->port(), &raw).ok());
+  std::string req;
+  PutLengthPrefixedSlice(&req, "cells");
+  PutVarint32(&req, current->version());
+  wire::EncodeBounds(&req, *current, QueryBounds{});
+  const std::string frame = wire::Frame(wire::MsgType::kQuery, req);
+  ASSERT_TRUE(raw.WriteAll(frame.data(), frame.size()).ok());
+  const std::string payload = ReadRawFrame(&raw);
+  ASSERT_FALSE(payload.empty());
+  ASSERT_EQ(static_cast<uint8_t>(payload[0]),
+            static_cast<uint8_t>(wire::MsgType::kQueryChunk));
+  const std::string chunk = payload.substr(1);
+
+  // The reference: the header, then DecodeRow per row, and nothing after.
+  auto reference = [&](Slice in, std::vector<Row>* out) -> Status {
+    if (in.empty()) return Status::Corruption("empty");
+    in.remove_prefix(1);
+    uint32_t version, count;
+    if (!GetVarint32(&in, &version) || !GetVarint32(&in, &count)) {
+      return Status::Corruption("header");
+    }
+    if (version != current->version()) return Status::Aborted("version");
+    for (uint32_t i = 0; i < count; i++) {
+      Row row;
+      LT_RETURN_IF_ERROR(DecodeRow(&in, *current, &row));
+      out->push_back(std::move(row));
+    }
+    return in.empty() ? Status::OK() : Status::Corruption("trailing");
+  };
+  auto encode = [&](const std::vector<Row>& rs) {
+    std::string out;
+    for (const Row& r : rs) EncodeRow(&out, *current, r);
+    return out;
+  };
+  auto check = [&](const std::string& bytes, const std::string& what) {
+    std::vector<Row> got, want;
+    uint8_t flags = 0;
+    const Status s = Client::DecodeQueryChunk(bytes, *current, &flags, &got);
+    const Status r = reference(bytes, &want);
+    ASSERT_EQ(s.ok(), r.ok()) << what << ": " << s.ToString() << " vs "
+                              << r.ToString();
+    if (s.ok()) {
+      EXPECT_TRUE(encode(got) == encode(want)) << what << ": rows differ";
+    } else {
+      EXPECT_TRUE(s.IsCorruption() || s.IsAborted()) << what << s.ToString();
+    }
+  };
+
+  std::vector<Row> decoded;
+  uint8_t flags = 0;
+  ASSERT_TRUE(Client::DecodeQueryChunk(chunk, *current, &flags, &decoded).ok());
+  EXPECT_TRUE(flags & wire::kChunkFinal);
+  EXPECT_TRUE(encode(decoded) == encode(rows));
+
+  for (size_t len = 0; len < chunk.size(); len++) {
+    std::vector<Row> got;
+    const Status s =
+        Client::DecodeQueryChunk(chunk.substr(0, len), *current, &flags, &got);
+    EXPECT_TRUE(s.IsCorruption()) << "cut at " << len << ": " << s.ToString();
+  }
+  for (size_t pos = 0; pos < chunk.size(); pos++) {
+    for (int bit = 0; bit < 8; bit++) {
+      std::string flipped = chunk;
+      flipped[pos] = static_cast<char>(flipped[pos] ^ (1 << bit));
+      check(flipped, "byte " + std::to_string(pos) + " bit " +
+                         std::to_string(bit));
+      if (HasFatalFailure()) return;
+    }
+  }
+  // A row count the body cannot hold fails before sizing anything.
+  std::string huge(1, '\0');
+  PutVarint32(&huge, current->version());
+  PutVarint32(&huge, UINT32_MAX);
+  huge += chunk.substr(chunk.size() - 8);
+  std::vector<Row> got;
+  EXPECT_TRUE(
+      Client::DecodeQueryChunk(huge, *current, &flags, &got).IsCorruption());
+  EXPECT_TRUE(got.empty());
 }
 
 TEST_F(NetTest, StatsExposeFlushFailureCounters) {

@@ -461,6 +461,27 @@ TEST_F(OverloadNetTest, SlowReaderBoundedBuffering) {
   EXPECT_LE(peak, sopts_.query_budget_bytes);
 }
 
+// A stream's histograms land before its final chunk: right after each of
+// 200 back-to-back queries returns — no sleep, no polling — the server's
+// stream peak-bytes and query-latency histograms already count it.
+TEST_F(OverloadNetTest, StreamStatsRecordedBeforeFinalChunk) {
+  StartServer();
+  Fill(50);
+  const LatencyHistogram* peak =
+      server_->metrics().GetHistogram("server.query_stream_peak_bytes");
+  const LatencyHistogram* latency =
+      server_->metrics().GetHistogram("server.op.query.micros");
+  const uint64_t peaks_before = peak->Snapshot().count;
+  const uint64_t latencies_before = latency->Snapshot().count;
+  for (uint64_t i = 1; i <= 200; i++) {
+    QueryResult result;
+    ASSERT_TRUE(client_->Query("usage", QueryBounds{}, &result).ok());
+    ASSERT_EQ(result.rows.size(), 50u);
+    ASSERT_EQ(peak->Snapshot().count, peaks_before + i) << "query " << i;
+    ASSERT_EQ(latency->Snapshot().count, latencies_before + i) << "query " << i;
+  }
+}
+
 // A bounded point query bypasses the scan slots: while a full scan holds
 // the only slot (parked on backpressure), a limit-10 lookup completes
 // instead of queueing behind it.

@@ -38,6 +38,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <string>
 
 #include "sim/chaos.h"
@@ -55,7 +56,20 @@ bool ParseFlag(const char* arg, const char* name, std::string* value) {
   return true;
 }
 
-void PrintReport(const sim::ChaosReport& report, bool print_log,
+/// One harness as lt_sim drives it: how to run a seed, and how to print it.
+struct Harness {
+  std::function<Status(uint64_t seed, sim::SimReport*)> run;
+  std::string mode_flag;    // "", "--cluster " or "--overload ".
+  std::string repro_flags;  // The options that reproduce a run, after --seed.
+  /// Overload runs promise no determinism, so a failing run's log is the one
+  /// record of its interleaving (the nightly batch uploads it): always print.
+  bool log_on_failure = false;
+  /// The single-node log starts on the "ok seed=N events=M" line itself;
+  /// kept so pinned outputs stay byte-identical.
+  bool log_on_ok_line = false;
+};
+
+void PrintReport(const sim::SimReport& report, bool print_log,
                  bool dump_sys) {
   if (print_log) {
     for (const std::string& line : report.event_log) {
@@ -74,48 +88,46 @@ void PrintReport(const sim::ChaosReport& report, bool print_log,
   }
 }
 
-int RunOne(const sim::ChaosOptions& opts, bool print_log, bool dump_sys) {
-  sim::ChaosReport report;
-  Status s = sim::RunChaos(opts, &report);
+int RunOne(const Harness& h, uint64_t seed, bool print_log, bool dump_sys) {
+  sim::SimReport report;
+  Status s = h.run(seed, &report);
   if (!s.ok()) {
     std::printf("FAIL seed=%llu harness error: %s\n",
-                static_cast<unsigned long long>(opts.seed),
-                s.ToString().c_str());
+                static_cast<unsigned long long>(seed), s.ToString().c_str());
     return 1;
   }
   if (!report.ok) {
     std::printf("FAIL seed=%llu oracle: %s\n",
-                static_cast<unsigned long long>(opts.seed),
-                report.failure.c_str());
-    std::printf("reproduce with: lt_sim --seed=%llu --ops=%d --faults=%g "
-                "--devices=%d --print-log\n",
-                static_cast<unsigned long long>(opts.seed), opts.ops,
-                opts.fault_rate, opts.devices);
-    PrintReport(report, print_log, dump_sys);
+                static_cast<unsigned long long>(seed), report.failure.c_str());
+    std::printf("reproduce with: lt_sim %s--seed=%llu%s --print-log\n",
+                h.mode_flag.c_str(), static_cast<unsigned long long>(seed),
+                h.repro_flags.c_str());
+    PrintReport(report, print_log || h.log_on_failure, dump_sys);
     return 1;
   }
-  std::printf("ok seed=%llu events=%zu",
-              static_cast<unsigned long long>(opts.seed),
+  std::printf("ok seed=%llu events=%zu", static_cast<unsigned long long>(seed),
               report.event_log.size());
+  if (print_log && !h.log_on_ok_line) std::printf("\n");
   PrintReport(report, print_log, dump_sys);
   return 0;
 }
 
-int VerifySeed(sim::ChaosOptions opts) {
-  sim::ChaosReport a, b;
-  Status s = sim::RunChaos(opts, &a);
-  if (s.ok()) s = sim::RunChaos(opts, &b);
+/// Runs `seed` twice and requires byte-identical event logs and
+/// __sys_metrics dumps (the determinism contract).
+int VerifySeed(const Harness& h, uint64_t seed) {
+  sim::SimReport a, b;
+  Status s = h.run(seed, &a);
+  if (s.ok()) s = h.run(seed, &b);
   if (!s.ok()) {
     std::printf("FAIL seed=%llu harness error: %s\n",
-                static_cast<unsigned long long>(opts.seed),
-                s.ToString().c_str());
+                static_cast<unsigned long long>(seed), s.ToString().c_str());
     return 1;
   }
   if (a.sys_metrics != b.sys_metrics) {
     std::printf("FAIL seed=%llu nondeterministic: __sys_metrics dumps "
                 "differ (%zu vs %zu rows)\n",
-                static_cast<unsigned long long>(opts.seed),
-                a.sys_metrics.size(), b.sys_metrics.size());
+                static_cast<unsigned long long>(seed), a.sys_metrics.size(),
+                b.sys_metrics.size());
     return 1;
   }
   if (a.event_log != b.event_log) {
@@ -125,7 +137,7 @@ int VerifySeed(sim::ChaosOptions opts) {
       i++;
     }
     std::printf("FAIL seed=%llu nondeterministic: logs diverge at line %zu\n",
-                static_cast<unsigned long long>(opts.seed), i);
+                static_cast<unsigned long long>(seed), i);
     std::printf("  run1: %s\n", i < a.event_log.size()
                                     ? a.event_log[i].c_str()
                                     : "<end of log>");
@@ -135,121 +147,8 @@ int VerifySeed(sim::ChaosOptions opts) {
     return 1;
   }
   std::printf("ok seed=%llu deterministic (%zu log lines)\n",
-              static_cast<unsigned long long>(opts.seed), a.event_log.size());
+              static_cast<unsigned long long>(seed), a.event_log.size());
   return a.ok && b.ok ? 0 : 1;
-}
-
-int RunOneCluster(const sim::ClusterChaosOptions& opts, bool print_log) {
-  sim::ClusterChaosReport report;
-  Status s = sim::RunClusterChaos(opts, &report);
-  if (!s.ok()) {
-    std::printf("FAIL seed=%llu harness error: %s\n",
-                static_cast<unsigned long long>(opts.seed),
-                s.ToString().c_str());
-    return 1;
-  }
-  if (!report.ok) {
-    std::printf("FAIL seed=%llu oracle: %s\n",
-                static_cast<unsigned long long>(opts.seed),
-                report.failure.c_str());
-    std::printf("reproduce with: lt_sim --cluster --seed=%llu --ops=%d "
-                "--faults=%g --devices=%d --groups=%d --print-log\n",
-                static_cast<unsigned long long>(opts.seed), opts.ops,
-                opts.fault_rate, opts.devices, opts.groups);
-    if (print_log) {
-      for (const std::string& line : report.event_log) {
-        std::printf("%s\n", line.c_str());
-      }
-    }
-    return 1;
-  }
-  std::printf("ok seed=%llu events=%zu",
-              static_cast<unsigned long long>(opts.seed),
-              report.event_log.size());
-  if (print_log) {
-    std::printf("\n");
-    for (const std::string& line : report.event_log) {
-      std::printf("%s\n", line.c_str());
-    }
-  }
-  for (const auto& [key, value] : report.counters) {
-    std::printf("  %s=%llu", key.c_str(),
-                static_cast<unsigned long long>(value));
-  }
-  std::printf("\n");
-  return 0;
-}
-
-int VerifySeedCluster(const sim::ClusterChaosOptions& opts) {
-  sim::ClusterChaosReport a, b;
-  Status s = sim::RunClusterChaos(opts, &a);
-  if (s.ok()) s = sim::RunClusterChaos(opts, &b);
-  if (!s.ok()) {
-    std::printf("FAIL seed=%llu harness error: %s\n",
-                static_cast<unsigned long long>(opts.seed),
-                s.ToString().c_str());
-    return 1;
-  }
-  if (a.event_log != b.event_log) {
-    size_t i = 0;
-    while (i < a.event_log.size() && i < b.event_log.size() &&
-           a.event_log[i] == b.event_log[i]) {
-      i++;
-    }
-    std::printf("FAIL seed=%llu nondeterministic: logs diverge at line %zu\n",
-                static_cast<unsigned long long>(opts.seed), i);
-    std::printf("  run1: %s\n", i < a.event_log.size()
-                                    ? a.event_log[i].c_str()
-                                    : "<end of log>");
-    std::printf("  run2: %s\n", i < b.event_log.size()
-                                    ? b.event_log[i].c_str()
-                                    : "<end of log>");
-    return 1;
-  }
-  std::printf("ok seed=%llu deterministic (%zu log lines)\n",
-              static_cast<unsigned long long>(opts.seed), a.event_log.size());
-  return a.ok && b.ok ? 0 : 1;
-}
-
-int RunOneOverload(const sim::OverloadChaosOptions& opts, bool print_log) {
-  sim::OverloadChaosReport report;
-  Status s = sim::RunOverloadChaos(opts, &report);
-  if (!s.ok()) {
-    std::printf("FAIL seed=%llu harness error: %s\n",
-                static_cast<unsigned long long>(opts.seed),
-                s.ToString().c_str());
-    return 1;
-  }
-  if (!report.ok) {
-    std::printf("FAIL seed=%llu oracle: %s\n",
-                static_cast<unsigned long long>(opts.seed),
-                report.failure.c_str());
-    std::printf("reproduce with: lt_sim --overload --seed=%llu --ops=%d "
-                "--print-log\n",
-                static_cast<unsigned long long>(opts.seed), opts.ops);
-    // Always dump the log on failure: overload runs make no determinism
-    // promise, so this log is the one record of what the failing
-    // interleaving did (the nightly batch uploads it as its artifact).
-    for (const std::string& line : report.event_log) {
-      std::printf("%s\n", line.c_str());
-    }
-    return 1;
-  }
-  std::printf("ok seed=%llu events=%zu",
-              static_cast<unsigned long long>(opts.seed),
-              report.event_log.size());
-  if (print_log) {
-    std::printf("\n");
-    for (const std::string& line : report.event_log) {
-      std::printf("%s\n", line.c_str());
-    }
-  }
-  for (const auto& [key, value] : report.counters) {
-    std::printf("  %s=%llu", key.c_str(),
-                static_cast<unsigned long long>(value));
-  }
-  std::printf("\n");
-  return 0;
 }
 
 }  // namespace
@@ -299,38 +198,51 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
+  Harness h;
+  char repro[128];
   if (overload) {
     sim::OverloadChaosOptions oopts;
-    oopts.seed = opts.seed;
     if (opts.ops != 200) oopts.ops = opts.ops;  // 200 = ChaosOptions default.
     oopts.devices = opts.devices;
-    for (int i = 0; i < seeds; i++) {
-      sim::OverloadChaosOptions one = oopts;
-      one.seed = oopts.seed + static_cast<uint64_t>(i);
-      if (RunOneOverload(one, print_log) != 0) return 1;
-    }
-    return 0;
-  }
-  if (cluster) {
+    h.run = [oopts](uint64_t seed, sim::SimReport* report) mutable {
+      oopts.seed = seed;
+      return sim::RunOverloadChaos(oopts, report);
+    };
+    h.mode_flag = "--overload ";
+    std::snprintf(repro, sizeof(repro), " --ops=%d", oopts.ops);
+    h.log_on_failure = true;
+  } else if (cluster) {
     sim::ClusterChaosOptions copts;
-    copts.seed = opts.seed;
     copts.ops = opts.ops;
     copts.fault_rate = opts.fault_rate;
     copts.devices = opts.devices;
     copts.groups = groups;
-    if (verify) return VerifySeedCluster(copts);
-    for (int i = 0; i < seeds; i++) {
-      sim::ClusterChaosOptions one = copts;
-      one.seed = copts.seed + static_cast<uint64_t>(i);
-      if (RunOneCluster(one, print_log) != 0) return 1;
-    }
-    return 0;
+    h.run = [copts](uint64_t seed, sim::SimReport* report) mutable {
+      copts.seed = seed;
+      return sim::RunClusterChaos(copts, report);
+    };
+    h.mode_flag = "--cluster ";
+    std::snprintf(repro, sizeof(repro),
+                  " --ops=%d --faults=%g --devices=%d --groups=%d", copts.ops,
+                  copts.fault_rate, copts.devices, copts.groups);
+  } else {
+    h.run = [opts](uint64_t seed, sim::SimReport* report) mutable {
+      opts.seed = seed;
+      return sim::RunChaos(opts, report);
+    };
+    std::snprintf(repro, sizeof(repro), " --ops=%d --faults=%g --devices=%d",
+                  opts.ops, opts.fault_rate, opts.devices);
+    h.log_on_ok_line = true;
   }
-  if (verify) return VerifySeed(opts);
+  h.repro_flags = repro;
+  // Overload runs make no determinism promise; --verify-seed only picks
+  // their seed.
+  if (verify && !overload) return VerifySeed(h, opts.seed);
   for (int i = 0; i < seeds; i++) {
-    sim::ChaosOptions one = opts;
-    one.seed = opts.seed + static_cast<uint64_t>(i);
-    if (RunOne(one, print_log, dump_sys) != 0) return 1;
+    if (RunOne(h, opts.seed + static_cast<uint64_t>(i), print_log, dump_sys) !=
+        0) {
+      return 1;
+    }
   }
   return 0;
 }

@@ -8,7 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include "apps/device_sim.h"
 #include "core/db.h"
 #include "core/tablet_writer.h"  // kTabletFormatLatest
 #include "env/mem_env.h"
@@ -16,6 +15,7 @@
 #include "net/client.h"
 #include "net/server.h"
 #include "obs/metrics_sampler.h"
+#include "sim/device_oracle.h"
 #include "sim/sim_transport.h"
 #include "util/fault.h"
 #include "util/random.h"
@@ -24,65 +24,20 @@ namespace lt {
 namespace sim {
 namespace {
 
-// Fixed simulated epoch (no real time may leak into the simulation).
-constexpr Timestamp kEpoch = Timestamp{1700000000} * 1000000;
 constexpr uint16_t kPort = 7711;
-constexpr char kTable[] = "events";
 constexpr char kRoot[] = "chaos";
 
-Schema EventsSchema() {
-  return Schema({Column("device", ColumnType::kInt64),
-                 Column("id", ColumnType::kInt64),
-                 Column("ts", ColumnType::kTimestamp),
-                 Column("kind", ColumnType::kString),
-                 Column("detail", ColumnType::kString)},
-                /*num_key_columns=*/3);
-}
-
-/// One client->Insert call and what the model knows about its outcome.
-struct InsertRecord {
-  enum State {
-    kCertain,     // The server acknowledged (or a probe later confirmed).
-    kUnresolved,  // The RPC failed; the batch may or may not have applied.
-    kDropped,     // Confirmed never-applied (or fully lost in a crash).
-  };
-  int64_t device = 0;
-  std::vector<apps::SimEvent> events;  // Ascending ids, ascending ts.
-  State state = kCertain;
-  /// Leading events guaranteed durable: covered by a successful
-  /// FlushThrough, or already read back from disk after a crash. A later
-  /// crash losing any of them is an oracle violation.
-  size_t durable = 0;
-};
-
-struct DeviceCursor {
-  int64_t last_id = 0;  // Highest event id the model believes is inserted.
-  /// A failed insert leaves the outcome unknown; the next insert for this
-  /// device must first resolve it with a LatestRow probe.
-  bool dirty = false;
-};
-
-class ChaosRun {
+class ChaosRun : private SimRecorder {
  public:
-  ChaosRun(const ChaosOptions& opts, ChaosReport* report)
-      : opts_(opts), report_(report), rng_(opts.seed ^ 0x9e3779b97f4a7c15ull) {}
+  ChaosRun(const ChaosOptions& opts, SimReport* report)
+      : SimRecorder(report),
+        opts_(opts),
+        rng_(opts.seed ^ 0x9e3779b97f4a7c15ull),
+        oracle_(this, opts.seed, opts.devices, QueryChecks::kSingleNode) {}
 
   Status Run();
 
  private:
-  void Log(const std::string& line) {
-    report_->event_log.push_back("t=" + std::to_string(clock_->Now() - kEpoch) +
-                                 " " + line);
-  }
-  void Count(const std::string& key) { report_->counters[key]++; }
-  /// Records the first oracle violation and stops the run.
-  void Violation(const std::string& what) {
-    if (!report_->ok) return;
-    report_->ok = false;
-    report_->failure = what;
-    Log("ORACLE VIOLATION: " + what);
-  }
-
   Status Setup();
   Status OpenDb();
   Status StartServer();
@@ -92,23 +47,11 @@ class ChaosRun {
 
   void MaybeInjectFault();
   void DoOneOp();
-  void DoInsert();
-  void DoQuery();
-  void DoLatestRow();
   void DoFlushThrough();
   void DoMaintain();
   void DoStats();
   void CrashAndRestart();
 
-  /// Resolves `device`'s unknown-outcome inserts against the id the server
-  /// reports as its latest. Returns false on an oracle violation.
-  bool ResolveFromLatest(int64_t device, int64_t latest);
-  /// True if `row` matches the model's event with its (device, id); flags a
-  /// violation otherwise.
-  bool CheckRowContent(const Row& row);
-  /// Finds the model event for (device, id) among non-dropped records.
-  const apps::SimEvent* FindEvent(int64_t device, int64_t id) const;
-  int64_t MaxCertainId(int64_t device) const;
   /// The post-crash model check; returns false on violation.
   bool OracleCheckAfterCrash();
   /// Checks one system table's §3.1 prefix durability against the
@@ -119,10 +62,9 @@ class ChaosRun {
   void DumpSysMetrics();
 
   const ChaosOptions opts_;
-  ChaosReport* const report_;
   Random rng_;
+  DeviceOracle oracle_;
 
-  std::shared_ptr<SimClock> clock_;
   std::unique_ptr<MemEnv> mem_env_;
   std::unique_ptr<SimDiskEnv> sim_disk_;  // Null for plain-MemEnv runs.
   Env* env_ = nullptr;                    // The env the DB runs on.
@@ -130,26 +72,20 @@ class ChaosRun {
   std::unique_ptr<DB> db_;
   std::unique_ptr<LittleTableServer> server_;
   std::unique_ptr<Client> client_;
-  std::unique_ptr<apps::DeviceFleet> fleet_;
   std::unique_ptr<obs::MetricsSampler> sampler_;
 
-  std::vector<InsertRecord> records_;  // Global insert order.
   /// Rows the sampler inserted into each system table, in insert order —
   /// the model for the system tables' own prefix-durability check.
   std::map<std::string, std::vector<Row>> sys_model_;
   /// Leading sys_model_ rows known durable (read back after a crash).
   std::map<std::string, size_t> sys_durable_;
   int ops_since_sample_ = 0;
-  std::map<int64_t, DeviceCursor> cursors_;
   int partition_ops_left_ = 0;
   int disk_full_ops_left_ = 0;
   uint32_t open_count_ = 0;  // DB opens so far; rotates the flush format.
 };
 
 Status ChaosRun::Setup() {
-  clock_ = std::make_shared<SimClock>();
-  clock_->Set(kEpoch);
-
   mem_env_ = std::make_unique<MemEnv>();
   const bool use_sim_disk = rng_.Bernoulli(0.5);
   if (use_sim_disk) {
@@ -163,23 +99,12 @@ Status ChaosRun::Setup() {
   Log(std::string("setup env=") + (use_sim_disk ? "sim_disk" : "mem"));
 
   SimTransportOptions topts;
-  topts.clock = clock_;
+  topts.clock = clock();
   transport_ = std::make_unique<SimTransport>(topts);
 
   LT_RETURN_IF_ERROR(OpenDb());
   LT_RETURN_IF_ERROR(
-      db_->CreateTable(kTable, EventsSchema(), /*options=*/nullptr));
-
-  apps::DeviceSimOptions fopts;
-  fopts.seed = opts_.seed;
-  fopts.birth = kEpoch;
-  fopts.event_interval_sec = 20;
-  fopts.unreachable_hour_prob = 0;  // Reachability is the grabber's problem.
-  fleet_ = std::make_unique<apps::DeviceFleet>(fopts);
-  for (int d = 1; d <= opts_.devices; d++) {
-    fleet_->AddDevice(static_cast<apps::DeviceId>(d));
-    cursors_[d] = DeviceCursor{};
-  }
+      db_->CreateTable(kEventsTable, EventsSchema(), /*options=*/nullptr));
 
   if (opts_.sample_every_ops > 0) LT_RETURN_IF_ERROR(StartSampler());
   LT_RETURN_IF_ERROR(StartServer());
@@ -209,7 +134,7 @@ Status ChaosRun::OpenDb() {
   open_count_++;
   Log("open_db format_version=" +
       std::to_string(dopts.table_defaults.format_version));
-  return DB::Open(env_, clock_, kRoot, dopts, &db_);
+  return DB::Open(env_, clock(), kRoot, dopts, &db_);
 }
 
 Status ChaosRun::StartServer() {
@@ -226,13 +151,13 @@ Status ChaosRun::StartServer() {
 Status ChaosRun::ConnectClient() {
   ClientOptions copts;
   copts.transport = transport_.get();
-  copts.clock = clock_;
+  copts.clock = clock();
   copts.connect_timeout_ms = 1000;
   copts.read_timeout_ms = 1000;
   copts.write_timeout_ms = 1000;
   copts.max_retries = 3;
   copts.backoff_seed = opts_.seed;
-  copts.backoff_sleep = [clock = clock_](int64_t ms) {
+  copts.backoff_sleep = [clock = clock()](int64_t ms) {
     clock->Advance(ms * 1000);  // Backoff burns simulated, not real, time.
   };
   return Client::Connect("sim", kPort, copts, &client_);
@@ -260,217 +185,20 @@ Status ChaosRun::StartSampler() {
 void ChaosRun::DriveSampler() {
   if (!sampler_ || ++ops_since_sample_ < opts_.sample_every_ops) return;
   ops_since_sample_ = 0;
-  Status s = sampler_->SampleOnce(clock_->Now());
+  Status s = sampler_->SampleOnce(clock()->Now());
   Log("sample status=" + s.ToString());
   if (s.ok()) Count("samples_ok");
 }
 
-const apps::SimEvent* ChaosRun::FindEvent(int64_t device, int64_t id) const {
-  for (const InsertRecord& rec : records_) {
-    if (rec.device != device || rec.state == InsertRecord::kDropped) continue;
-    for (const apps::SimEvent& ev : rec.events) {
-      if (ev.id == id) return &ev;
-    }
-  }
-  return nullptr;
-}
-
-int64_t ChaosRun::MaxCertainId(int64_t device) const {
-  int64_t max_id = 0;
-  for (const InsertRecord& rec : records_) {
-    if (rec.device != device || rec.state != InsertRecord::kCertain) continue;
-    if (!rec.events.empty()) {
-      max_id = std::max(max_id, rec.events.back().id);
-    }
-  }
-  return max_id;
-}
-
-bool ChaosRun::CheckRowContent(const Row& row) {
-  if (row.size() != 5) {
-    Violation("row has " + std::to_string(row.size()) + " columns");
-    return false;
-  }
-  const int64_t device = row[0].AsInt();
-  const int64_t id = row[1].AsInt();
-  const apps::SimEvent* ev = FindEvent(device, id);
-  if (ev == nullptr) {
-    Violation("phantom row: device=" + std::to_string(device) +
-              " id=" + std::to_string(id) + " was never (or never certainly) "
-              "inserted");
-    return false;
-  }
-  if (row[2].AsInt() != ev->ts || row[3].bytes() != ev->kind ||
-      row[4].bytes() != ev->detail) {
-    Violation("row content mismatch: device=" + std::to_string(device) +
-              " id=" + std::to_string(id));
-    return false;
-  }
-  return true;
-}
-
-bool ChaosRun::ResolveFromLatest(int64_t device, int64_t latest) {
-  for (InsertRecord& rec : records_) {
-    if (rec.device != device) continue;
-    if (rec.state == InsertRecord::kDropped || rec.events.empty()) continue;
-    const int64_t first = rec.events.front().id;
-    const int64_t last = rec.events.back().id;
-    if (rec.state == InsertRecord::kUnresolved) {
-      if (latest >= last) {
-        rec.state = InsertRecord::kCertain;
-      } else if (latest < first) {
-        rec.state = InsertRecord::kDropped;
-      } else {
-        Violation("partial batch application: device=" +
-                  std::to_string(device) + " latest=" + std::to_string(latest) +
-                  " inside batch [" + std::to_string(first) + "," +
-                  std::to_string(last) + "]");
-        return false;
-      }
-    } else if (latest < last) {  // kCertain
-      Violation("latest row id " + std::to_string(latest) +
-                " behind acknowledged insert through " + std::to_string(last) +
-                " for device " + std::to_string(device));
-      return false;
-    }
-  }
-  const int64_t expect = MaxCertainId(device);
-  if (latest != expect) {
-    Violation("latest row mismatch for device " + std::to_string(device) +
-              ": got " + std::to_string(latest) + " want " +
-              std::to_string(expect));
-    return false;
-  }
-  cursors_[device].last_id = latest;
-  cursors_[device].dirty = false;
-  return true;
-}
-
-void ChaosRun::DoInsert() {
-  const int64_t device = 1 + static_cast<int64_t>(rng_.Uniform(opts_.devices));
-  DeviceCursor& cur = cursors_[device];
-  if (cur.dirty) {
-    // Unknown outcome pending: the grabber's crash-recovery move is to ask
-    // the server where it got to before resending (§3.1).
-    Row row;
-    bool found = false;
-    Status s = client_->LatestRow(kTable, Key{Value::Int64(device)}, &row,
-                                 &found);
-    Log("resync dev=" + std::to_string(device) + " status=" + s.ToString());
-    if (!s.ok()) return;  // Still dirty; retry on a later insert.
-    Count("resyncs");
-    if (found && !CheckRowContent(row)) return;
-    if (!ResolveFromLatest(device, found ? row[1].AsInt() : 0)) return;
-  }
-  const size_t batch = 1 + rng_.Uniform(4);
-  std::vector<apps::SimEvent> events =
-      fleet_->Get(static_cast<apps::DeviceId>(device))
-          ->EventsAfter(cur.last_id, clock_->Now(), batch);
-  if (events.empty()) {
-    Log("insert dev=" + std::to_string(device) + " no_events");
-    return;
-  }
-  std::vector<Row> rows;
-  rows.reserve(events.size());
-  for (const apps::SimEvent& ev : events) {
-    rows.push_back({Value::Int64(device), Value::Int64(ev.id),
-                    Value::Ts(ev.ts), Value::String(ev.kind),
-                    Value::String(ev.detail)});
-  }
-  Status s = client_->Insert(kTable, rows);
-  InsertRecord rec;
-  rec.device = device;
-  rec.events = std::move(events);
-  Log("insert dev=" + std::to_string(device) + " ids=[" +
-      std::to_string(rec.events.front().id) + "," +
-      std::to_string(rec.events.back().id) + "] status=" + s.ToString());
-  if (s.ok()) {
-    rec.state = InsertRecord::kCertain;
-    cur.last_id = rec.events.back().id;
-    Count("inserts_ok");
-  } else {
-    // The batch may have applied before the connection died. Record the
-    // uncertainty; a later probe or crash-scan resolves it.
-    rec.state = InsertRecord::kUnresolved;
-    cur.dirty = true;
-    Count("inserts_unresolved");
-  }
-  records_.push_back(std::move(rec));
-}
-
-void ChaosRun::DoQuery() {
-  const int64_t device = 1 + static_cast<int64_t>(rng_.Uniform(opts_.devices));
-  std::vector<Row> rows;
-  Status s = client_->QueryAll(
-      kTable, QueryBounds::ForPrefix(Key{Value::Int64(device)}), &rows);
-  Log("query dev=" + std::to_string(device) + " rows=" +
-      std::to_string(rows.size()) + " status=" + s.ToString());
-  if (!s.ok()) return;
-  Count("queries_ok");
-  std::set<int64_t> returned;
-  for (const Row& row : rows) {
-    if (!CheckRowContent(row)) return;
-    if (row[0].AsInt() != device) {
-      Violation("query for device " + std::to_string(device) +
-                " returned device " + std::to_string(row[0].AsInt()));
-      return;
-    }
-    if (!returned.insert(row[1].AsInt()).second) {
-      Violation("duplicate row id " + std::to_string(row[1].AsInt()) +
-                " for device " + std::to_string(device));
-      return;
-    }
-  }
-  // The query is a complete, settled snapshot (the harness is
-  // single-threaded): acknowledged batches must be fully present, and
-  // unknown-outcome batches resolve to fully-present or fully-absent.
-  for (InsertRecord& rec : records_) {
-    if (rec.device != device || rec.state == InsertRecord::kDropped) continue;
-    size_t present = 0;
-    for (const apps::SimEvent& ev : rec.events) present += returned.count(ev.id);
-    if (rec.state == InsertRecord::kCertain) {
-      if (present != rec.events.size()) {
-        Violation("query missing acknowledged rows: device=" +
-                  std::to_string(device) + " batch through id " +
-                  std::to_string(rec.events.back().id));
-        return;
-      }
-    } else if (present == rec.events.size()) {
-      rec.state = InsertRecord::kCertain;
-    } else if (present == 0) {
-      rec.state = InsertRecord::kDropped;
-    } else {
-      Violation("partial batch visible: device=" + std::to_string(device));
-      return;
-    }
-  }
-  cursors_[device].last_id = MaxCertainId(device);
-  cursors_[device].dirty = false;
-}
-
-void ChaosRun::DoLatestRow() {
-  const int64_t device = 1 + static_cast<int64_t>(rng_.Uniform(opts_.devices));
-  Row row;
-  bool found = false;
-  Status s =
-      client_->LatestRow(kTable, Key{Value::Int64(device)}, &row, &found);
-  Log("latest dev=" + std::to_string(device) + " found=" +
-      std::to_string(found ? 1 : 0) + " status=" + s.ToString());
-  if (!s.ok()) return;
-  Count("latest_ok");
-  if (found && !CheckRowContent(row)) return;
-  ResolveFromLatest(device, found ? row[1].AsInt() : 0);
-}
-
 void ChaosRun::DoFlushThrough() {
-  const Timestamp t = clock_->Now();
-  Status s = client_->FlushThrough(kTable, t);
+  const Timestamp t = clock()->Now();
+  Status s = client_->FlushThrough(kEventsTable, t);
   Log("flush_through status=" + s.ToString());
   if (!s.ok()) return;
   Count("flush_through_ok");
   // §4.1.2: everything acknowledged with ts <= t is now guaranteed to
   // survive any crash. Batches with unknown outcomes get no guarantee.
-  for (InsertRecord& rec : records_) {
+  for (InsertRecord& rec : oracle_.records()) {
     if (rec.state != InsertRecord::kCertain) continue;
     size_t durable = 0;
     while (durable < rec.events.size() && rec.events[durable].ts <= t) {
@@ -488,12 +216,12 @@ void ChaosRun::DoMaintain() {
 
 void ChaosRun::DoStats() {
   ServerStats stats;
-  Status s = client_->Stats(kTable, &stats);
+  Status s = client_->Stats(kEventsTable, &stats);
   Log("stats status=" + s.ToString());
 }
 
 bool ChaosRun::OracleCheckAfterCrash() {
-  std::shared_ptr<Table> table = db_->GetTable(kTable);
+  std::shared_ptr<Table> table = db_->GetTable(kEventsTable);
   if (!table) {
     Violation("table missing after reopen");
     return false;
@@ -528,7 +256,7 @@ bool ChaosRun::OracleCheckAfterCrash() {
   // was then entirely lost in the crash is indistinguishable from one that
   // never applied; both are treated as never-applied, which is sound for
   // every check below (absent rows cannot break prefix monotonicity).
-  for (InsertRecord& rec : records_) {
+  for (InsertRecord& rec : oracle_.records()) {
     if (rec.state != InsertRecord::kUnresolved) continue;
     size_t n = 0;
     for (const apps::SimEvent& ev : rec.events) {
@@ -540,7 +268,7 @@ bool ChaosRun::OracleCheckAfterCrash() {
   // Prefix durability (§3.1): in global insert order, the surviving rows
   // form a prefix — once one row is lost, every later row is lost too.
   bool lost_one = false;
-  for (const InsertRecord& rec : records_) {
+  for (const InsertRecord& rec : oracle_.records()) {
     if (rec.state == InsertRecord::kDropped) continue;
     for (const apps::SimEvent& ev : rec.events) {
       const bool here = present.count({rec.device, ev.id}) != 0;
@@ -555,7 +283,7 @@ bool ChaosRun::OracleCheckAfterCrash() {
   }
 
   // FlushThrough guarantees and re-read durability from earlier crashes.
-  for (const InsertRecord& rec : records_) {
+  for (const InsertRecord& rec : oracle_.records()) {
     if (rec.state == InsertRecord::kDropped) continue;
     for (size_t i = 0; i < rec.durable; i++) {
       if (!present.count({rec.device, rec.events[i].id})) {
@@ -569,7 +297,7 @@ bool ChaosRun::OracleCheckAfterCrash() {
 
   // Content equality and phantom detection for every surviving row.
   for (const auto& [key, row] : present) {
-    if (!CheckRowContent(*row)) return false;
+    if (!oracle_.CheckRowContent(*row)) return false;
   }
 
   // Per-device contiguity: surviving ids are exactly 1..k.
@@ -580,12 +308,7 @@ bool ChaosRun::OracleCheckAfterCrash() {
     n++;
   }
   for (const auto& [device, mc] : by_dev) {
-    if (mc.first != mc.second) {
-      Violation("event ids not contiguous for device " +
-                std::to_string(device) + ": max=" + std::to_string(mc.first) +
-                " count=" + std::to_string(mc.second));
-      return false;
-    }
+    if (!oracle_.CheckContiguous(device, mc.first, mc.second)) return false;
   }
 
   // No orphan files: the table directory holds exactly the descriptor,
@@ -593,7 +316,7 @@ bool ChaosRun::OracleCheckAfterCrash() {
   std::set<std::string> allowed = {"DESC"};
   for (const TabletMeta& m : table->DiskTablets()) allowed.insert(m.filename);
   std::vector<std::string> children;
-  s = env_->GetChildren(std::string(kRoot) + "/" + kTable, &children);
+  s = env_->GetChildren(std::string(kRoot) + "/" + kEventsTable, &children);
   if (!s.ok()) {
     Violation("listing table dir failed: " + s.ToString());
     return false;
@@ -607,7 +330,7 @@ bool ChaosRun::OracleCheckAfterCrash() {
   // The model adopts the post-crash truth: trim each batch to its
   // surviving prefix (rows beyond it are gone for good), and everything
   // that survived is on disk now — durable against the next crash too.
-  for (InsertRecord& rec : records_) {
+  for (InsertRecord& rec : oracle_.records()) {
     if (rec.state == InsertRecord::kDropped) continue;
     size_t n = 0;
     while (n < rec.events.size() &&
@@ -618,7 +341,7 @@ bool ChaosRun::OracleCheckAfterCrash() {
     rec.durable = n;
     if (n == 0) rec.state = InsertRecord::kDropped;
   }
-  for (auto& [device, cur] : cursors_) {
+  for (auto& [device, cur] : oracle_.cursors()) {
     cur.last_id = by_dev.count(device) ? by_dev[device].first : 0;
     cur.dirty = false;
   }
@@ -730,7 +453,7 @@ void ChaosRun::DumpSysMetrics() {
                 " max=" + FormatDouble(row[4].dbl()) +
                 " n=" + std::to_string(row[5].AsInt());
       }
-      report_->sys_metrics.push_back(std::move(line));
+      report()->sys_metrics.push_back(std::move(line));
     }
   }
 }
@@ -866,11 +589,11 @@ void ChaosRun::MaybeInjectFault() {
 void ChaosRun::DoOneOp() {
   const uint64_t pick = rng_.Uniform(100);
   if (pick < 50) {
-    DoInsert();
+    oracle_.Insert(client_.get(), &rng_);
   } else if (pick < 70) {
-    DoQuery();
+    oracle_.Query(client_.get(), &rng_);
   } else if (pick < 80) {
-    DoLatestRow();
+    oracle_.LatestRow(client_.get(), &rng_);
   } else if (pick < 88) {
     DoFlushThrough();
   } else if (pick < 98) {
@@ -883,29 +606,26 @@ void ChaosRun::DoOneOp() {
 Status ChaosRun::Run() {
   fault::DisarmCrashPoints();  // Global state; start from a clean slate.
   LT_RETURN_IF_ERROR(Setup());
-  for (int i = 0; i < opts_.ops && report_->ok; i++) {
-    clock_->Advance((1 + rng_.Uniform(30)) * kMicrosPerSecond);
+  for (int i = 0; i < opts_.ops && report()->ok; i++) {
+    clock()->Advance((1 + rng_.Uniform(30)) * kMicrosPerSecond);
     MaybeInjectFault();
-    if (!report_->ok) break;
+    if (!report()->ok) break;
     DoOneOp();
-    if (report_->ok) DriveSampler();
+    if (report()->ok) DriveSampler();
   }
   // Final verdict: crash once more and run the full oracle, so every run
   // ends with a durability check even if the schedule drew no crash.
-  if (report_->ok) CrashAndRestart();
-  if (report_->ok) {
-    uint64_t durable_rows = 0;
-    for (const InsertRecord& rec : records_) {
-      if (rec.state == InsertRecord::kCertain) durable_rows += rec.events.size();
-    }
-    report_->counters["durable_rows"] = durable_rows;
+  if (report()->ok) CrashAndRestart();
+  if (report()->ok) {
+    const uint64_t durable_rows = oracle_.CertainRows();
+    report()->counters["durable_rows"] = durable_rows;
     const SimTransportStats ts = transport_->stats();
-    report_->counters["transport_connects"] = ts.connects;
-    report_->counters["transport_resets"] = ts.resets_injected;
+    report()->counters["transport_connects"] = ts.connects;
+    report()->counters["transport_resets"] = ts.resets_injected;
     if (opts_.sample_every_ops > 0) {
       uint64_t sys_rows = 0;
       for (const auto& [tname, rows] : sys_model_) sys_rows += rows.size();
-      report_->counters["sys_rows_durable"] = sys_rows;
+      report()->counters["sys_rows_durable"] = sys_rows;
       DumpSysMetrics();
     }
     Log("done durable_rows=" + std::to_string(durable_rows));
@@ -923,8 +643,8 @@ Status ChaosRun::Run() {
 
 }  // namespace
 
-Status RunChaos(const ChaosOptions& options, ChaosReport* report) {
-  *report = ChaosReport();
+Status RunChaos(const ChaosOptions& options, SimReport* report) {
+  *report = SimReport();
   if (options.ops < 0 || options.devices < 1) {
     return Status::InvalidArgument("ops must be >= 0 and devices >= 1");
   }

@@ -15,7 +15,9 @@
 //     delivery, refused and reordered connects.
 //
 // After every simulated crash + reopen an in-memory oracle checks the
-// paper's §3.1 contract against a model of what was inserted:
+// paper's §3.1 contract against a model of what was inserted (the device
+// model and query checks are sim/device_oracle.h's; the crash checks are
+// this harness's own):
 //   - prefix durability: walking every inserted row in insert order, the
 //     surviving set is a prefix — once one row is lost, no later row
 //     survives (the flush dependency closure at row granularity);
@@ -38,10 +40,8 @@
 #define LITTLETABLE_SIM_CHAOS_H_
 
 #include <cstdint>
-#include <map>
-#include <string>
-#include <vector>
 
+#include "sim/device_oracle.h"
 #include "util/status.h"
 
 namespace lt {
@@ -63,32 +63,12 @@ struct ChaosOptions {
   int sample_every_ops = 0;
 };
 
-struct ChaosReport {
-  /// False if the oracle detected a contract violation.
-  bool ok = true;
-  /// Human-readable description of the first violation ("" when ok).
-  std::string failure;
-  /// One line per simulated action, deterministic from the seed. Two runs
-  /// with the same seed must produce identical logs (lt_sim --verify-seed
-  /// and sim_test assert exactly that).
-  std::vector<std::string> event_log;
-  /// Deterministic counters: ops by kind, faults injected, crashes
-  /// survived, rows confirmed durable.
-  std::map<std::string, uint64_t> counters;
-  /// With sample_every_ops > 0: one line per system-table row that
-  /// survived to the end of the run ("<table> <metric> ts=<t> v=<value>"),
-  /// in key order. A pure function of the seed — two same-seed runs must
-  /// produce byte-identical dumps (sim_test pins this), and the nightly
-  /// sweep uploads them as its sampled-metrics artifact.
-  std::vector<std::string> sys_metrics;
-};
-
 /// Runs one seeded chaos schedule. Returns a non-OK status only for
 /// harness-level failures (e.g. the initial server refusing to start);
 /// oracle violations come back as report->ok == false with the log
 /// preserved. Uses process-global crash-point state: not reentrant, one
 /// run at a time per process.
-Status RunChaos(const ChaosOptions& options, ChaosReport* report);
+Status RunChaos(const ChaosOptions& options, SimReport* report);
 
 }  // namespace sim
 }  // namespace lt

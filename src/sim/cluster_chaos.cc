@@ -8,7 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include "apps/device_sim.h"
 #include "cluster/agent.h"
 #include "cluster/cluster_client.h"
 #include "cluster/coordinator.h"
@@ -18,6 +17,7 @@
 #include "env/mem_env.h"
 #include "net/client.h"
 #include "net/server.h"
+#include "sim/device_oracle.h"
 #include "sim/sim_transport.h"
 #include "util/fault.h"
 #include "util/random.h"
@@ -26,42 +26,8 @@ namespace lt {
 namespace sim {
 namespace {
 
-// Fixed simulated epoch (no real time may leak into the simulation).
-constexpr Timestamp kEpoch = Timestamp{1700000000} * 1000000;
 constexpr uint16_t kCoordPort = 7790;
-constexpr char kTable[] = "events";
 constexpr char kRoot[] = "node";
-
-Schema EventsSchema() {
-  return Schema({Column("device", ColumnType::kInt64),
-                 Column("id", ColumnType::kInt64),
-                 Column("ts", ColumnType::kTimestamp),
-                 Column("kind", ColumnType::kString),
-                 Column("detail", ColumnType::kString)},
-                /*num_key_columns=*/3);
-}
-
-/// One routed ClusterClient::Insert call and what the model knows about it.
-struct InsertRecord {
-  enum State {
-    kCertain,     // Acknowledged (or a later read confirmed it applied).
-    kUnresolved,  // Outcome unknown: the RPC failed, or the acking primary
-                  // died and the batch was outside the last ship round.
-    kDropped,     // Confirmed never-applied or wholly lost.
-  };
-  int64_t device = 0;
-  uint32_t group = 0;                  // Shard group the series hashes to.
-  std::vector<apps::SimEvent> events;  // Ascending ids, ascending ts.
-  State state = kCertain;
-  /// Covered by a completed ship round: on disk on BOTH replicas. Losing
-  /// any row of a durable batch, in any schedule, is an oracle violation.
-  bool durable = false;
-};
-
-struct DeviceCursor {
-  int64_t last_id = 0;
-  bool dirty = false;  // Outcome unknown; resync via LatestRow first.
-};
 
 /// One cluster machine: its own simulated disk, DB, and agent.
 struct NodeState {
@@ -82,26 +48,17 @@ struct GroupState {
   cluster::Endpoint known_primary;
 };
 
-class ClusterChaosRun {
+class ClusterChaosRun : private SimRecorder {
  public:
-  ClusterChaosRun(const ClusterChaosOptions& opts, ClusterChaosReport* report)
-      : opts_(opts), report_(report), rng_(opts.seed ^ 0xa24baed4963ee407ull) {}
+  ClusterChaosRun(const ClusterChaosOptions& opts, SimReport* report)
+      : SimRecorder(report),
+        opts_(opts),
+        rng_(opts.seed ^ 0xa24baed4963ee407ull),
+        oracle_(this, opts.seed, opts.devices, QueryChecks::kReplicated) {}
 
   Status Run();
 
  private:
-  void Log(const std::string& line) {
-    report_->event_log.push_back("t=" + std::to_string(clock_->Now() - kEpoch) +
-                                 " " + line);
-  }
-  void Count(const std::string& key) { report_->counters[key]++; }
-  void Violation(const std::string& what) {
-    if (!report_->ok) return;
-    report_->ok = false;
-    report_->failure = what;
-    Log("ORACLE VIOLATION: " + what);
-  }
-
   Status Setup();
   Status OpenNodeDb(NodeState& n);
   Status StartAgent(NodeState& n);
@@ -109,9 +66,6 @@ class ClusterChaosRun {
 
   void MaybeInjectFault();
   void DoOneOp();
-  void DoInsert();
-  void DoQuery();
-  void DoLatestRow();
   void DoShip();
   void DoFullScan();
   void DoProbe();
@@ -143,37 +97,25 @@ class ClusterChaosRun {
   void MarkGroupDurable(uint32_t g);
   void MarkGroupUnresolved(uint32_t g);
 
-  // ---- Model checks. ----
-  bool VerifyDeviceRows(int64_t device, const std::vector<Row>& rows);
+  /// Queries every device of group g and verifies each row set.
   void VerifyGroupDevices(uint32_t g);
-  bool ResolveFromLatest(int64_t device, int64_t latest);
-  bool CheckRowContent(const Row& row);
-  const apps::SimEvent* FindEvent(int64_t device, int64_t id) const;
-  int64_t MaxCertainId(int64_t device) const;
 
   const ClusterChaosOptions opts_;
-  ClusterChaosReport* const report_;
   Random rng_;
+  DeviceOracle oracle_;
 
-  std::shared_ptr<SimClock> clock_;
   std::unique_ptr<SimTransport> transport_;
   std::unique_ptr<cluster::Coordinator> coordinator_;
   std::vector<GroupState> groups_;
   std::unique_ptr<cluster::ClusterClient> client_;
-  std::unique_ptr<apps::DeviceFleet> fleet_;
 
-  std::vector<InsertRecord> records_;  // Global insert order.
-  std::map<int64_t, DeviceCursor> cursors_;
-  std::map<int64_t, uint32_t> device_group_;
+  std::map<int64_t, uint32_t> device_group_;  // Device -> its shard group.
   bool pumping_ = false;  // Reentrancy guard for Pump.
 };
 
 Status ClusterChaosRun::Setup() {
-  clock_ = std::make_shared<SimClock>();
-  clock_->Set(kEpoch);
-
   SimTransportOptions topts;
-  topts.clock = clock_;
+  topts.clock = clock();
   transport_ = std::make_unique<SimTransport>(topts);
 
   const std::vector<cluster::ShardGroupInfo> ranges =
@@ -198,7 +140,7 @@ Status ClusterChaosRun::Setup() {
   copts.transport = transport_->ForNode("coord");
   copts.probe_deadline_ms = 200;
   copts.fail_threshold = 3;
-  copts.client.clock = clock_;
+  copts.client.clock = clock();
   copts.client.connect_timeout_ms = 500;
   copts.client.read_timeout_ms = 500;
   copts.client.write_timeout_ms = 500;
@@ -221,7 +163,7 @@ Status ClusterChaosRun::Setup() {
       " epoch=" + std::to_string(coordinator_->epoch()));
 
   LT_RETURN_IF_ERROR(ConnectClient());
-  LT_RETURN_IF_ERROR(client_->CreateTable(kTable, EventsSchema(), 0));
+  LT_RETURN_IF_ERROR(client_->CreateTable(kEventsTable, EventsSchema(), 0));
   // One completed ship round per group before chaos starts: the create is
   // then on both replicas, so even an immediate primary crash leaves a
   // secondary that can serve the (empty) table.
@@ -231,16 +173,8 @@ Status ClusterChaosRun::Setup() {
     LT_RETURN_IF_ERROR(p->ShipOnce());
   }
 
-  apps::DeviceSimOptions fopts;
-  fopts.seed = opts_.seed;
-  fopts.birth = kEpoch;
-  fopts.event_interval_sec = 20;
-  fopts.unreachable_hour_prob = 0;
-  fleet_ = std::make_unique<apps::DeviceFleet>(fopts);
   const Schema schema = EventsSchema();
   for (int d = 1; d <= opts_.devices; d++) {
-    fleet_->AddDevice(static_cast<apps::DeviceId>(d));
-    cursors_[d] = DeviceCursor{};
     const uint64_t h =
         cluster::RouteHashPrefix(schema, Key{Value::Int64(d)});
     const cluster::ShardGroupInfo* gi = m.GroupForHash(h);
@@ -267,7 +201,7 @@ Status ClusterChaosRun::OpenNodeDb(NodeState& n) {
   dopts.table_defaults.format_version = static_cast<uint32_t>(
       (opts_.seed + n.open_count) % (kTabletFormatLatest + 1));
   n.open_count++;
-  return DB::Open(n.env.get(), clock_, kRoot, dopts, &n.db);
+  return DB::Open(n.env.get(), clock(), kRoot, dopts, &n.db);
 }
 
 Status ClusterChaosRun::StartAgent(NodeState& n) {
@@ -277,7 +211,7 @@ Status ClusterChaosRun::StartAgent(NodeState& n) {
   aopts.server.poll_interval_ms = 5;
   aopts.server.io_timeout_ms = 2000;
   aopts.server.drain_timeout_ms = 200;
-  aopts.client.clock = clock_;
+  aopts.client.clock = clock();
   aopts.client.connect_timeout_ms = 500;
   aopts.client.read_timeout_ms = 1000;
   aopts.client.write_timeout_ms = 1000;
@@ -294,7 +228,7 @@ Status ClusterChaosRun::ConnectClient() {
   ccopts.max_retries = 10;
   ccopts.backoff_initial_ms = 20;
   ccopts.backoff_max_ms = 500;
-  ccopts.client.clock = clock_;
+  ccopts.client.clock = clock();
   ccopts.client.connect_timeout_ms = 500;
   ccopts.client.read_timeout_ms = 1000;
   ccopts.client.write_timeout_ms = 1000;
@@ -357,9 +291,9 @@ void ClusterChaosRun::HealGroupPartition(GroupState& grp, const char* why) {
 void ClusterChaosRun::MarkGroupDurable(uint32_t g) {
   // A completed ship round covers everything acknowledged before it; the
   // harness is single-threaded, so that is every record in the model.
-  for (InsertRecord& rec : records_) {
-    if (rec.group == g && rec.state == InsertRecord::kCertain) {
-      rec.durable = true;
+  for (InsertRecord& rec : oracle_.records()) {
+    if (device_group_[rec.device] == g && rec.state == InsertRecord::kCertain) {
+      rec.durable = rec.events.size();
     }
   }
 }
@@ -368,13 +302,13 @@ void ClusterChaosRun::MarkGroupUnresolved(uint32_t g) {
   // A primary died (or was deposed): acknowledged batches outside the last
   // completed ship round may or may not survive — via the secondary's
   // buffered redo entries — so their fate is unknown until read back.
-  for (InsertRecord& rec : records_) {
-    if (rec.group == g && rec.state == InsertRecord::kCertain &&
-        !rec.durable) {
+  for (InsertRecord& rec : oracle_.records()) {
+    if (device_group_[rec.device] == g &&
+        rec.state == InsertRecord::kCertain && rec.durable == 0) {
       rec.state = InsertRecord::kUnresolved;
     }
   }
-  for (auto& [device, cur] : cursors_) {
+  for (auto& [device, cur] : oracle_.cursors()) {
     if (device_group_[device] == g) cur.dirty = true;
   }
 }
@@ -392,7 +326,7 @@ void ClusterChaosRun::NoteClusterView() {
 }
 
 void ClusterChaosRun::Pump(int64_t ms) {
-  clock_->Advance(ms * 1000);  // Backoff burns simulated, not real, time.
+  clock()->Advance(ms * 1000);  // Backoff burns simulated, not real, time.
   if (pumping_) return;
   pumping_ = true;
   // A client waiting out a retry is exactly when the cluster makes
@@ -414,7 +348,7 @@ void ClusterChaosRun::Pump(int64_t ms) {
 
 bool ClusterChaosRun::Settle(uint32_t g) {
   for (int round = 0; round < 50; round++) {
-    clock_->Advance(kMicrosPerSecond);
+    clock()->Advance(kMicrosPerSecond);
     coordinator_->ProbeOnce();
     NoteClusterView();
     cluster::ReplicaAgent* p = PrimaryAgent(g);
@@ -444,7 +378,7 @@ void ClusterChaosRun::CrashPrimary(uint32_t g, bool quick_restart) {
     // Drive probe rounds until the coordinator promotes the secondary.
     const uint64_t before = coordinator_->failovers();
     for (int i = 0; i < 20 && coordinator_->failovers() == before; i++) {
-      clock_->Advance(kMicrosPerSecond);
+      clock()->Advance(kMicrosPerSecond);
       coordinator_->ProbeOnce();
     }
     if (coordinator_->failovers() == before) {
@@ -476,7 +410,7 @@ void ClusterChaosRun::CrashSecondary(uint32_t g) {
   KillNode(*sec);
   // The primary keeps serving; no acknowledged data is at risk. Bring the
   // secondary back and require replication to converge again.
-  clock_->Advance(kMicrosPerSecond);
+  clock()->Advance(kMicrosPerSecond);
   coordinator_->ProbeOnce();
   Status s = RestartNode(*sec);
   if (!s.ok()) {
@@ -488,238 +422,23 @@ void ClusterChaosRun::CrashSecondary(uint32_t g) {
 
 // ---- Model checks. ----
 
-const apps::SimEvent* ClusterChaosRun::FindEvent(int64_t device,
-                                                 int64_t id) const {
-  for (const InsertRecord& rec : records_) {
-    if (rec.device != device || rec.state == InsertRecord::kDropped) continue;
-    for (const apps::SimEvent& ev : rec.events) {
-      if (ev.id == id) return &ev;
-    }
-  }
-  return nullptr;
-}
-
-int64_t ClusterChaosRun::MaxCertainId(int64_t device) const {
-  int64_t max_id = 0;
-  for (const InsertRecord& rec : records_) {
-    if (rec.device != device || rec.state != InsertRecord::kCertain) continue;
-    if (!rec.events.empty()) {
-      max_id = std::max(max_id, rec.events.back().id);
-    }
-  }
-  return max_id;
-}
-
-bool ClusterChaosRun::CheckRowContent(const Row& row) {
-  if (row.size() != 5) {
-    Violation("row has " + std::to_string(row.size()) + " columns");
-    return false;
-  }
-  const int64_t device = row[0].AsInt();
-  const int64_t id = row[1].AsInt();
-  const apps::SimEvent* ev = FindEvent(device, id);
-  if (ev == nullptr) {
-    Violation("phantom row: device=" + std::to_string(device) +
-              " id=" + std::to_string(id) +
-              " was never (or never certainly) inserted");
-    return false;
-  }
-  if (row[2].AsInt() != ev->ts || row[3].bytes() != ev->kind ||
-      row[4].bytes() != ev->detail) {
-    Violation("row content mismatch: device=" + std::to_string(device) +
-              " id=" + std::to_string(id));
-    return false;
-  }
-  return true;
-}
-
-bool ClusterChaosRun::ResolveFromLatest(int64_t device, int64_t latest) {
-  for (InsertRecord& rec : records_) {
-    if (rec.device != device) continue;
-    if (rec.state == InsertRecord::kDropped || rec.events.empty()) continue;
-    const int64_t first = rec.events.front().id;
-    const int64_t last = rec.events.back().id;
-    if (rec.state == InsertRecord::kUnresolved) {
-      if (latest >= last) {
-        rec.state = InsertRecord::kCertain;
-      } else if (latest < first) {
-        rec.state = InsertRecord::kDropped;
-      } else {
-        Violation("partial batch application: device=" +
-                  std::to_string(device) + " latest=" +
-                  std::to_string(latest) + " inside batch [" +
-                  std::to_string(first) + "," + std::to_string(last) + "]");
-        return false;
-      }
-    } else if (latest < last) {  // kCertain
-      Violation("latest row id " + std::to_string(latest) +
-                " behind acknowledged insert through " + std::to_string(last) +
-                " for device " + std::to_string(device));
-      return false;
-    }
-  }
-  const int64_t expect = MaxCertainId(device);
-  if (latest != expect) {
-    Violation("latest row mismatch for device " + std::to_string(device) +
-              ": got " + std::to_string(latest) + " want " +
-              std::to_string(expect));
-    return false;
-  }
-  cursors_[device].last_id = latest;
-  cursors_[device].dirty = false;
-  return true;
-}
-
-bool ClusterChaosRun::VerifyDeviceRows(int64_t device,
-                                       const std::vector<Row>& rows) {
-  std::set<int64_t> returned;
-  for (const Row& row : rows) {
-    if (!CheckRowContent(row)) return false;
-    if (row[0].AsInt() != device) {
-      Violation("query for device " + std::to_string(device) +
-                " returned device " + std::to_string(row[0].AsInt()));
-      return false;
-    }
-    if (!returned.insert(row[1].AsInt()).second) {
-      Violation("duplicate row id " + std::to_string(row[1].AsInt()) +
-                " for device " + std::to_string(device));
-      return false;
-    }
-  }
-  // The query is a settled snapshot of the serving primary (the harness is
-  // single-threaded): acknowledged batches must be fully present, and
-  // unknown-outcome batches resolve to fully-present or fully-absent.
-  for (InsertRecord& rec : records_) {
-    if (rec.device != device || rec.state == InsertRecord::kDropped) continue;
-    size_t present = 0;
-    for (const apps::SimEvent& ev : rec.events) {
-      present += returned.count(ev.id);
-    }
-    if (rec.state == InsertRecord::kCertain) {
-      if (present != rec.events.size()) {
-        Violation(std::string(rec.durable
-                      ? "ship-durable batch lost"
-                      : "query missing acknowledged rows") +
-                  ": device=" + std::to_string(device) + " batch through id " +
-                  std::to_string(rec.events.back().id));
-        return false;
-      }
-    } else if (present == rec.events.size()) {
-      rec.state = InsertRecord::kCertain;
-    } else if (present == 0) {
-      rec.state = InsertRecord::kDropped;
-    } else {
-      Violation("partial batch visible: device=" + std::to_string(device));
-      return false;
-    }
-  }
-  // Prefix durability per series: surviving ids are exactly 1..k.
-  if (!returned.empty() &&
-      *returned.rbegin() != static_cast<int64_t>(returned.size())) {
-    Violation("event ids not contiguous for device " + std::to_string(device) +
-              ": max=" + std::to_string(*returned.rbegin()) +
-              " count=" + std::to_string(returned.size()));
-    return false;
-  }
-  cursors_[device].last_id = MaxCertainId(device);
-  cursors_[device].dirty = false;
-  return true;
-}
-
 void ClusterChaosRun::VerifyGroupDevices(uint32_t g) {
   for (int64_t d = 1; d <= opts_.devices; d++) {
     if (device_group_[d] != g) continue;
     std::vector<Row> rows;
     Status s = client_->QueryAll(
-        kTable, QueryBounds::ForPrefix(Key{Value::Int64(d)}), &rows);
+        kEventsTable, QueryBounds::ForPrefix(Key{Value::Int64(d)}), &rows);
     if (!s.ok()) {
       Violation("post-crash verify query failed for device " +
                 std::to_string(d) + ": " + s.ToString());
       return;
     }
-    if (!VerifyDeviceRows(d, rows)) return;
+    if (!oracle_.VerifyDeviceRows(d, rows)) return;
   }
   Count("crash_verifies");
 }
 
 // ---- Workload. ----
-
-void ClusterChaosRun::DoInsert() {
-  const int64_t device = 1 + static_cast<int64_t>(rng_.Uniform(opts_.devices));
-  DeviceCursor& cur = cursors_[device];
-  if (cur.dirty) {
-    // Unknown outcome pending: ask the cluster where this series got to
-    // before resending (§3.1 grabber recovery, now routed).
-    Row row;
-    bool found = false;
-    Status s = client_->LatestRow(kTable, Key{Value::Int64(device)}, &row,
-                                  &found);
-    Log("resync dev=" + std::to_string(device) + " status=" + s.ToString());
-    if (!s.ok()) return;  // Still dirty; retry on a later insert.
-    Count("resyncs");
-    if (found && !CheckRowContent(row)) return;
-    if (!ResolveFromLatest(device, found ? row[1].AsInt() : 0)) return;
-  }
-  const size_t batch = 1 + rng_.Uniform(4);
-  std::vector<apps::SimEvent> events =
-      fleet_->Get(static_cast<apps::DeviceId>(device))
-          ->EventsAfter(cur.last_id, clock_->Now(), batch);
-  if (events.empty()) {
-    Log("insert dev=" + std::to_string(device) + " no_events");
-    return;
-  }
-  std::vector<Row> rows;
-  rows.reserve(events.size());
-  for (const apps::SimEvent& ev : events) {
-    rows.push_back({Value::Int64(device), Value::Int64(ev.id),
-                    Value::Ts(ev.ts), Value::String(ev.kind),
-                    Value::String(ev.detail)});
-  }
-  Status s = client_->Insert(kTable, rows);
-  InsertRecord rec;
-  rec.device = device;
-  rec.group = device_group_[device];
-  rec.events = std::move(events);
-  Log("insert dev=" + std::to_string(device) + " ids=[" +
-      std::to_string(rec.events.front().id) + "," +
-      std::to_string(rec.events.back().id) + "] status=" + s.ToString());
-  if (s.ok()) {
-    rec.state = InsertRecord::kCertain;
-    cur.last_id = rec.events.back().id;
-    Count("inserts_ok");
-  } else {
-    rec.state = InsertRecord::kUnresolved;
-    cur.dirty = true;
-    Count("inserts_unresolved");
-  }
-  records_.push_back(std::move(rec));
-}
-
-void ClusterChaosRun::DoQuery() {
-  const int64_t device = 1 + static_cast<int64_t>(rng_.Uniform(opts_.devices));
-  std::vector<Row> rows;
-  Status s = client_->QueryAll(
-      kTable, QueryBounds::ForPrefix(Key{Value::Int64(device)}), &rows);
-  Log("query dev=" + std::to_string(device) + " rows=" +
-      std::to_string(rows.size()) + " status=" + s.ToString());
-  if (!s.ok()) return;
-  Count("queries_ok");
-  VerifyDeviceRows(device, rows);
-}
-
-void ClusterChaosRun::DoLatestRow() {
-  const int64_t device = 1 + static_cast<int64_t>(rng_.Uniform(opts_.devices));
-  Row row;
-  bool found = false;
-  Status s =
-      client_->LatestRow(kTable, Key{Value::Int64(device)}, &row, &found);
-  Log("latest dev=" + std::to_string(device) + " found=" +
-      std::to_string(found ? 1 : 0) + " status=" + s.ToString());
-  if (!s.ok()) return;
-  Count("latest_ok");
-  if (found && !CheckRowContent(row)) return;
-  ResolveFromLatest(device, found ? row[1].AsInt() : 0);
-}
 
 void ClusterChaosRun::DoShip() {
   const uint32_t g = static_cast<uint32_t>(rng_.Uniform(opts_.groups));
@@ -739,7 +458,7 @@ void ClusterChaosRun::DoShip() {
 void ClusterChaosRun::DoFullScan() {
   std::vector<Row> rows;
   QueryBounds all;
-  Status s = client_->QueryAll(kTable, all, &rows);
+  Status s = client_->QueryAll(kEventsTable, all, &rows);
   Log("scan rows=" + std::to_string(rows.size()) + " status=" + s.ToString());
   if (!s.ok()) return;
   Count("scans_ok");
@@ -763,7 +482,7 @@ void ClusterChaosRun::DoFullScan() {
   std::map<int64_t, std::vector<Row>> by_dev;
   for (const Row& row : rows) by_dev[row[0].AsInt()].push_back(row);
   for (int64_t d = 1; d <= opts_.devices; d++) {
-    if (!VerifyDeviceRows(d, by_dev[d])) return;
+    if (!oracle_.VerifyDeviceRows(d, by_dev[d])) return;
   }
 }
 
@@ -840,11 +559,11 @@ void ClusterChaosRun::MaybeInjectFault() {
 void ClusterChaosRun::DoOneOp() {
   const uint64_t pick = rng_.Uniform(100);
   if (pick < 45) {
-    DoInsert();
+    oracle_.Insert(client_.get(), &rng_);
   } else if (pick < 60) {
-    DoQuery();
+    oracle_.Query(client_.get(), &rng_);
   } else if (pick < 70) {
-    DoLatestRow();
+    oracle_.LatestRow(client_.get(), &rng_);
   } else if (pick < 82) {
     DoShip();
   } else if (pick < 90) {
@@ -858,21 +577,18 @@ void ClusterChaosRun::FinalVerdict() {
   // Every run ends the same way: kill each group's primary, require the
   // coordinator to promote, and verify the promoted node serves the full
   // surviving history — durability judged on the failed-over cluster.
-  for (uint32_t g = 0; g < static_cast<uint32_t>(opts_.groups) && report_->ok;
+  for (uint32_t g = 0; g < static_cast<uint32_t>(opts_.groups) && report()->ok;
        g++) {
     Log("final failover g=" + std::to_string(g));
     CrashPrimary(g, /*quick_restart=*/false);
   }
-  if (!report_->ok) return;
-  uint64_t durable_rows = 0;
-  for (const InsertRecord& rec : records_) {
-    if (rec.state == InsertRecord::kCertain) durable_rows += rec.events.size();
-  }
-  report_->counters["durable_rows"] = durable_rows;
-  report_->counters["failovers"] = coordinator_->failovers();
+  if (!report()->ok) return;
+  const uint64_t durable_rows = oracle_.CertainRows();
+  report()->counters["durable_rows"] = durable_rows;
+  report()->counters["failovers"] = coordinator_->failovers();
   const SimTransportStats ts = transport_->stats();
-  report_->counters["transport_connects"] = ts.connects;
-  report_->counters["transport_resets"] = ts.resets_injected;
+  report()->counters["transport_connects"] = ts.connects;
+  report()->counters["transport_resets"] = ts.resets_injected;
   Log("done durable_rows=" + std::to_string(durable_rows) +
       " failovers=" + std::to_string(coordinator_->failovers()));
 }
@@ -880,13 +596,13 @@ void ClusterChaosRun::FinalVerdict() {
 Status ClusterChaosRun::Run() {
   fault::DisarmCrashPoints();  // Global state; start from a clean slate.
   LT_RETURN_IF_ERROR(Setup());
-  for (int i = 0; i < opts_.ops && report_->ok; i++) {
-    clock_->Advance((1 + rng_.Uniform(30)) * kMicrosPerSecond);
+  for (int i = 0; i < opts_.ops && report()->ok; i++) {
+    clock()->Advance((1 + rng_.Uniform(30)) * kMicrosPerSecond);
     MaybeInjectFault();
-    if (!report_->ok) break;
+    if (!report()->ok) break;
     DoOneOp();
   }
-  if (report_->ok) FinalVerdict();
+  if (report()->ok) FinalVerdict();
   // Tear down in dependency order before the envs go away.
   client_.reset();
   if (coordinator_) coordinator_->Stop();
@@ -906,8 +622,8 @@ Status ClusterChaosRun::Run() {
 }  // namespace
 
 Status RunClusterChaos(const ClusterChaosOptions& options,
-                       ClusterChaosReport* report) {
-  *report = ClusterChaosReport();
+                       SimReport* report) {
+  *report = SimReport();
   if (options.ops < 0 || options.devices < 1) {
     return Status::InvalidArgument("ops must be >= 0 and devices >= 1");
   }

@@ -36,10 +36,8 @@
 #define LITTLETABLE_SIM_CLUSTER_CHAOS_H_
 
 #include <cstdint>
-#include <map>
-#include <string>
-#include <vector>
 
+#include "sim/device_oracle.h"
 #include "util/status.h"
 
 namespace lt {
@@ -58,21 +56,10 @@ struct ClusterChaosOptions {
   int groups = 1;
 };
 
-struct ClusterChaosReport {
-  bool ok = true;
-  /// First oracle violation ("" when ok).
-  std::string failure;
-  /// One line per simulated action; byte-identical across same-seed runs.
-  std::vector<std::string> event_log;
-  /// Deterministic counters (ops by kind, faults, failovers, ship rounds).
-  std::map<std::string, uint64_t> counters;
-};
-
 /// Runs one seeded multi-node chaos schedule. Non-OK only for harness
 /// failures; oracle violations come back as report->ok == false. Uses
 /// process-global crash-point state: one run at a time per process.
-Status RunClusterChaos(const ClusterChaosOptions& options,
-                       ClusterChaosReport* report);
+Status RunClusterChaos(const ClusterChaosOptions& options, SimReport* report);
 
 }  // namespace sim
 }  // namespace lt

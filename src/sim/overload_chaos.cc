@@ -12,6 +12,7 @@
 #include "net/client.h"
 #include "net/server.h"
 #include "net/wire.h"
+#include "sim/device_oracle.h"
 #include "sim/sim_transport.h"
 #include "util/coding.h"
 #include "util/random.h"
@@ -23,19 +24,8 @@ namespace {
 using wire::ErrCode;
 using wire::MsgType;
 
-constexpr Timestamp kEpoch = Timestamp{1700000000} * 1000000;
 constexpr uint16_t kPort = 7713;
-constexpr char kTable[] = "events";
 constexpr char kRoot[] = "overload";
-
-Schema EventsSchema() {
-  return Schema({Column("device", ColumnType::kInt64),
-                 Column("id", ColumnType::kInt64),
-                 Column("ts", ColumnType::kTimestamp),
-                 Column("kind", ColumnType::kString),
-                 Column("detail", ColumnType::kString)},
-                /*num_key_columns=*/3);
-}
 
 /// One firehose query in flight on its own raw connection. Until its drain
 /// op comes it is a slow reader: the server can only push as much as the
@@ -53,30 +43,16 @@ struct Pending {
                            // "cancelled" once terminal_seen.
 };
 
-class OverloadRun {
+class OverloadRun : private SimRecorder {
  public:
-  OverloadRun(const OverloadChaosOptions& opts, OverloadChaosReport* report)
-      : opts_(opts),
-        report_(report),
+  OverloadRun(const OverloadChaosOptions& opts, SimReport* report)
+      : SimRecorder(report),
+        opts_(opts),
         rng_(opts.seed ^ 0xda3e39cb94b95bdbull) {}
 
   Status Run();
 
  private:
-  void Log(const std::string& line) {
-    report_->event_log.push_back("t=" + std::to_string(clock_->Now() - kEpoch) +
-                                 " " + line);
-  }
-  void Count(const std::string& key, uint64_t n = 1) {
-    report_->counters[key] += n;
-  }
-  void Violation(const std::string& what) {
-    if (!report_->ok) return;
-    report_->ok = false;
-    report_->failure = what;
-    Log("ORACLE VIOLATION: " + what);
-  }
-
   Status Setup();
   Status Preload();
 
@@ -87,8 +63,8 @@ class OverloadRun {
   void DoInsert();
 
   /// Non-blocking: reads whatever every pending connection has, parses
-  /// complete frames, retires finished queries. Returns true if any byte
-  /// or retirement happened.
+  /// complete frames, retires finished queries. Returns false on an oracle
+  /// violation.
   bool PumpAll();
   /// Parses frames out of p's inbuf; returns false on an oracle violation.
   bool ParseFrames(Pending* p);
@@ -99,10 +75,8 @@ class OverloadRun {
   void FinalChecks();
 
   const OverloadChaosOptions opts_;
-  OverloadChaosReport* const report_;
   Random rng_;
 
-  std::shared_ptr<SimClock> clock_;
   std::unique_ptr<MemEnv> env_;
   std::unique_ptr<SimTransport> transport_;
   std::unique_ptr<DB> db_;
@@ -116,12 +90,10 @@ class OverloadRun {
 };
 
 Status OverloadRun::Setup() {
-  clock_ = std::make_shared<SimClock>();
-  clock_->Set(kEpoch);
   env_ = std::make_unique<MemEnv>();
 
   SimTransportOptions topts;
-  topts.clock = clock_;
+  topts.clock = clock();
   topts.conn_buffer_bytes = opts_.conn_buffer_bytes;
   transport_ = std::make_unique<SimTransport>(topts);
 
@@ -130,13 +102,14 @@ Status OverloadRun::Setup() {
   dopts.block_cache_bytes = 4ull << 20;
   dopts.logger = std::make_shared<Logger>(LogLevel::kError,
                                           std::make_shared<CaptureLogSink>());
-  LT_RETURN_IF_ERROR(DB::Open(env_.get(), clock_, kRoot, dopts, &db_));
-  LT_RETURN_IF_ERROR(db_->CreateTable(kTable, schema_, /*options=*/nullptr));
+  LT_RETURN_IF_ERROR(DB::Open(env_.get(), clock(), kRoot, dopts, &db_));
+  LT_RETURN_IF_ERROR(
+      db_->CreateTable(kEventsTable, schema_, /*options=*/nullptr));
 
   ServerOptions sopts;
   sopts.port = kPort;
   sopts.transport = transport_.get();
-  sopts.clock = clock_;
+  sopts.clock = clock();
   sopts.poll_interval_ms = 5;
   // Write-stall kills are deliberately out of scope: every undrained
   // connection here is a "slow reader" the schedule will eventually drain,
@@ -155,18 +128,18 @@ Status OverloadRun::Setup() {
 
   ClientOptions copts;
   copts.transport = transport_.get();
-  copts.clock = clock_;
+  copts.clock = clock();
   copts.connect_timeout_ms = 1000;
   copts.read_timeout_ms = 5000;
   copts.write_timeout_ms = 5000;
   copts.max_retries = 3;
   copts.backoff_seed = opts_.seed;
-  copts.backoff_sleep = [clock = clock_](int64_t ms) {
+  copts.backoff_sleep = [clock = clock()](int64_t ms) {
     clock->Advance(ms * 1000);
   };
   LT_RETURN_IF_ERROR(Client::Connect("sim", kPort, copts, &client_));
   Timestamp ttl = 0;
-  return client_->GetTableInfo(kTable, &schema_, &ttl);
+  return client_->GetTableInfo(kEventsTable, &schema_, &ttl);
 }
 
 Status OverloadRun::Preload() {
@@ -179,11 +152,11 @@ Status OverloadRun::Preload() {
       const int64_t device = 1 + inserted % opts_.devices;
       const int64_t id = ++next_id_[device];
       batch.push_back({Value::Int64(device), Value::Int64(id),
-                       Value::Ts(clock_->Now()), Value::String("preload"),
+                       Value::Ts(clock()->Now()), Value::String("preload"),
                        Value::String(detail)});
     }
-    LT_RETURN_IF_ERROR(client_->Insert(kTable, batch));
-    clock_->Advance(kMicrosPerSecond);
+    LT_RETURN_IF_ERROR(client_->Insert(kEventsTable, batch));
+    clock()->Advance(kMicrosPerSecond);
   }
   Log("preload rows=" + std::to_string(inserted));
   return Status::OK();
@@ -226,7 +199,7 @@ void OverloadRun::DoIssueQuery() {
     what = "dev=" + std::to_string(device);
   }
   std::string req;
-  PutLengthPrefixedSlice(&req, kTable);
+  PutLengthPrefixedSlice(&req, kEventsTable);
   PutVarint32(&req, schema_.version());
   wire::EncodeBounds(&req, schema_, bounds);
   const std::string f = wire::Frame(MsgType::kQuery, req);
@@ -330,7 +303,6 @@ void OverloadRun::Retire(size_t idx) {
 }
 
 bool OverloadRun::PumpAll() {
-  bool progress = false;
   for (size_t i = 0; i < pending_.size();) {
     Pending& p = pending_[i];
     char buf[4096];
@@ -343,13 +315,11 @@ bool OverloadRun::PumpAll() {
         return false;
       }
       if (got == 0) break;
-      progress = true;
       p.inbuf.append(buf, got);
     }
     if (!ParseFrames(&p)) return false;
     if (p.terminal_seen && p.pre_oks == 0 && p.cancel_acks == 0) {
       Retire(i);
-      progress = true;
       continue;  // Same index now holds the next pending entry.
     }
     i++;
@@ -365,7 +335,7 @@ void OverloadRun::DrainOldestBlocking() {
   // pumped too, so slot holders other than the oldest also make progress.
   const uint64_t target = pending_.empty() ? 0 : pending_.front().qid;
   int idle_rounds = 0;
-  while (report_->ok && !pending_.empty() &&
+  while (report()->ok && !pending_.empty() &&
          pending_.front().qid == target) {
     if (!PumpAll()) return;
     if (pending_.empty() || pending_.front().qid != target) break;
@@ -420,10 +390,10 @@ void OverloadRun::DoInsert() {
   const size_t n = 1 + rng_.Uniform(4);
   for (size_t i = 0; i < n; i++) {
     rows.push_back({Value::Int64(device), Value::Int64(++next_id_[device]),
-                    Value::Ts(clock_->Now()), Value::String("storm"),
+                    Value::Ts(clock()->Now()), Value::String("storm"),
                     Value::String(detail)});
   }
-  Status s = client_->Insert(kTable, rows);
+  Status s = client_->Insert(kEventsTable, rows);
   Log("insert dev=" + std::to_string(device) + " n=" + std::to_string(n) +
       " status=" + s.ToString());
   if (s.ok()) {
@@ -437,13 +407,13 @@ void OverloadRun::DoInsert() {
 
 void OverloadRun::FinalChecks() {
   // Every issued query must terminate explicitly.
-  while (report_->ok && !pending_.empty()) DrainOldestBlocking();
-  if (!report_->ok) return;
+  while (report()->ok && !pending_.empty()) DrainOldestBlocking();
+  if (!report()->ok) return;
 
   // Service restored: a plain query after the storm succeeds.
   std::vector<Row> rows;
   Status s = client_->QueryAll(
-      kTable, QueryBounds::ForPrefix(Key{Value::Int64(1)}), &rows);
+      kEventsTable, QueryBounds::ForPrefix(Key{Value::Int64(1)}), &rows);
   if (!s.ok()) {
     Violation("post-storm query failed: " + s.ToString());
     return;
@@ -484,8 +454,8 @@ void OverloadRun::FinalChecks() {
   }
   // Sheds the harness observed as explicit replies cannot exceed what the
   // server says it shed (the server also sheds into dead connections).
-  const uint64_t observed = report_->counters["shed_busy"] +
-                            report_->counters["shed_exhausted"];
+  const uint64_t observed = report()->counters["shed_busy"] +
+                            report()->counters["shed_exhausted"];
   const auto shed = stats.counters.find("server.query_shed");
   if (shed != stats.counters.end() && observed > shed->second) {
     Violation("observed " + std::to_string(observed) +
@@ -497,8 +467,8 @@ void OverloadRun::FinalChecks() {
 Status OverloadRun::Run() {
   LT_RETURN_IF_ERROR(Setup());
   LT_RETURN_IF_ERROR(Preload());
-  for (int i = 0; i < opts_.ops && report_->ok; i++) {
-    clock_->Advance((5 + rng_.Uniform(46)) * 1000);  // 5..50 ms.
+  for (int i = 0; i < opts_.ops && report()->ok; i++) {
+    clock()->Advance((5 + rng_.Uniform(46)) * 1000);  // 5..50 ms.
     const uint64_t pick = rng_.Uniform(100);
     if (pick < 35) {
       DoIssueQuery();
@@ -512,7 +482,7 @@ Status OverloadRun::Run() {
       DoInsert();
     }
   }
-  if (report_->ok) FinalChecks();
+  if (report()->ok) FinalChecks();
   pending_.clear();
   client_.reset();
   if (server_) server_->Stop();
@@ -525,8 +495,8 @@ Status OverloadRun::Run() {
 }  // namespace
 
 Status RunOverloadChaos(const OverloadChaosOptions& options,
-                        OverloadChaosReport* report) {
-  *report = OverloadChaosReport();
+                        SimReport* report) {
+  *report = SimReport();
   if (options.ops < 0 || options.devices < 1 || options.max_pending < 1) {
     return Status::InvalidArgument("bad overload options");
   }

@@ -33,11 +33,10 @@
 #ifndef LITTLETABLE_SIM_OVERLOAD_CHAOS_H_
 #define LITTLETABLE_SIM_OVERLOAD_CHAOS_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
-#include <string>
-#include <vector>
 
+#include "sim/device_oracle.h"
 #include "util/status.h"
 
 namespace lt {
@@ -73,22 +72,11 @@ struct OverloadChaosOptions {
   size_t max_pending = 8;
 };
 
-struct OverloadChaosReport {
-  bool ok = true;
-  std::string failure;
-  /// One line per schedule action with the observed outcome. Seeded but
-  /// NOT deterministic across runs (real worker-thread races); the nightly
-  /// batch uploads it as the repro log for failed seeds.
-  std::vector<std::string> event_log;
-  /// queries_issued, queries_rows, shed_busy, shed_exhausted, cancelled,
-  /// disconnects, inserts_ok, peak_bytes_max, ...
-  std::map<std::string, uint64_t> counters;
-};
-
 /// Runs one seeded overload schedule. Non-OK only for harness-level
 /// failures; oracle violations come back as report->ok == false.
-Status RunOverloadChaos(const OverloadChaosOptions& options,
-                        OverloadChaosReport* report);
+/// The report's counters include queries_issued, queries_rows, shed_busy,
+/// shed_exhausted, cancelled, disconnects, inserts_ok and peak_bytes_max.
+Status RunOverloadChaos(const OverloadChaosOptions& options, SimReport* report);
 
 }  // namespace sim
 }  // namespace lt

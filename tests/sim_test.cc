@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -21,8 +22,10 @@
 #include "net/server.h"
 #include "sim/chaos.h"
 #include "sim/cluster_chaos.h"
+#include "sim/device_oracle.h"
 #include "sim/sim_transport.h"
 #include "tests/test_util.h"
+#include "util/crc32c.h"
 #include "util/fault.h"
 
 namespace lt {
@@ -681,13 +684,240 @@ TEST(ShutdownTest, AbandonSkipsTheFinalFlushForCrashSimulation) {
   EXPECT_EQ(result.rows[0][1].i64(), 1);
 }
 
+// ----- The device-workload oracle (sim/device_oracle.h) on hand-built
+// inputs: every check must fire on the input it exists for, and stay quiet
+// on a correct answer. -----
+
+class DeviceOracleTest : public ::testing::Test {
+ protected:
+  DeviceOracleTest()
+      : rec_(&report_),
+        single_(&rec_, /*seed=*/1, /*devices=*/2,
+                sim::QueryChecks::kSingleNode),
+        replicated_(&rec_, /*seed=*/1, /*devices=*/2,
+                    sim::QueryChecks::kReplicated) {}
+
+  static apps::SimEvent Event(int64_t id) {
+    apps::SimEvent ev;
+    ev.id = id;
+    ev.ts = sim::kSimEpoch + id * kMicrosPerSecond;
+    ev.kind = "assoc";
+    ev.detail = "client-" + std::to_string(id);
+    return ev;
+  }
+
+  static Row RowOf(int64_t device, int64_t id) {
+    const apps::SimEvent ev = Event(id);
+    return {Value::Int64(device), Value::Int64(id), Value::Ts(ev.ts),
+            Value::String(ev.kind), Value::String(ev.detail)};
+  }
+
+  static std::vector<Row> Rows(int64_t device, std::vector<int64_t> ids) {
+    std::vector<Row> rows;
+    for (int64_t id : ids) rows.push_back(RowOf(device, id));
+    return rows;
+  }
+
+  /// Appends a batch of device 1's events [first, last] to `oracle`'s
+  /// model; returns its index in records().
+  static size_t AddBatch(sim::DeviceOracle& oracle, int64_t first,
+                         int64_t last, sim::InsertRecord::State state,
+                         size_t durable = 0) {
+    sim::InsertRecord rec;
+    rec.device = 1;
+    rec.state = state;
+    rec.durable = durable;
+    for (int64_t id = first; id <= last; id++) rec.events.push_back(Event(id));
+    oracle.records().push_back(std::move(rec));
+    return oracle.records().size() - 1;
+  }
+
+  void ExpectViolation(const std::string& message) {
+    EXPECT_FALSE(report_.ok);
+    EXPECT_EQ(report_.failure, message);
+    ASSERT_FALSE(report_.event_log.empty());
+    EXPECT_EQ(report_.event_log.back(),
+              "t=0 ORACLE VIOLATION: " + message);
+  }
+
+  sim::SimReport report_;
+  sim::SimRecorder rec_;
+  sim::DeviceOracle single_;
+  sim::DeviceOracle replicated_;
+};
+
+TEST_F(DeviceOracleTest, CorrectAnswerResolvesUnresolvedBatches) {
+  for (sim::DeviceOracle* oracle : {&single_, &replicated_}) {
+    AddBatch(*oracle, 1, 2, sim::InsertRecord::kCertain);
+    const size_t applied =
+        AddBatch(*oracle, 3, 4, sim::InsertRecord::kUnresolved);
+    const size_t absent =
+        AddBatch(*oracle, 5, 6, sim::InsertRecord::kUnresolved);
+    oracle->cursors()[1].dirty = true;
+    EXPECT_TRUE(oracle->VerifyDeviceRows(1, Rows(1, {1, 2, 3, 4})));
+    EXPECT_EQ(oracle->records()[applied].state, sim::InsertRecord::kCertain);
+    EXPECT_EQ(oracle->records()[absent].state, sim::InsertRecord::kDropped);
+    EXPECT_EQ(oracle->cursors()[1].last_id, 4);
+    EXPECT_FALSE(oracle->cursors()[1].dirty);
+    EXPECT_TRUE(oracle->ResolveFromLatest(1, 4));
+    EXPECT_TRUE(oracle->VerifyDeviceRows(2, {}));  // No rows, none modeled.
+    EXPECT_EQ(oracle->CertainRows(), 4u);
+  }
+  EXPECT_TRUE(report_.ok) << report_.failure;
+  EXPECT_TRUE(report_.event_log.empty());
+}
+
+TEST_F(DeviceOracleTest, LatestRowResolvesUnresolvedBatches) {
+  AddBatch(single_, 1, 2, sim::InsertRecord::kCertain);
+  const size_t applied =
+      AddBatch(single_, 3, 3, sim::InsertRecord::kUnresolved);
+  const size_t absent =
+      AddBatch(single_, 4, 5, sim::InsertRecord::kUnresolved);
+  EXPECT_TRUE(single_.ResolveFromLatest(1, 3));
+  EXPECT_EQ(single_.records()[applied].state, sim::InsertRecord::kCertain);
+  EXPECT_EQ(single_.records()[absent].state, sim::InsertRecord::kDropped);
+  EXPECT_EQ(single_.cursors()[1].last_id, 3);
+  // Dropped events are no longer in the model: reading one is a phantom.
+  EXPECT_EQ(single_.FindEvent(1, 4), nullptr);
+  EXPECT_NE(single_.FindEvent(1, 3), nullptr);
+  EXPECT_TRUE(report_.ok) << report_.failure;
+}
+
+TEST_F(DeviceOracleTest, PhantomRow) {
+  AddBatch(single_, 1, 2, sim::InsertRecord::kCertain);
+  EXPECT_FALSE(single_.VerifyDeviceRows(1, Rows(1, {1, 2, 9})));
+  ExpectViolation(
+      "phantom row: device=1 id=9 was never (or never certainly) inserted");
+}
+
+TEST_F(DeviceOracleTest, ContentMismatch) {
+  AddBatch(single_, 1, 2, sim::InsertRecord::kCertain);
+  std::vector<Row> rows = Rows(1, {1, 2});
+  rows[1][4] = Value::String("someone-else");
+  EXPECT_FALSE(single_.VerifyDeviceRows(1, rows));
+  ExpectViolation("row content mismatch: device=1 id=2");
+}
+
+TEST_F(DeviceOracleTest, DuplicateId) {
+  AddBatch(single_, 1, 2, sim::InsertRecord::kCertain);
+  EXPECT_FALSE(single_.VerifyDeviceRows(1, Rows(1, {1, 1, 2})));
+  ExpectViolation("duplicate row id 1 for device 1");
+}
+
+TEST_F(DeviceOracleTest, AcknowledgedBatchMissingFromQuery) {
+  // A flushed-through batch still reports as acknowledged rows missing.
+  AddBatch(single_, 1, 2, sim::InsertRecord::kCertain, /*durable=*/2);
+  EXPECT_FALSE(single_.VerifyDeviceRows(1, Rows(1, {1})));
+  ExpectViolation(
+      "query missing acknowledged rows: device=1 batch through id 2");
+}
+
+TEST_F(DeviceOracleTest, ShipDurableBatchLost) {
+  AddBatch(replicated_, 1, 2, sim::InsertRecord::kCertain, /*durable=*/2);
+  EXPECT_FALSE(replicated_.VerifyDeviceRows(1, {}));
+  ExpectViolation("ship-durable batch lost: device=1 batch through id 2");
+}
+
+TEST_F(DeviceOracleTest, UnshippedBatchMissingOnReplicatedQuery) {
+  AddBatch(replicated_, 1, 2, sim::InsertRecord::kCertain);
+  EXPECT_FALSE(replicated_.VerifyDeviceRows(1, {}));
+  ExpectViolation(
+      "query missing acknowledged rows: device=1 batch through id 2");
+}
+
+TEST_F(DeviceOracleTest, PartialBatchVisible) {
+  AddBatch(single_, 1, 2, sim::InsertRecord::kUnresolved);
+  EXPECT_FALSE(single_.VerifyDeviceRows(1, Rows(1, {1})));
+  ExpectViolation("partial batch visible: device=1");
+}
+
+TEST_F(DeviceOracleTest, LatestIdBehindAcknowledgedInsert) {
+  AddBatch(single_, 1, 3, sim::InsertRecord::kCertain);
+  EXPECT_FALSE(single_.ResolveFromLatest(1, 2));
+  ExpectViolation("latest row id 2 behind acknowledged insert through 3 for "
+                  "device 1");
+}
+
+TEST_F(DeviceOracleTest, LatestIdInsideUnresolvedBatch) {
+  AddBatch(single_, 1, 1, sim::InsertRecord::kCertain);
+  AddBatch(single_, 2, 4, sim::InsertRecord::kUnresolved);
+  EXPECT_FALSE(single_.ResolveFromLatest(1, 3));
+  ExpectViolation("partial batch application: device=1 latest=3 inside batch "
+                  "[2,4]");
+}
+
+TEST_F(DeviceOracleTest, LatestIdAheadOfTheModel) {
+  AddBatch(single_, 1, 2, sim::InsertRecord::kCertain);
+  EXPECT_FALSE(single_.ResolveFromLatest(1, 5));
+  ExpectViolation("latest row mismatch for device 1: got 5 want 2");
+}
+
+TEST_F(DeviceOracleTest, QueryReturnsAnotherDevice) {
+  AddBatch(single_, 1, 1, sim::InsertRecord::kCertain);
+  EXPECT_FALSE(single_.VerifyDeviceRows(2, Rows(1, {1})));
+  ExpectViolation("query for device 2 returned device 1");
+}
+
+TEST_F(DeviceOracleTest, NonContiguousIds) {
+  // The unresolved batch [1,2] was lost while the later [3] survived:
+  // consistent batch by batch, but a hole in the device's id sequence.
+  for (sim::DeviceOracle* oracle : {&single_, &replicated_}) {
+    AddBatch(*oracle, 1, 2, sim::InsertRecord::kUnresolved);
+    AddBatch(*oracle, 3, 3, sim::InsertRecord::kCertain);
+  }
+  // Single-node queries leave contiguity to the post-crash scan...
+  EXPECT_TRUE(single_.VerifyDeviceRows(1, Rows(1, {3})));
+  EXPECT_TRUE(report_.ok) << report_.failure;
+  // ...which checks it through CheckContiguous; replicated queries check it
+  // on every answer.
+  EXPECT_FALSE(replicated_.VerifyDeviceRows(1, Rows(1, {3})));
+  ExpectViolation("event ids not contiguous for device 1: max=3 count=1");
+}
+
+TEST_F(DeviceOracleTest, CheckContiguous) {
+  EXPECT_TRUE(single_.CheckContiguous(1, 4, 4));
+  EXPECT_TRUE(report_.ok);
+  EXPECT_FALSE(single_.CheckContiguous(1, 5, 4));
+  ExpectViolation("event ids not contiguous for device 1: max=5 count=4");
+}
+
+TEST_F(DeviceOracleTest, OnlyTheFirstViolationIsRecorded) {
+  AddBatch(single_, 1, 2, sim::InsertRecord::kCertain);
+  EXPECT_FALSE(single_.VerifyDeviceRows(1, Rows(1, {1, 1})));
+  EXPECT_FALSE(single_.ResolveFromLatest(1, 1));
+  ExpectViolation("duplicate row id 1 for device 1");
+  EXPECT_EQ(report_.event_log.size(), 1u);
+}
+
 // ----- The chaos harness: determinism contract and pinned-seed sweep. -----
+
+// The chaos logs are pinned across commits, not just across two runs of
+// one build: digest = CRC32C over the lines, each followed by "\n".
+uint32_t LinesDigest(const std::vector<std::string>& lines) {
+  uint32_t crc = 0;
+  for (const std::string& line : lines) {
+    crc = crc32c::Extend(crc, line.data(), line.size());
+    crc = crc32c::Extend(crc, "\n", 1);
+  }
+  return crc;
+}
+
+void ExpectPinnedDigest(const std::vector<std::string>& lines,
+                        uint32_t pinned, const char* what) {
+  const uint32_t got = LinesDigest(lines);
+  char hex[16];
+  std::snprintf(hex, sizeof(hex), "0x%08x", got);
+  EXPECT_EQ(got, pinned)
+      << what << " changed; its digest is now " << hex
+      << ". A change that alters the chaos logs re-pins this digest and "
+         "explains why in CHANGES.md.";
+}
 
 TEST(ChaosSimTest, SameSeedYieldsByteIdenticalEventLogs) {
   sim::ChaosOptions opts;
   opts.seed = 20260806;
   opts.ops = 120;
-  sim::ChaosReport a, b;
+  sim::SimReport a, b;
   ASSERT_TRUE(sim::RunChaos(opts, &a).ok());
   ASSERT_TRUE(sim::RunChaos(opts, &b).ok());
   EXPECT_TRUE(a.ok) << a.failure;
@@ -697,6 +927,7 @@ TEST(ChaosSimTest, SameSeedYieldsByteIdenticalEventLogs) {
     ASSERT_EQ(a.event_log[i], b.event_log[i]) << "logs diverge at line " << i;
   }
   EXPECT_EQ(a.counters, b.counters);
+  ExpectPinnedDigest(a.event_log, 0x110ca801u, "the single-node event log");
 }
 
 // With the deterministic self-monitoring sampler enabled, the surviving
@@ -708,7 +939,7 @@ TEST(ChaosSimTest, SameSeedYieldsByteIdenticalSysMetrics) {
   opts.seed = 20260809;
   opts.ops = 120;
   opts.sample_every_ops = 4;
-  sim::ChaosReport a, b;
+  sim::SimReport a, b;
   ASSERT_TRUE(sim::RunChaos(opts, &a).ok());
   ASSERT_TRUE(sim::RunChaos(opts, &b).ok());
   EXPECT_TRUE(a.ok) << a.failure;
@@ -717,6 +948,7 @@ TEST(ChaosSimTest, SameSeedYieldsByteIdenticalSysMetrics) {
   ASSERT_FALSE(a.sys_metrics.empty());
   EXPECT_EQ(a.sys_metrics, b.sys_metrics);
   EXPECT_EQ(a.event_log, b.event_log);
+  ExpectPinnedDigest(a.sys_metrics, 0xdd1fd08du, "the sys-metrics dump");
 }
 
 TEST(ChaosSimTest, SampledRunSurvivesHighFaultRate) {
@@ -725,7 +957,7 @@ TEST(ChaosSimTest, SampledRunSurvivesHighFaultRate) {
   opts.ops = 120;
   opts.fault_rate = 0.5;
   opts.sample_every_ops = 3;
-  sim::ChaosReport report;
+  sim::SimReport report;
   ASSERT_TRUE(sim::RunChaos(opts, &report).ok());
   EXPECT_TRUE(report.ok) << report.failure;
   EXPECT_GT(report.counters.at("crashes"), 0u);
@@ -736,7 +968,7 @@ TEST(ChaosSimTest, FaultFreeRunPassesTheOracle) {
   opts.seed = 7;
   opts.ops = 80;
   opts.fault_rate = 0.0;
-  sim::ChaosReport report;
+  sim::SimReport report;
   ASSERT_TRUE(sim::RunChaos(opts, &report).ok());
   EXPECT_TRUE(report.ok) << report.failure;
   // Even a fault-free run ends with one simulated crash + oracle check.
@@ -758,7 +990,7 @@ TEST(ChaosSimTest, PinnedSeedSweepPassesTheOracle) {
     sim::ChaosOptions opts;
     opts.seed = 1000 + static_cast<uint64_t>(i);
     opts.ops = 100;
-    sim::ChaosReport report;
+    sim::SimReport report;
     Status s = sim::RunChaos(opts, &report);
     ASSERT_TRUE(s.ok()) << "seed " << opts.seed << ": " << s.ToString();
     ASSERT_TRUE(report.ok)
@@ -773,7 +1005,7 @@ TEST(ChaosSimTest, HighFaultRateStillSatisfiesTheOracle) {
   opts.seed = 424242;
   opts.ops = 150;
   opts.fault_rate = 0.6;
-  sim::ChaosReport report;
+  sim::SimReport report;
   ASSERT_TRUE(sim::RunChaos(opts, &report).ok());
   EXPECT_TRUE(report.ok) << report.failure << "\nreproduce with: lt_sim "
                          << "--seed=424242 --ops=150 --faults=0.6 --print-log";
@@ -795,7 +1027,7 @@ TEST(ClusterChaosTest, PinnedSeedSweepPassesTheOracle) {
     sim::ClusterChaosOptions opts;
     opts.seed = 2000 + static_cast<uint64_t>(i);
     opts.ops = 80;
-    sim::ClusterChaosReport report;
+    sim::SimReport report;
     Status s = sim::RunClusterChaos(opts, &report);
     ASSERT_TRUE(s.ok()) << "seed " << opts.seed << ": " << s.ToString();
     ASSERT_TRUE(report.ok)
@@ -815,7 +1047,7 @@ TEST(ClusterChaosTest, TwoGroupSweepPassesTheOracle) {
   opts.ops = 80;
   opts.groups = 2;
   opts.devices = 6;
-  sim::ClusterChaosReport report;
+  sim::SimReport report;
   ASSERT_TRUE(sim::RunClusterChaos(opts, &report).ok());
   ASSERT_TRUE(report.ok)
       << report.failure << "\nreproduce with: lt_sim --cluster --seed=31 "
@@ -826,7 +1058,7 @@ TEST(ClusterChaosTest, SameSeedYieldsByteIdenticalEventLogs) {
   sim::ClusterChaosOptions opts;
   opts.seed = 7;
   opts.ops = 60;
-  sim::ClusterChaosReport a, b;
+  sim::SimReport a, b;
   ASSERT_TRUE(sim::RunClusterChaos(opts, &a).ok());
   ASSERT_TRUE(sim::RunClusterChaos(opts, &b).ok());
   ASSERT_TRUE(a.ok) << a.failure;
@@ -837,6 +1069,7 @@ TEST(ClusterChaosTest, SameSeedYieldsByteIdenticalEventLogs) {
                                               << i;
   }
   EXPECT_EQ(a.counters, b.counters);
+  ExpectPinnedDigest(a.event_log, 0x86febb62u, "the cluster event log");
 }
 
 }  // namespace

@@ -85,6 +85,16 @@ struct SimTransport::Inner {
                                      : std::make_pair(b, a)) > 0;
   }
 
+  /// Severs `pipe`. Counts only connections whose client end is still open:
+  /// a pipe whose client already closed lingers until the server's event
+  /// loop drops its end, which depends on server-thread timing, not on the
+  /// schedule.
+  void ResetLocked(Pipe* pipe) {
+    if (pipe->reset) return;
+    pipe->reset = true;
+    if (!pipe->client_gone) stats.resets_injected++;
+  }
+
   /// Moves the clock to `t` if it is behind (callers hold mu, so leaps are
   /// serialized and deterministic).
   void LeapTo(Timestamp t) {
@@ -692,10 +702,7 @@ void SimTransport::ResetAllConnections() {
   std::vector<std::weak_ptr<Pipe>> live;
   for (std::weak_ptr<Pipe>& weak : inner_->pipes) {
     if (std::shared_ptr<Pipe> pipe = weak.lock()) {
-      if (!pipe->reset) {
-        pipe->reset = true;
-        inner_->stats.resets_injected++;
-      }
+      inner_->ResetLocked(pipe.get());
       live.push_back(std::move(weak));
     }
   }
@@ -774,10 +781,8 @@ void SimTransport::ResetNodeConnections(const std::string& node) {
   std::vector<std::weak_ptr<Pipe>> live;
   for (std::weak_ptr<Pipe>& weak : inner_->pipes) {
     if (std::shared_ptr<Pipe> pipe = weak.lock()) {
-      if (!pipe->reset &&
-          (pipe->client_node == node || pipe->server_node == node)) {
-        pipe->reset = true;
-        inner_->stats.resets_injected++;
+      if (pipe->client_node == node || pipe->server_node == node) {
+        inner_->ResetLocked(pipe.get());
       }
       live.push_back(std::move(weak));
     }

@@ -58,7 +58,9 @@ struct SimTransportStats {
   uint64_t connects = 0;          // Attempts, including failed ones.
   uint64_t connects_failed = 0;
   uint64_t accepts = 0;
-  uint64_t resets_injected = 0;   // Connections killed by ResetAllConnections.
+  /// Connections with an open client end severed by ResetAllConnections or
+  /// ResetNodeConnections.
+  uint64_t resets_injected = 0;
   uint64_t writes_truncated = 0;
   uint64_t writes_delayed = 0;
   uint64_t bytes_blackholed = 0;  // Written during a partition, never seen.

@@ -384,23 +384,10 @@ Status ClusterClient::QueryAll(const std::string& table,
                                std::vector<Row>* rows) {
   rows->clear();
   LT_ASSIGN_OR_RETURN(std::shared_ptr<const Schema> schema, SchemaFor(table));
-  QueryBounds page = bounds;
-  const uint64_t want = bounds.limit;  // 0 = all rows.
-  while (true) {
-    if (want > 0) page.limit = want - rows->size();
-    QueryResult result;
-    LT_RETURN_IF_ERROR(Query(table, page, &result));
-    for (Row& row : result.rows) rows->push_back(std::move(row));
-    if (!result.more_available) return Status::OK();
-    if (want > 0 && rows->size() >= want) return Status::OK();
-    if (rows->empty()) return Status::OK();  // Defensive: no progress.
-    Key last_key = schema->KeyOf(rows->back());
-    if (page.direction == Direction::kAscending) {
-      page.min_key = KeyBound{std::move(last_key), /*inclusive=*/false};
-    } else {
-      page.max_key = KeyBound{std::move(last_key), /*inclusive=*/false};
-    }
-  }
+  return QueryAllPages(*schema, bounds, rows,
+                       [&](const QueryBounds& page, QueryResult* result) {
+                         return Query(table, page, result);
+                       });
 }
 
 Status ClusterClient::LatestRow(const std::string& table, const Key& prefix,

@@ -9,9 +9,12 @@
 #include <cstdint>
 #include <limits>
 #include <optional>
+#include <utility>
+#include <vector>
 
 #include "core/schema.h"
 #include "util/clock.h"
+#include "util/status.h"
 
 namespace lt {
 
@@ -54,6 +57,14 @@ struct QueryBounds {
     b.min_key = KeyBound{prefix, true};
     b.max_key = KeyBound{std::move(prefix), true};
     return b;
+  }
+
+  /// §3.5 continuation: moves the key bound the scan starts from (min_key
+  /// ascending, max_key descending) past `last_key`, exclusive, so the next
+  /// query resumes after the last row returned.
+  void StartAfter(Key last_key) {
+    KeyBound past{std::move(last_key), /*inclusive=*/false};
+    (direction == Direction::kAscending ? min_key : max_key) = std::move(past);
   }
 
   /// True if `ts` satisfies the timestamp dimension.
@@ -105,6 +116,38 @@ struct QueryBounds {
            KeyInRange(schema, row);
   }
 };
+
+/// The result of a query: rows in scan order, plus the §3.5 more-available
+/// flag the client uses to paginate with continuation queries.
+struct QueryResult {
+  std::vector<Row> rows;
+  bool more_available = false;
+  /// Rows the engine decoded to produce this result (Figure 9 numerator).
+  uint64_t rows_scanned = 0;
+};
+
+/// §3.5 pagination: runs a query to completion, one page per
+/// `run_page(page_bounds, &result)` call, appending every page's rows to
+/// `rows`. After a page that reports more rows available, the next page
+/// starts past that page's last row (StartAfter) and asks only for the rows
+/// the limit still allows. Stops when a page reports no more rows, the
+/// limit is met, or a page returns no rows (no progress).
+template <typename RunPage>
+Status QueryAllPages(const Schema& schema, const QueryBounds& bounds,
+                     std::vector<Row>* rows, RunPage&& run_page) {
+  rows->clear();
+  QueryBounds page = bounds;
+  const uint64_t want = bounds.limit;  // 0 = all rows.
+  while (true) {
+    if (want > 0) page.limit = want - rows->size();
+    QueryResult result;
+    LT_RETURN_IF_ERROR(run_page(page, &result));
+    const bool more = result.more_available && !result.rows.empty();
+    if (more) page.StartAfter(schema.KeyOf(result.rows.back()));
+    for (Row& row : result.rows) rows->push_back(std::move(row));
+    if (!more || (want > 0 && rows->size() >= want)) return Status::OK();
+  }
+}
 
 }  // namespace lt
 

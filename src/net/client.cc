@@ -521,14 +521,7 @@ Status Client::QueryPage(const std::string& table, QueryBounds* bounds,
                       TableSchema(table));
   LT_RETURN_IF_ERROR(Query(table, *bounds, result));
   if (result->more_available && !result->rows.empty()) {
-    // §3.5: update the starting key bound to the last row returned and
-    // re-submit (exclusive so the row is not repeated).
-    Key last_key = schema->KeyOf(result->rows.back());
-    if (bounds->direction == Direction::kAscending) {
-      bounds->min_key = KeyBound{std::move(last_key), /*inclusive=*/false};
-    } else {
-      bounds->max_key = KeyBound{std::move(last_key), /*inclusive=*/false};
-    }
+    bounds->StartAfter(schema->KeyOf(result->rows.back()));
   }
   return Status::OK();
 }
@@ -536,18 +529,12 @@ Status Client::QueryPage(const std::string& table, QueryBounds* bounds,
 Status Client::QueryAll(const std::string& table, const QueryBounds& bounds,
                         std::vector<Row>* rows) {
   rows->clear();
-  QueryBounds page = bounds;
-  const uint64_t want = bounds.limit;  // 0 = all rows.
-  while (true) {
-    if (want > 0) page.limit = want - rows->size();
-    QueryResult result;
-    LT_RETURN_IF_ERROR(QueryPage(table, &page, &result));
-    const bool progressed = !result.rows.empty();
-    for (Row& row : result.rows) rows->push_back(std::move(row));
-    if (!result.more_available) return Status::OK();
-    if (want > 0 && rows->size() >= want) return Status::OK();
-    if (!progressed) return Status::OK();  // Defensive: no progress.
-  }
+  LT_ASSIGN_OR_RETURN(std::shared_ptr<const Schema> schema,
+                      TableSchema(table));
+  return QueryAllPages(*schema, bounds, rows,
+                       [&](const QueryBounds& page, QueryResult* result) {
+                         return Query(table, page, result);
+                       });
 }
 
 Status Client::LatestRow(const std::string& table, const Key& prefix,

@@ -168,7 +168,6 @@ class DeviceOracle {
 
   /// The model event for (device, id) among non-dropped records.
   const apps::SimEvent* FindEvent(int64_t device, int64_t id) const;
-  int64_t MaxCertainId(int64_t device) const;
   /// Rows in certain records: the run's durable_rows counter.
   uint64_t CertainRows() const;
 
@@ -179,6 +178,7 @@ class DeviceOracle {
   int64_t PickDevice(Random* rng) const {
     return 1 + static_cast<int64_t>(rng->Uniform(devices_));
   }
+  int64_t MaxCertainId(int64_t device) const;
 
   SimRecorder* const rec_;
   const int devices_;

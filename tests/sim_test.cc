@@ -1,6 +1,7 @@
 // Tests for the deterministic simulation stack: SimTransport fault
 // semantics, client retry policy under an injected clock, the crash-point
-// spec registry, bounded DB shutdown, and the seeded chaos harness's
+// spec registry, bounded DB shutdown, the device-workload oracle
+// (sim/device_oracle.h) on hand-built inputs, and the seeded chaos harness's
 // determinism and oracle (sim/chaos.h, wired into CI as the pinned-seed
 // sweep — override the seed count with LT_SIM_SEED_COUNT).
 //

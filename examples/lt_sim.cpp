@@ -64,9 +64,6 @@ struct Harness {
   /// Overload runs promise no determinism, so a failing run's log is the one
   /// record of its interleaving (the nightly batch uploads it): always print.
   bool log_on_failure = false;
-  /// The single-node log starts on the "ok seed=N events=M" line itself;
-  /// kept so pinned outputs stay byte-identical.
-  bool log_on_ok_line = false;
 };
 
 void PrintReport(const sim::SimReport& report, bool print_log,
@@ -107,7 +104,7 @@ int RunOne(const Harness& h, uint64_t seed, bool print_log, bool dump_sys) {
   }
   std::printf("ok seed=%llu events=%zu", static_cast<unsigned long long>(seed),
               report.event_log.size());
-  if (print_log && !h.log_on_ok_line) std::printf("\n");
+  if (print_log) std::printf("\n");
   PrintReport(report, print_log, dump_sys);
   return 0;
 }
@@ -232,7 +229,6 @@ int main(int argc, char** argv) {
     };
     std::snprintf(repro, sizeof(repro), " --ops=%d --faults=%g --devices=%d",
                   opts.ops, opts.fault_rate, opts.devices);
-    h.log_on_ok_line = true;
   }
   h.repro_flags = repro;
   // Overload runs make no determinism promise; --verify-seed only picks

@@ -76,8 +76,10 @@ Status ReplicaAgent::Start() {
   ServerOptions sopts = opts_.server;
   sopts.port = opts_.port;
   sopts.transport = opts_.transport;
-  sopts.extension = [this](MsgType type, Slice body, std::string* out) {
-    Handle(type, body, out);
+  sopts.extension = [this](MsgType type, Slice* body, std::string* out) {
+    if (type == MsgType::kRoutedQuery) return HandleRoutedQuery(body, out);
+    Handle(type, *body, out);
+    return false;
   };
   server_ = std::make_unique<LittleTableServer>(db_, sopts);
   LT_RETURN_IF_ERROR(server_->Start());
@@ -159,7 +161,6 @@ void ReplicaAgent::Handle(MsgType type, Slice body, std::string* out) {
       return ReplyErr(out, ErrCode::kBadRequest, "not a coordinator");
     case MsgType::kAssignShard: return HandleAssign(body, out);
     case MsgType::kRoutedInsert: return HandleRoutedInsert(body, out);
-    case MsgType::kRoutedQuery: return HandleRoutedQuery(body, out);
     case MsgType::kRoutedCreate: return HandleRoutedCreate(body, out);
     case MsgType::kReplicateRows: return HandleReplicateRows(body, out);
     case MsgType::kShipTablet: return HandleShipTablet(body, out);
@@ -364,30 +365,32 @@ void ReplicaAgent::HandleRoutedCreate(Slice body, std::string* out) {
   *out += resp;
 }
 
-void ReplicaAgent::HandleRoutedQuery(Slice body, std::string* out) {
+bool ReplicaAgent::HandleRoutedQuery(Slice* body, std::string* out) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    Slice header = body;
-    if (!CheckRouted(&header, Role::kPrimary, out)) return;
-    body = header;
+    if (!CheckRouted(body, Role::kPrimary, out)) return false;
   }
-  if (body.empty()) {
-    return ReplyErr(out, ErrCode::kInvalidArgument, "empty routed payload");
+  if (body->empty()) {
+    ReplyErr(out, ErrCode::kInvalidArgument, "empty routed payload");
+    return false;
   }
-  const MsgType inner = static_cast<MsgType>(body[0]);
-  body.remove_prefix(1);
+  const MsgType inner = static_cast<MsgType>((*body)[0]);
+  body->remove_prefix(1);
+  // Inner ops execute outside mu_: they never touch replication state,
+  // and queries can be slow.
   switch (inner) {
     case MsgType::kQuery:
+      return true;  // The server's worker streams it like a direct kQuery.
     case MsgType::kLatestRow:
     case MsgType::kGetTable:
     case MsgType::kFlushThrough:
-      // Read-only (or idempotent-flush) inner ops execute outside mu_:
-      // they never touch replication state, and queries can be slow.
-      server_->Handle(inner, body, out);
-      return;
+      // Read-only (or idempotent-flush) inner ops answer in one frame.
+      server_->Handle(inner, *body, out);
+      return false;
     default:
-      return ReplyErr(out, ErrCode::kBadRequest,
-                      "op not allowed through kRoutedQuery");
+      ReplyErr(out, ErrCode::kBadRequest,
+               "op not allowed through kRoutedQuery");
+      return false;
   }
 }
 

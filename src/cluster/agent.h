@@ -113,7 +113,9 @@ class ReplicaAgent {
   void Handle(wire::MsgType type, Slice body, std::string* out);
   void HandleAssign(Slice body, std::string* out);
   void HandleRoutedInsert(Slice body, std::string* out);
-  void HandleRoutedQuery(Slice body, std::string* out);
+  /// Checks the header under mu_; true hands `*body`, narrowed to an inner
+  /// kQuery, back to the server to stream (ServerOptions::extension).
+  bool HandleRoutedQuery(Slice* body, std::string* out);
   void HandleRoutedCreate(Slice body, std::string* out);
   void HandleReplicateRows(Slice body, std::string* out);
   void HandleShipTablet(Slice body, std::string* out);

@@ -39,14 +39,13 @@ Status Coordinator::Start() {
   ServerOptions sopts;
   sopts.port = opts_.port;
   sopts.transport = opts_.transport;
-  sopts.extension = [this](MsgType type, Slice body, std::string* out) {
-    (void)body;
+  sopts.extension = [this](MsgType type, Slice*, std::string* out) {
     if (type != MsgType::kGetShardMap) {
       std::string err;
       err.push_back(static_cast<char>(ErrCode::kBadRequest));
       PutLengthPrefixedSlice(&err, "not a shard node");
       *out += wire::Frame(MsgType::kError, err);
-      return;
+      return false;
     }
     std::string resp;
     {
@@ -54,6 +53,7 @@ Status Coordinator::Start() {
       map_.Encode(&resp);
     }
     *out += wire::Frame(MsgType::kShardMapResult, resp);
+    return false;
   };
   server_ = std::make_unique<LittleTableServer>(nullptr, sopts);
   LT_RETURN_IF_ERROR(server_->Start());

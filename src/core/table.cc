@@ -107,7 +107,7 @@ Status Table::Open(Env* env, std::shared_ptr<Clock> clock,
       // A missing or corrupt tablet must not brick the whole table: the
       // paper's contract is that persisted data stays *recoverable*, so we
       // quarantine the bad tablet and keep serving the rest.
-      if (!ShouldQuarantine(s)) return s;
+      if (!TabletReader::Unusable(s)) return s;
       doomed.emplace_back(m.filename, std::move(s));
       continue;
     }
@@ -443,7 +443,7 @@ Status Table::VisitReadViewLocked(const QueryBounds& range, QueryTrace* trace,
 
 Status Table::LoadSource(Source* src) {
   Status s = src->reader->Load();
-  if (s.ok() || !ShouldQuarantine(s)) return s;
+  if (s.ok() || !TabletReader::Unusable(s)) return s;
   // Unreadable tablet: quarantine it and serve the rest (§2.3.4 — persisted
   // data stays recoverable; one bad file must not take the whole table
   // down). It can no longer contribute rows, so the source is dropped.
@@ -1233,7 +1233,7 @@ Status Table::MaybeMerge(Timestamp now) {
                                            &c);
     if (!s.ok()) {
       writer.Abandon();
-      if (ShouldQuarantine(s)) {
+      if (TabletReader::Unusable(s)) {
         // An unreadable input must not wedge maintenance forever: quarantine
         // it and report success; the next pass re-picks without it.
         std::lock_guard<std::mutex> lock(mu_);

@@ -304,7 +304,7 @@ class Table {
   Status VisitReadViewLocked(const QueryBounds& range, QueryTrace* trace,
                              MemFn&& mem, std::vector<Source>* disk) const;
 
-  /// Loads a disk source's footer. An unusable tablet (ShouldQuarantine) is
+  /// Loads a disk source's footer. A TabletReader::Unusable tablet is
   /// quarantined and the source dropped (reader reset) with OK, so the rest
   /// of the table keeps serving; any other error propagates. mu_ not held.
   Status LoadSource(Source* src);
@@ -364,12 +364,6 @@ class Table {
   /// from the descriptor and reader cache, and logs `why`. A no-op if the
   /// tablet already left the table. mu_ held.
   void QuarantineTabletLocked(const std::string& fname, const Status& why);
-
-  /// True for load failures that mean the tablet itself is unusable (vs.
-  /// transient I/O errors, which propagate to the caller).
-  static bool ShouldQuarantine(const Status& s) {
-    return s.IsCorruption() || s.IsNotFound();
-  }
 
   Status SaveDescriptorLocked();
   /// Saves a descriptor naming `tablets` instead of tablets_, so flush and

@@ -432,14 +432,22 @@ Status TabletReader::Load() const {
 
 Status TabletReader::LoadLocked() const {
   if (loaded_) return load_status_;
-  loaded_ = true;
   TabletReader* self = const_cast<TabletReader*>(this);
-  load_status_ = env_->NewRandomAccessFile(fname_, &self->file_);
-  if (load_status_.ok()) load_status_ = self->LoadFooter(fname_);
-  return load_status_;
+  Status s = env_->NewRandomAccessFile(fname_, &self->file_);
+  if (s.ok()) s = self->LoadFooter(fname_);
+  // A loaded footer and an unusable tablet are final; any other failure
+  // (a transient read error) is retried by the next Load.
+  if (s.ok() || Unusable(s)) {
+    loaded_ = true;
+    load_status_ = s;
+  }
+  return s;
 }
 
 Status TabletReader::LoadFooter(const std::string& fname) {
+  // A retried load starts over from what a failed one left behind.
+  index_.clear();
+  has_bloom_ = false;
   uint64_t file_size;
   LT_RETURN_IF_ERROR(file_->Size(&file_size));
   if (file_size < kTabletTrailerSize) {

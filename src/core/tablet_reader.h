@@ -47,7 +47,14 @@ class TabletReader : public std::enable_shared_from_this<TabletReader> {
 
   /// Forces the footer load (callers must Load() before using accessors
   /// below; Table does this for the tablets a request actually touches).
+  /// Success and Unusable are final; other failures retry on the next call.
   Status Load() const;
+
+  /// Load failures meaning the tablet itself is unusable (Table quarantines
+  /// it), as opposed to transient I/O errors, which propagate.
+  static bool Unusable(const Status& s) {
+    return s.IsCorruption() || s.IsNotFound();
+  }
 
   /// The schema rows in this tablet were written under (§3.5).
   const Schema& tablet_schema() const { return schema_; }

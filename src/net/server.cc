@@ -759,7 +759,15 @@ void LittleTableServer::ResumeGranted(
 
 LittleTableServer::SliceResult LittleTableServer::ExecuteQuerySlice(
     const std::shared_ptr<ConnState>& cs, Task& task) {
-  const uint8_t kQueryOp = static_cast<uint8_t>(MsgType::kQuery);
+  using Decision = AdmissionController::Decision;
+  // The request's own opcode histogram: kQuery, or kRoutedQuery.
+  LatencyHistogram* const op_micros =
+      op_micros_[static_cast<uint8_t>(task.payload[0])];
+  auto error_frame = [&](ErrCode code, const std::string& msg) {
+    std::string out;
+    ReplyError(&out, code, msg);
+    return out;
+  };
   StreamState* st;
   {
     std::lock_guard<std::mutex> lock(sched_mu_);
@@ -771,31 +779,37 @@ LittleTableServer::SliceResult LittleTableServer::ExecuteQuerySlice(
   if (st == nullptr) {
     // First slice: parse the request, then pass admission.
     const Timestamp op_start = MonotonicMicros();
-    auto reply_now = [&](ErrCode code, const std::string& msg) {
-      std::string out;
-      ReplyError(&out, code, msg);
+    auto reply = [&](const std::string& out) {
       AppendOutput(cs, out);
-      if (LatencyHistogram* h = op_micros_[kQueryOp]) {
-        h->Record(static_cast<uint64_t>(MonotonicMicros() - op_start));
+      if (op_micros != nullptr) {
+        op_micros->Record(static_cast<uint64_t>(MonotonicMicros() - op_start));
       }
       return SliceResult::kDone;
     };
     Slice body(task.payload.data() + 1, task.payload.size() - 1);
+    if (task.payload[0] == static_cast<char>(MsgType::kRoutedQuery)) {
+      // The cluster extension checks the routed header once, here, and
+      // answers anything but an inner kQuery itself.
+      std::string out;
+      if (!opts_.extension(MsgType::kRoutedQuery, &body, &out)) {
+        return reply(out);
+      }
+    }
     std::string name;
     if (!GetName(&body, &name)) {
-      return reply_now(ErrCode::kInvalidArgument, "bad request");
+      return reply(error_frame(ErrCode::kInvalidArgument, "bad request"));
     }
     std::shared_ptr<Table> table = db_->GetTable(name);
     if (!table) {
-      return reply_now(ErrCode::kNotFound, "no such table: " + name);
+      return reply(error_frame(ErrCode::kNotFound, "no such table: " + name));
     }
     std::shared_ptr<const Schema> schema = table->schema();
     uint32_t version = 0;
     QueryBounds bounds;
     if (!GetVarint32(&body, &version) || version != schema->version() ||
         !wire::DecodeBounds(&body, *schema, &bounds).ok()) {
-      return reply_now(ErrCode::kSchemaChanged,
-                       "schema changed or bad bounds");
+      return reply(error_frame(ErrCode::kSchemaChanged,
+                               "schema changed or bad bounds"));
     }
     // Slot exemption is judged on the limit the CLIENT asked for, before
     // the server's row cap rewrites it: a bounded point lookup should not
@@ -811,25 +825,6 @@ LittleTableServer::SliceResult LittleTableServer::ExecuteQuerySlice(
         (bounds.limit == 0 || bounds.limit > opts_.default_query_row_cap)) {
       bounds.limit = opts_.default_query_row_cap;
     }
-    AdmissionController::Decision d;
-    if (slot_exempt) {
-      d = admission_->ChargeQuery(cs->tenant)
-              ? AdmissionController::Decision::kAdmitted
-              : AdmissionController::Decision::kShedQuota;
-    } else {
-      d = admission_->Request(cs->id, cs->tenant);
-      UpdateScanGauges();
-    }
-    if (d == AdmissionController::Decision::kShedQuota) {
-      query_shed_->Increment();
-      query_shed_quota_->Increment();
-      return reply_now(ErrCode::kResourceExhausted, "tenant quota exceeded");
-    }
-    if (d == AdmissionController::Decision::kShedQueueFull) {
-      query_shed_->Increment();
-      query_shed_queue_full_->Increment();
-      return reply_now(ErrCode::kResourceExhausted, "admission queue full");
-    }
     auto stream = std::make_unique<StreamState>();
     stream->table = std::move(table);
     stream->bounds = bounds;
@@ -840,15 +835,40 @@ LittleTableServer::SliceResult LittleTableServer::ExecuteQuerySlice(
       stream->deadline =
           idle_clock_->Now() + Timestamp{opts_.query_deadline_ms} * 1000;
     }
-    std::lock_guard<std::mutex> lock(sched_mu_);
-    st = stream.get();
-    cs->stream = std::move(stream);
-    if (d == AdmissionController::Decision::kQueued) {
-      st->queued = true;
-      parked_[cs->id] = cs;
-      return SliceResult::kParked;  // A Release grant or expiry resumes us.
+    Decision d = Decision::kShedQuota;
+    if (slot_exempt && admission_->ChargeQuery(cs->tenant)) {
+      d = Decision::kAdmitted;
     }
-    st->admitted = true;
+    {
+      // Request and park are one step under sched_mu_: a Release on
+      // another worker that grants this waiter resumes it through
+      // ResumeGranted, which takes sched_mu_ and so finds it parked.
+      // (Admission's lock nests inside sched_mu_, never around it.)
+      std::lock_guard<std::mutex> lock(sched_mu_);
+      if (!slot_exempt) d = admission_->Request(cs->id, cs->tenant);
+      if (d == Decision::kAdmitted || d == Decision::kQueued) {
+        st = stream.get();
+        st->admitted = d == Decision::kAdmitted;
+        st->queued = d == Decision::kQueued;
+        if (st->queued) parked_[cs->id] = cs;
+        cs->stream = std::move(stream);
+      }
+    }
+    if (!slot_exempt) UpdateScanGauges();
+    if (d == Decision::kShedQuota) {
+      query_shed_->Increment();
+      query_shed_quota_->Increment();
+      return reply(error_frame(ErrCode::kResourceExhausted,
+                               "tenant quota exceeded"));
+    }
+    if (d == Decision::kShedQueueFull) {
+      query_shed_->Increment();
+      query_shed_queue_full_->Increment();
+      return reply(error_frame(ErrCode::kResourceExhausted,
+                               "admission queue full"));
+    }
+    // Queued: a Release grant or expiry resumes us.
+    if (d == Decision::kQueued) return SliceResult::kParked;
   }
 
   // Tear-down common to every way a stream ends: record, append the
@@ -866,9 +886,8 @@ LittleTableServer::SliceResult LittleTableServer::ExecuteQuerySlice(
     if (st->peak_bytes > 0) {
       stream_peak_bytes_->Record(static_cast<uint64_t>(st->peak_bytes));
     }
-    if (LatencyHistogram* h = op_micros_[kQueryOp]) {
-      h->Record(static_cast<uint64_t>(MonotonicMicros() - st->op_start));
-    }
+    const Timestamp micros = MonotonicMicros() - st->op_start;
+    if (op_micros != nullptr) op_micros->Record(static_cast<uint64_t>(micros));
     if (!terminal.empty()) AppendOutput(cs, terminal);
     if (release_slot && !st->slot_exempt) {
       std::vector<AdmissionController::Departure> granted;
@@ -880,12 +899,6 @@ LittleTableServer::SliceResult LittleTableServer::ExecuteQuerySlice(
     cs->stream.reset();
     return SliceResult::kDone;
   };
-  auto error_frame = [&](ErrCode code, const std::string& msg) {
-    std::string out;
-    ReplyError(&out, code, msg);
-    return out;
-  };
-
   bool queued, expired, admitted;
   const bool cancelled = st->cancel.load();
   bool wfail;
@@ -1072,10 +1085,13 @@ void LittleTableServer::WorkerLoop() {
       AppendOutput(cs, task.canned);
     } else {
       const uint8_t op = static_cast<uint8_t>(task.payload[0]);
-      if (op == static_cast<uint8_t>(MsgType::kQuery) && db_ != nullptr) {
-        // Direct queries stream: executed in bounded slices under the
-        // admission controller and the per-query byte budget instead of
-        // materializing the whole result.
+      const bool query = op == static_cast<uint8_t>(MsgType::kQuery) ||
+                         (op == static_cast<uint8_t>(MsgType::kRoutedQuery) &&
+                          opts_.extension);
+      if (query && db_ != nullptr) {
+        // Queries stream, direct or routed: executed in bounded slices
+        // under the admission controller and the per-query byte budget
+        // instead of materializing the whole result.
         sr = ExecuteQuerySlice(cs, task);
       } else if (op == static_cast<uint8_t>(MsgType::kSetTenant)) {
         // Binds the connection to a tenant (ConfigStore network id) for
@@ -1139,8 +1155,12 @@ void LittleTableServer::WorkerLoop() {
         cs->tasks.clear();
       }
       // kDone with tasks left, or kYield (stream wants the CPU back):
-      // re-enter the run queue. kParked waits for its resume event.
-      if (sr != SliceResult::kParked) {
+      // re-enter the run queue. kParked waits for its resume event, unless
+      // that came while this worker still held the connection: a grant,
+      // an expiry or a cancel does not schedule a running connection.
+      const StreamState* st = cs->stream.get();
+      if (sr != SliceResult::kParked || st->cancel.load() ||
+          !(st->queued || st->paused)) {
         ScheduleLocked(cs);
         if (cs->queued_run) sched_cv_.notify_one();
       }
@@ -1212,7 +1232,7 @@ void LittleTableServer::Dispatch(MsgType type, Slice body, std::string* out) {
     // agent); the core server knows only that they exist, so that they get
     // latency histograms and pass the known-opcode gate.
     if (opts_.extension) {
-      opts_.extension(type, body, out);
+      opts_.extension(type, &body, out);
     } else {
       ReplyError(out, ErrCode::kBadRequest,
                  "cluster opcode not supported here");
@@ -1350,15 +1370,9 @@ void LittleTableServer::Dispatch(MsgType type, Slice body, std::string* out) {
   if (!table) {
     return ReplyError(out, ErrCode::kNotFound, "no such table: " + name);
   }
-  std::shared_ptr<const Schema> schema = table->schema();
-
-  // Requests encoded against a schema check the version (§3.5 evolutions
+  // Requests encoded against a schema check its version (§3.5 evolutions
   // can land between a client's schema fetch and its next request).
-  auto check_version = [&](Slice* in) -> bool {
-    uint32_t version;
-    if (!GetVarint32(in, &version)) return false;
-    return version == schema->version();
-  };
+  std::shared_ptr<const Schema> schema = table->schema();
 
   switch (type) {
     case MsgType::kInsert: {
@@ -1407,46 +1421,10 @@ void LittleTableServer::Dispatch(MsgType type, Slice body, std::string* out) {
       return ReplyStatus(out, table->InsertEncoded(rows));
     }
 
-    case MsgType::kQuery: {
-      QueryBounds bounds;
-      if (!check_version(&body) ||
-          !wire::DecodeBounds(&body, *schema, &bounds).ok()) {
-        return ReplyError(out, ErrCode::kSchemaChanged,
-                          "schema changed or bad bounds");
-      }
-      // Same server-side row cap as the streaming path (§3.5), so routed
-      // queries delegated through Handle() observe identical limits.
-      if (opts_.default_query_row_cap > 0 &&
-          (bounds.limit == 0 || bounds.limit > opts_.default_query_row_cap)) {
-        bounds.limit = opts_.default_query_row_cap;
-      }
-      QueryResult result;
-      Status s = table->Query(bounds, &result);
-      if (!s.ok()) return ReplyStatus(out, s);
-      // Stream rows in chunks; the last chunk carries the flags.
-      size_t sent = 0;
-      do {
-        size_t n = std::min(kChunkRows, result.rows.size() - sent);
-        bool final = sent + n == result.rows.size();
-        std::string chunk;
-        uint8_t flags = 0;
-        if (final) flags |= wire::kChunkFinal;
-        if (final && result.more_available) flags |= wire::kChunkMoreAvailable;
-        chunk.push_back(static_cast<char>(flags));
-        PutVarint32(&chunk, schema->version());
-        PutVarint32(&chunk, static_cast<uint32_t>(n));
-        for (size_t i = 0; i < n; i++) {
-          EncodeRow(&chunk, *schema, result.rows[sent + i]);
-        }
-        *out += wire::Frame(MsgType::kQueryChunk, chunk);
-        sent += n;
-      } while (sent < result.rows.size());
-      return;
-    }
-
     case MsgType::kLatestRow: {
+      uint32_t version;
       Key prefix;
-      if (!check_version(&body) ||
+      if (!GetVarint32(&body, &version) || version != schema->version() ||
           !wire::DecodeKeyPrefix(&body, *schema, &prefix).ok()) {
         return ReplyError(out, ErrCode::kSchemaChanged,
                           "schema changed or bad prefix");

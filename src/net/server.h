@@ -71,10 +71,12 @@ struct ServerOptions {
   std::shared_ptr<Clock> clock;
   /// Cluster extension: invoked (from a worker thread) for the cluster
   /// opcodes (kGetShardMap..kTabletSetSync), appending response frames to
-  /// the output string exactly as Dispatch does. A server without one
-  /// answers those opcodes with kBadRequest. Installed by the coordinator
-  /// and by replica agents (src/cluster).
-  std::function<void(wire::MsgType type, Slice body, std::string* out)>
+  /// `*out` exactly as Dispatch does and returning false — or, on a server
+  /// with a DB, for a kRoutedQuery holding a kQuery, narrowing `*body` to
+  /// that kQuery's body and returning true: the worker then streams it as
+  /// a direct kQuery. A server without one answers those opcodes with
+  /// kBadRequest. Installed by the coordinator and replica agents.
+  std::function<bool(wire::MsgType type, Slice* body, std::string* out)>
       extension;
 
   // --- Overload resilience -----------------------------------------------
@@ -143,9 +145,10 @@ class LittleTableServer {
 
   /// Executes one request synchronously on the caller's thread, appending
   /// response frames to `*out`. This is the cluster delegation hook: a
-  /// replica agent's extension handler unwraps a routed request and hands
-  /// the inner opcode back to the core dispatch (and the promotion path
-  /// replays redo-buffered inserts through it).
+  /// replica agent's extension hands a routed request's inner opcode back
+  /// to the core dispatch — any but kQuery, which it hands back to the
+  /// worker to stream (ServerOptions::extension) — and the promotion path
+  /// replays redo-buffered inserts through it.
   void Handle(wire::MsgType type, Slice body, std::string* out) {
     Dispatch(type, body, out);
   }
@@ -267,7 +270,8 @@ class LittleTableServer {
   /// held). Sets write_failed and drops the buffer on a transport error.
   void TryFlushLocked(ConnState* cs);
 
-  /// Executes one slice of a streaming kQuery: admission on first entry,
+  /// Executes one slice of a streaming kQuery, direct or handed back by
+  /// the cluster extension from a kRoutedQuery: admission on first entry,
   /// then up to a few chunks of rows — checking cancellation, the query
   /// deadline, the tenant's scanned-rows quota, and the outbound byte
   /// budget between chunks.

@@ -11,9 +11,11 @@
 // coordinator instead of sleeping.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cluster/agent.h"
@@ -158,6 +160,7 @@ class ClusterTest : public ::testing::Test {
     clock_ = std::make_shared<SimClock>(kEpochTs);
     SimTransportOptions topts;
     topts.clock = clock_;
+    topts.conn_buffer_bytes = conn_buffer_bytes_;
     transport_ = std::make_unique<SimTransport>(topts);
 
     const std::vector<ShardGroupInfo> ranges =
@@ -207,6 +210,7 @@ class ClusterTest : public ::testing::Test {
     cluster::AgentOptions aopts;
     aopts.port = n.port;
     aopts.transport = transport_->ForNode(n.name);
+    aopts.server = server_opts_;
     aopts.server.poll_interval_ms = 5;
     aopts.client.clock = clock_;
     aopts.client.connect_timeout_ms = 500;
@@ -330,6 +334,10 @@ class ClusterTest : public ::testing::Test {
   std::unique_ptr<cluster::Coordinator> coord_;
   std::unique_ptr<cluster::ClusterClient> router_;
   bool pumping_ = false;
+  // Set before StartCluster: every agent's server options, and the
+  // transport's per-direction buffer (0 = unbounded).
+  ServerOptions server_opts_;
+  size_t conn_buffer_bytes_ = 0;
 };
 
 TEST_F(ClusterTest, CoordinatorAssignsRolesOnFirstProbe) {
@@ -431,6 +439,65 @@ TEST_F(ClusterTest, QueryFansOutAndMergesAcrossGroups) {
   ASSERT_TRUE(router_->QueryAll("dev", one, &pinned).ok());
   ASSERT_EQ(pinned.size(), 3u);
   for (const Row& r : pinned) EXPECT_EQ(r[0].i64(), pin);
+}
+
+// A routed scan passes the same admission as a direct one: with the one
+// scan slot held and no wait queue, the next routed scan is shed.
+TEST_F(ClusterTest, RoutedScanGoesThroughAdmission) {
+  conn_buffer_bytes_ = 1024;
+  server_opts_.query_budget_bytes = 2 * 1024;
+  server_opts_.admission.max_concurrent_scans = 1;
+  server_opts_.admission.max_queued_scans = 0;
+  StartCluster(1);
+  ConnectRouter();
+  const Schema schema = DevSchema();
+  ASSERT_TRUE(router_->CreateTable("dev", schema, 0).ok());
+  for (int b = 0; b < 10; b++) {
+    std::vector<Row> rows;
+    for (int i = 0; i < 200; i++) {
+      rows.push_back(DevRow(i % 20, kEpochTs + (b * 200 + i) * 1000, 0.5));
+    }
+    ASSERT_TRUE(router_->Insert("dev", rows).ok());
+  }
+  ReplicaAgent* primary = PrimaryAgent(0);
+  const Node& node = *NodeAt(coord_->Map().GroupById(0)->primary);
+  std::string req = RoutedHeader(primary);
+  req.push_back(static_cast<char>(MsgType::kQuery));
+  PutLengthPrefixedSlice(&req, "dev");
+  PutVarint32(&req, schema.version());
+  wire::EncodeBounds(&req, schema, QueryBounds{});
+
+  // A routed scan whose reader stops holds the slot, parked on
+  // backpressure.
+  std::unique_ptr<net::Connection> hold;
+  ASSERT_TRUE(
+      transport_->ForNode("raw")->Connect(node.name, node.port, 1000, &hold)
+          .ok());
+  const std::string frame = wire::Frame(MsgType::kRoutedQuery, req);
+  ASSERT_TRUE(hold->WriteAll(frame.data(), frame.size()).ok());
+  MetricsRegistry& m = primary->server()->metrics();
+  for (int i = 0; i < 1000 && m.GetGauge("server.scans_active")->Value() == 0;
+       i++) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  ASSERT_EQ(m.GetGauge("server.scans_active")->Value(), 1);
+
+  std::unique_ptr<Client> raw = RawClient(node);
+  MsgType rt;
+  std::string rb;
+  ASSERT_TRUE(raw->Call(MsgType::kRoutedQuery, req, &rt, &rb).ok());
+  ASSERT_EQ(rt, MsgType::kError);
+  Slice in(rb);
+  ASSERT_FALSE(in.empty());
+  EXPECT_EQ(static_cast<ErrCode>(in[0]), ErrCode::kResourceExhausted);
+  in.remove_prefix(1);
+  Slice msg;
+  ASSERT_TRUE(GetLengthPrefixedSlice(&in, &msg));
+  EXPECT_EQ(msg.ToString(), "admission queue full");
+  EXPECT_EQ(m.GetCounter("server.query_shed.queue_full")->Value(), 1);
+  EXPECT_GE(m.GetHistogram("server.op.routed_query.micros")->Snapshot().count,
+            1u);
+  EXPECT_EQ(m.GetHistogram("server.op.query.micros")->Snapshot().count, 0u);
 }
 
 TEST_F(ClusterTest, StaleEpochGetsWrongShard) {

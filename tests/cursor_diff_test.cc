@@ -7,7 +7,9 @@
 // memtablets. Random queries (projection, direction, key-prefix and ts
 // bounds, limits) run with the block cache off and on, through Table::Query
 // and through raw kQuery frames over SimTransport, whose kQueryChunk bodies
-// must be exactly the model rows' EncodeRow bytes. A second pass repeats the
+// must be exactly the model rows' EncodeRow bytes. The server is a primary
+// ReplicaAgent's, and each query goes again as a kRoutedQuery, whose frames
+// must be the direct query's, frame for frame. A second pass repeats the
 // queries after maintenance merges the mixed tablets.
 //
 // Streamed chunks: QueryStream::NextChunk fills each chunk a run at a time
@@ -31,6 +33,7 @@
 #include <set>
 #include <utility>
 
+#include "cluster/agent.h"
 #include "core/db.h"
 #include "core/row_codec.h"
 #include "core/tablet_writer.h"
@@ -53,6 +56,9 @@ using wire::MsgType;
 
 constexpr uint16_t kPort = 7821;
 constexpr char kTable[] = "diff";
+// The shard group and epoch the server's agent is primary of.
+constexpr uint32_t kGroup = 3;
+constexpr uint64_t kEpoch = 5;
 
 // The server's chunk rules (server.cc): rows per chunk, scan cap, and the
 // byte target for a query budget.
@@ -258,24 +264,39 @@ class CursorDiffTest : public ::testing::Test {
     ASSERT_TRUE(DB::Open(&env_, clock_, root_, opts, &db_).ok());
   }
 
-  void StartServer(size_t query_budget_bytes) {
+  /// Serves the DB from a ReplicaAgent made primary of group kGroup, so
+  /// raw kQuery and kRoutedQuery frames reach one server. A nonzero
+  /// `conn_buffer_bytes` bounds the transport's pipes, so streams park on
+  /// backpressure and resume as the reader drains.
+  void StartServer(size_t query_budget_bytes, size_t conn_buffer_bytes = 0) {
     SimTransportOptions topts;
     topts.clock = clock_;
+    topts.conn_buffer_bytes = conn_buffer_bytes;
     transport_ = std::make_unique<SimTransport>(topts);
-    ServerOptions sopts;
-    sopts.port = kPort;
-    sopts.transport = transport_.get();
-    sopts.clock = clock_;
-    sopts.poll_interval_ms = 5;
-    sopts.query_budget_bytes = query_budget_bytes;
+    cluster::AgentOptions aopts;
+    aopts.port = kPort;
+    aopts.transport = transport_.get();
+    aopts.server.clock = clock_;
+    aopts.server.poll_interval_ms = 5;
+    aopts.server.query_budget_bytes = query_budget_bytes;
     chunk_target_ = ServerChunkTarget(query_budget_bytes);
-    server_ = std::make_unique<LittleTableServer>(db_.get(), sopts);
-    ASSERT_TRUE(server_->Start().ok());
+    agent_ = std::make_unique<cluster::ReplicaAgent>(db_.get(), aopts);
+    ASSERT_TRUE(agent_->Start().ok());
     ClientOptions copts;
     copts.transport = transport_.get();
     copts.clock = clock_;
     copts.max_retries = 0;
     ASSERT_TRUE(Client::Connect("sim", kPort, copts, &client_).ok());
+    std::string assign;
+    PutVarint32(&assign, kGroup);
+    PutVarint64(&assign, kEpoch);
+    assign.push_back(static_cast<char>(cluster::ReplicaAgent::Role::kPrimary));
+    PutLengthPrefixedSlice(&assign, "peer");
+    PutVarint32(&assign, kPort + 1);
+    MsgType rt;
+    std::string rb;
+    ASSERT_TRUE(client_->Call(MsgType::kAssignShard, assign, &rt, &rb).ok());
+    ASSERT_EQ(rt, MsgType::kOk);
     ASSERT_TRUE(transport_->Connect("sim", kPort, 1000, &raw_).ok());
     raw_->set_read_timeout_ms(5000);
     raw_->set_write_timeout_ms(5000);
@@ -284,8 +305,7 @@ class CursorDiffTest : public ::testing::Test {
   void StopServer() {
     client_.reset();
     raw_.reset();
-    if (server_) server_->Stop();
-    server_.reset();
+    agent_.reset();
   }
 
   Status ReadFrame(MsgType* type, std::string* body) {
@@ -302,27 +322,38 @@ class CursorDiffTest : public ::testing::Test {
     return Status::OK();
   }
 
-  /// Sends one raw kQuery and collects the row bytes of every kQueryChunk
-  /// until the final chunk (OK) or an error frame (its status); `chunks`
-  /// (optional) receives each chunk's row count and row bytes.
+  /// Sends one raw kQuery (`routed`: wrapped in a kRoutedQuery for the
+  /// agent's group and epoch) and collects the row bytes of every
+  /// kQueryChunk until the final chunk (OK) or an error frame (its
+  /// status); `chunks` (optional) receives each chunk's row count and row
+  /// bytes, and frames_ every frame's body.
   Status WireQuery(const std::string& table, const Schema& schema,
                    const QueryBounds& bounds, std::string* rows, uint64_t* count,
                    bool* more,
-                   std::vector<std::pair<uint32_t, std::string>>* chunks = nullptr) {
+                   std::vector<std::pair<uint32_t, std::string>>* chunks = nullptr,
+                   bool routed = false) {
     rows->clear();
     *count = 0;
     *more = false;
     if (chunks != nullptr) chunks->clear();
+    frames_.clear();
     std::string req;
+    if (routed) {
+      PutVarint32(&req, kGroup);
+      PutVarint64(&req, kEpoch);
+      req.push_back(static_cast<char>(MsgType::kQuery));
+    }
     PutLengthPrefixedSlice(&req, table);
     PutVarint32(&req, schema.version());
     wire::EncodeBounds(&req, schema, bounds);
-    const std::string f = wire::Frame(MsgType::kQuery, req);
+    const std::string f =
+        wire::Frame(routed ? MsgType::kRoutedQuery : MsgType::kQuery, req);
     LT_RETURN_IF_ERROR(raw_->WriteAll(f.data(), f.size()));
     while (true) {
       MsgType type = MsgType::kError;
       std::string body;
       LT_RETURN_IF_ERROR(ReadFrame(&type, &body));
+      frames_.push_back(static_cast<char>(type) + body);
       if (type == MsgType::kError) return Client::ErrorFromBody(Slice(body));
       if (type != MsgType::kQueryChunk) return Status::Corruption("unexpected frame");
       Slice in(body);
@@ -349,10 +380,11 @@ class CursorDiffTest : public ::testing::Test {
   std::shared_ptr<SimClock> clock_;
   std::unique_ptr<DB> db_;
   std::unique_ptr<SimTransport> transport_;
-  std::unique_ptr<LittleTableServer> server_;
+  std::unique_ptr<cluster::ReplicaAgent> agent_;
   std::unique_ptr<Client> client_;
   std::unique_ptr<net::Connection> raw_;
   size_t chunk_target_ = 0;  // The running server's chunk byte target.
+  std::vector<std::string> frames_;  // The last WireQuery's frame bodies.
 };
 
 // ---- Chunks: runs against the one-row loop. ----
@@ -519,6 +551,11 @@ void CheckQuery(CursorDiffTest* t, Table* table, const Model& model,
     EXPECT_TRUE(chunks[i].second == model_chunks[i].bytes)
         << what << " frame " << i << ": chunk body differs";
   }
+  const std::vector<std::string> direct = t->frames_;
+  st = t->WireQuery(kTable, s, b, &bytes, &count, &more, nullptr,
+                    /*routed=*/true);
+  ASSERT_TRUE(st.ok()) << what << " routed " << st.ToString();
+  EXPECT_TRUE(t->frames_ == direct) << what << ": routed frames differ";
 
   QueryResult client_result;
   st = t->client_->Query(kTable, b, &client_result);
@@ -571,8 +608,10 @@ void RunDifferential(CursorDiffTest* t, uint64_t seed, uint64_t cache_bytes) {
   ASSERT_EQ(table->schema()->version(), model.schema().version());
   ASSERT_GE(table->NumDiskTablets(), 5u);
 
-  // A tiny stream budget splits results into many small chunks.
-  t->StartServer(rnd.Bernoulli(0.5) ? 2048 : 4 << 20);
+  // A tiny stream budget splits results into many small chunks, and
+  // bounded pipes make those streams park and resume.
+  const bool tiny = rnd.Bernoulli(0.5);
+  t->StartServer(tiny ? 2048 : 4 << 20, tiny ? 1024 : 0);
   for (int pass = 0; pass < 2; pass++) {
     for (int q = 0; q < 80; q++) {
       QueryBounds b = RandomBounds(&rnd, model, base);
@@ -586,6 +625,10 @@ void RunDifferential(CursorDiffTest* t, uint64_t seed, uint64_t cache_bytes) {
     for (int i = 0; i < 10; i++) ASSERT_TRUE(t->db_->MaintainNow().ok());
   }
   EXPECT_GE(table->stats().merges.load(), 1u);
+  if (tiny) {
+    EXPECT_GT(t->agent_->server()->metrics().GetCounter(
+                  "server.stream_pauses")->Value(), 0);
+  }
 }
 
 TEST_F(CursorDiffTest, RandomSchemasMatchModelCacheOff) {
@@ -815,6 +858,12 @@ TEST_F(CursorDiffTest, CellsOutsideDeclaredTypeFailClosed) {
   EXPECT_LE(count, 150u);
   EXPECT_EQ(bytes, EncodeAll(narrow, std::vector<Row>(expect.begin(),
                                                       expect.begin() + count)));
+  // Routed, the same frames and the same error.
+  const std::vector<std::string> direct = frames_;
+  Status routed = WireQuery("int32", narrow, QueryBounds{}, &bytes, &count,
+                            &more, nullptr, /*routed=*/true);
+  EXPECT_EQ(routed.ToString(), s.ToString());
+  EXPECT_TRUE(frames_ == direct) << "routed frames differ";
   s = WireQuery("arm", narrow, QueryBounds{}, &bytes, &count, &more);
   EXPECT_TRUE(s.IsCorruption()) << s.ToString();
   EXPECT_EQ(count, 0u);

@@ -3,11 +3,14 @@
 // end-to-end server tests over SimTransport for the streaming query path —
 // byte-budgeted scans, the server-side default row cap, queue-wait expiry
 // answered kServerBusy, cancel-mid-scan releasing its slot, connection-
-// close cancellation, and the slow-reader bounded-buffering regression.
+// close cancellation, the slow-reader bounded-buffering regression, and a
+// slot granted to a scan between its admission request and its park.
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -175,7 +178,7 @@ class OverloadNetTest : public ::testing::Test {
     transport_ = std::make_unique<SimTransport>(topts);
     sopts_.port = kPort;
     sopts_.transport = transport_.get();
-    sopts_.clock = clock_;
+    sopts_.clock = server_clock_ ? server_clock_ : clock_;
     sopts_.poll_interval_ms = 5;
     server_ = std::make_unique<LittleTableServer>(db_.get(), sopts_);
     ASSERT_TRUE(server_->Start().ok());
@@ -271,6 +274,7 @@ class OverloadNetTest : public ::testing::Test {
   std::unique_ptr<SimTransport> transport_;
   std::unique_ptr<DB> db_;
   ServerOptions sopts_;
+  std::shared_ptr<Clock> server_clock_;  // Null: the server reads clock_.
   size_t conn_buffer_bytes_ = 0;
   int64_t client_network_id_ = 0;
   int client_max_retries_ = 3;
@@ -585,6 +589,142 @@ TEST_F(OverloadNetTest, QueryDeadlineShedsMidStream) {
     terminal = true;
   }
   EXPECT_EQ(CounterValue("server.query_deadline_exceeded"), 1);
+}
+
+// The server's clock in GrantBeforeParkIsNotLost. Once armed, the first
+// call from a thread other than the event loop, made while the server
+// reports a queued scan, waits for Open(). When admission and the park
+// were two steps, that call was a worker stamping a just-queued scan's
+// deadline — after its admission request, before its park.
+class GateClock : public Clock {
+ public:
+  explicit GateClock(std::shared_ptr<SimClock> base) : base_(std::move(base)) {}
+
+  Timestamp Now() const override {
+    std::unique_lock<std::mutex> lock(mu_);
+    const std::thread::id me = std::this_thread::get_id();
+    if (learning_) {
+      seen_.push_back(me);
+      cv_.notify_all();
+    }
+    if (armed_ && me != event_loop_ && queued_->Value() > 0) {
+      armed_ = false;
+      held_ = true;
+      cv_.notify_all();
+      cv_.wait(lock, [this] { return !held_; });
+    }
+    return base_->Now();
+  }
+
+  /// Learns the event loop's thread: while no request runs, it is the one
+  /// thread reading the clock (its housekeeping tick).
+  bool LearnEventLoop() {
+    std::unique_lock<std::mutex> lock(mu_);
+    seen_.clear();
+    learning_ = true;
+    const bool ok = cv_.wait_for(lock, std::chrono::seconds(2),
+                                 [this] { return seen_.size() >= 6; });
+    learning_ = false;
+    if (!ok) return false;
+    for (const std::thread::id& t : seen_) {
+      if (t != seen_[0]) return false;
+    }
+    event_loop_ = seen_[0];
+    return true;
+  }
+
+  void Arm(Gauge* queued) {
+    std::lock_guard<std::mutex> lock(mu_);
+    queued_ = queued;
+    armed_ = true;
+  }
+  /// Disarms once a call is held, or after `wait`.
+  void Disarm(std::chrono::milliseconds wait) {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait_for(lock, wait, [this] { return held_; });
+    armed_ = false;
+  }
+  void Open() {
+    std::lock_guard<std::mutex> lock(mu_);
+    held_ = false;
+    cv_.notify_all();
+  }
+
+ private:
+  const std::shared_ptr<SimClock> base_;
+  mutable std::mutex mu_;
+  mutable std::condition_variable cv_;
+  mutable bool learning_ = false;
+  mutable std::vector<std::thread::id> seen_;
+  mutable bool armed_ = false;
+  mutable bool held_ = false;
+  std::thread::id event_loop_;
+  Gauge* queued_ = nullptr;
+};
+
+// A scan slot granted to a queued scan before it parked must reach it.
+// B queues behind A's slot; a worker stops B right after its admission
+// request (where the gate clock can), A finishes and its slot goes to B,
+// then B goes on. B must still get its rows; when the request and the
+// park were two steps, the grant found no parked B, B waited for good
+// and the slot leaked.
+TEST_F(OverloadNetTest, GrantBeforeParkIsNotLost) {
+  conn_buffer_bytes_ = 1024;
+  // A budget of four chunk targets or more: a stream parked on
+  // backpressure stays parked until its reader drains.
+  sopts_.query_budget_bytes = 8 * 1024;
+  sopts_.query_deadline_ms = 3600 * 1000;  // Never hit: clock_ holds still.
+  sopts_.admission.max_concurrent_scans = 1;
+  sopts_.admission.queue_wait_timeout_ms = 0;
+  auto gate = std::make_shared<GateClock>(clock_);
+  server_clock_ = gate;
+  StartServer();
+  Fill(2000);
+
+  // A holds the only slot, parked on backpressure: its reader stops.
+  std::unique_ptr<net::Connection> a = RawConn();
+  SendQuery(a.get(), QueryBounds{});
+  uint64_t a_rows = 0;
+  ASSERT_EQ(ReadChunk(a.get(), &a_rows) & wire::kChunkFinal, 0);
+  bool learned = false;
+  for (int i = 0; i < 5 && !learned; i++) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    learned = gate->LearnEventLoop();
+  }
+  ASSERT_TRUE(learned);
+
+  Gauge* queued = server_->metrics().GetGauge("server.scans_queued");
+  gate->Arm(queued);
+  std::unique_ptr<net::Connection> b = RawConn();
+  b->set_read_timeout_ms(3000);
+  SendQuery(b.get(), QueryBounds{});
+  for (int i = 0; i < 1000 && queued->Value() == 0; i++) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  ASSERT_EQ(queued->Value(), 1);
+  gate->Disarm(std::chrono::milliseconds(200));
+
+  // A finishes; its slot goes to B (the queue empties).
+  uint8_t flags = 0;
+  while ((flags & wire::kChunkFinal) == 0) {
+    flags = ReadChunk(a.get(), &a_rows);
+    if (::testing::Test::HasFailure()) return;
+  }
+  EXPECT_EQ(a_rows, 2000u);
+  for (int i = 0; i < 1000 && queued->Value() != 0; i++) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  EXPECT_EQ(queued->Value(), 0);
+  gate->Open();
+
+  uint64_t b_rows = 0;
+  flags = 0;
+  while ((flags & wire::kChunkFinal) == 0) {
+    flags = ReadChunk(b.get(), &b_rows);
+    if (::testing::Test::HasFailure()) return;
+  }
+  EXPECT_EQ(b_rows, 2000u);
+  EXPECT_EQ(server_->metrics().GetGauge("server.scans_active")->Value(), 0);
 }
 
 }  // namespace

@@ -928,7 +928,7 @@ TEST(ChaosSimTest, SameSeedYieldsByteIdenticalEventLogs) {
     ASSERT_EQ(a.event_log[i], b.event_log[i]) << "logs diverge at line " << i;
   }
   EXPECT_EQ(a.counters, b.counters);
-  ExpectPinnedDigest(a.event_log, 0x110ca801u, "the single-node event log");
+  ExpectPinnedDigest(a.event_log, 0x167d47e2u, "the single-node event log");
 }
 
 // With the deterministic self-monitoring sampler enabled, the surviving
@@ -949,7 +949,7 @@ TEST(ChaosSimTest, SameSeedYieldsByteIdenticalSysMetrics) {
   ASSERT_FALSE(a.sys_metrics.empty());
   EXPECT_EQ(a.sys_metrics, b.sys_metrics);
   EXPECT_EQ(a.event_log, b.event_log);
-  ExpectPinnedDigest(a.sys_metrics, 0xdd1fd08du, "the sys-metrics dump");
+  ExpectPinnedDigest(a.sys_metrics, 0xd35a9e4fu, "the sys-metrics dump");
 }
 
 TEST(ChaosSimTest, SampledRunSurvivesHighFaultRate) {

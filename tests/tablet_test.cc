@@ -571,6 +571,49 @@ TEST_F(TabletIoTest, CorruptBlockDetectedOnEveryReadAndNeverCached) {
   EXPECT_EQ(stats.block_cache_misses.load(), 3u);
 }
 
+// A transient read error during the footer load is not remembered: the
+// next Load retries and serves the tablet. The first read of each attempt
+// below is the trailer, the second the footer; a failure at either must
+// leave nothing behind that the retry would trip over. A corrupt footer,
+// by contrast, stays failed without another read.
+TEST_F(TabletIoTest, TransientFooterReadErrorIsRetried) {
+  TabletWriterOptions wopts;
+  wopts.block_bytes = 256;
+  WriteAndOpen(200, wopts);
+  const size_t blocks = reader_->num_blocks();
+  ASSERT_GT(blocks, 2u);
+  for (int nth = 1; nth <= 2; nth++) {
+    SCOPED_TRACE(nth);
+    std::shared_ptr<TabletReader> r;
+    ASSERT_TRUE(TabletReader::Open(&env_, "/t.tab", &r).ok());
+    env_.FailNthRead(nth);
+    EXPECT_TRUE(r->Load().IsIOError());
+    ASSERT_TRUE(r->Load().ok());
+    EXPECT_EQ(r->num_blocks(), blocks);
+    EXPECT_EQ(r->row_count(), 200u);
+    EXPECT_TRUE(r->has_bloom());
+    std::unique_ptr<Cursor> c;
+    ASSERT_TRUE(r->NewCursor(QueryBounds{}, &schema_, nullptr, &c).ok());
+    size_t n = 0;
+    while (c->Valid()) {
+      n++;
+      ASSERT_TRUE(c->Next().ok());
+    }
+    EXPECT_EQ(n, 200u);
+  }
+
+  std::string data;
+  ASSERT_TRUE(ReadFileToString(&env_, "/t.tab", &data).ok());
+  std::string bad = data;
+  bad[bad.size() - 1] ^= 0xff;  // Bad magic.
+  ASSERT_TRUE(WriteStringToFile(&env_, bad, "/bad.tab", false).ok());
+  std::shared_ptr<TabletReader> r;
+  ASSERT_TRUE(TabletReader::Open(&env_, "/bad.tab", &r).ok());
+  EXPECT_TRUE(r->Load().IsCorruption());
+  ASSERT_TRUE(WriteStringToFile(&env_, data, "/bad.tab", false).ok());
+  EXPECT_TRUE(r->Load().IsCorruption());
+}
+
 // ---- Block format v2: columnar blocks, lazy decode, projection. ----
 
 TEST(BlockTest, ColumnarBuildParseRoundTrip) {

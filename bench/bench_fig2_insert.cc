@@ -70,10 +70,10 @@ double RunInsert(size_t row_bytes, size_t batch_bytes, size_t total_bytes) {
 }
 
 // On-disk bytes after inserting `rows` paper-schema (Figure 1) usage rows
-// at the given tablet format and flushing. The usage shape — regular
-// timestamps, monotone counters, slowly moving rates — is where the v2
-// per-column encodings pay; MicroSchema's incompressible padding is not.
-uint64_t UsageTableDiskBytes(uint32_t format_version, size_t rows) {
+// and flushing. The usage shape — regular timestamps, monotone counters,
+// slowly moving rates — is where the v2 per-column encodings pay;
+// MicroSchema's incompressible padding is not.
+uint64_t UsageTableDiskBytes(size_t rows) {
   BenchEnv env;
   Schema usage({Column("network", ColumnType::kInt64),
                 Column("device", ColumnType::kInt64),
@@ -84,7 +84,6 @@ uint64_t UsageTableDiskBytes(uint32_t format_version, size_t rows) {
   TableOptions topts;
   topts.flush_bytes = 1ull << 40;
   topts.merge.min_tablet_age = 1ull << 40;
-  topts.format_version = format_version;
   if (!env.db()->CreateTable("usage", usage, &topts).ok()) abort();
   auto table = env.db()->GetTable("usage");
   Random rng(2);
@@ -146,11 +145,9 @@ int main(int argc, char** argv) {
 
   printf("\n[format v2] on-disk tablet bytes, paper usage schema\n");
   const size_t usage_rows = 200000;
-  uint64_t v1 = UsageTableDiskBytes(1, usage_rows);
-  uint64_t v2 = UsageTableDiskBytes(2, usage_rows);
-  printf("%-10s %-14s %-14s %-8s\n", "rows", "v1 bytes", "v2 bytes", "v1/v2");
-  printf("%-10zu %-14llu %-14llu %-8.2f\n", usage_rows,
-         (unsigned long long)v1, (unsigned long long)v2,
-         static_cast<double>(v1) / static_cast<double>(v2));
+  const uint64_t bytes = UsageTableDiskBytes(usage_rows);
+  printf("%-10s %-14s %-8s\n", "rows", "bytes", "B/row");
+  printf("%-10zu %-14llu %-8.2f\n", usage_rows, (unsigned long long)bytes,
+         static_cast<double>(bytes) / static_cast<double>(usage_rows));
   return 0;
 }

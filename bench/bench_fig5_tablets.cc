@@ -56,12 +56,10 @@ std::shared_ptr<Table> BuildTable(BenchEnv* env, size_t total_bytes,
 }
 
 // Scan throughput and on-disk footprint for the paper's usage schema
-// (Figure 1) at a given tablet format: regular timestamps, monotone
-// counters, slowly moving rates — the shape the v2 per-column encodings
-// target. Returns rows/s through a cold full scan; *disk_bytes gets the
-// total tablet footprint.
-double UsageScan(uint32_t format_version, size_t rows, int tablets,
-                 uint64_t* disk_bytes) {
+// (Figure 1): regular timestamps, monotone counters, slowly moving rates —
+// the shape the v2 per-column encodings target. Returns rows/s through a
+// cold full scan; *disk_bytes gets the total tablet footprint.
+double UsageScan(size_t rows, int tablets, uint64_t* disk_bytes) {
   BenchEnv env;
   Schema usage({Column("network", ColumnType::kInt64),
                 Column("device", ColumnType::kInt64),
@@ -72,7 +70,6 @@ double UsageScan(uint32_t format_version, size_t rows, int tablets,
   TableOptions topts;
   topts.flush_bytes = 1ull << 40;
   topts.merge.min_tablet_age = 1ull << 40;
-  topts.format_version = format_version;
   if (!env.db()->CreateTable("usage", usage, &topts).ok()) abort();
   auto table = env.db()->GetTable("usage");
 
@@ -172,16 +169,14 @@ int main(int argc, char** argv) {
 
   // The same simulated spindle streaming the paper's usage schema: v2's
   // per-column encodings shrink the tablets, so the full scan moves fewer
-  // disk bytes per row and finishes faster.
-  printf("\n[format v2] usage-schema scan, 8 tablets, v1 vs v2\n");
-  printf("%-10s %-14s %-14s %-14s %-14s %-8s\n", "rows", "v1 bytes",
-         "v2 bytes", "v1 row/s", "v2 row/s", "v1/v2");
+  // disk bytes per row.
+  printf("\n[format v2] usage-schema scan, 8 tablets\n");
+  printf("%-10s %-14s %-14s %-14s\n", "rows", "bytes", "B/row", "row/s");
   const size_t usage_rows = 400000;
-  uint64_t v1_bytes, v2_bytes;
-  double v1_rps = UsageScan(1, usage_rows, 8, &v1_bytes);
-  double v2_rps = UsageScan(2, usage_rows, 8, &v2_bytes);
-  printf("%-10zu %-14llu %-14llu %-14.0f %-14.0f %-8.2f\n", usage_rows,
-         (unsigned long long)v1_bytes, (unsigned long long)v2_bytes, v1_rps,
-         v2_rps, static_cast<double>(v1_bytes) / static_cast<double>(v2_bytes));
+  uint64_t bytes;
+  double rps = UsageScan(usage_rows, 8, &bytes);
+  printf("%-10zu %-14llu %-14.2f %-14.0f\n", usage_rows,
+         (unsigned long long)bytes,
+         static_cast<double>(bytes) / static_cast<double>(usage_rows), rps);
   return 0;
 }

@@ -89,12 +89,6 @@ void AppendEncodedCell(Slice* in, ColumnValues* col) {
 void BlockBuilder::Add(const Slice& row) {
   num_rows_++;
   data_bytes_ += row.size();
-  if (format_version_ < 2) {
-    offsets_.push_back(static_cast<uint32_t>(buffer_.size()));
-    buffer_.append(row.data(), row.size());
-    return;
-  }
-
   if (cols_.empty()) {
     cols_.resize(schema_->num_columns());
     for (size_t c = 0; c < cols_.size(); c++) {
@@ -112,18 +106,6 @@ void BlockBuilder::Add(const Row& row) {
 }
 
 std::string BlockBuilder::Finish() {
-  if (format_version_ >= 2) return FinishColumnar();
-  for (uint32_t off : offsets_) PutFixed32(&buffer_, off);
-  PutFixed32(&buffer_, static_cast<uint32_t>(offsets_.size()));
-  std::string out = std::move(buffer_);
-  buffer_.clear();
-  offsets_.clear();
-  num_rows_ = 0;
-  data_bytes_ = 0;
-  return out;
-}
-
-std::string BlockBuilder::FinishColumnar() {
   const size_t ncols = cols_.size();
   std::vector<std::string> stored(ncols);
   std::vector<uint8_t> encodings(ncols), markers(ncols);
@@ -335,15 +317,6 @@ Status BlockContents::EnsureColumn(size_t c, bool* did_decode) const {
   lc.error = s;
   lc.state.store(2, std::memory_order_release);
   return s;
-}
-
-Status BlockReader::Parse(const Schema* schema, std::string payload,
-                          BlockReader* out) {
-  auto contents = std::make_shared<BlockContents>();
-  LT_RETURN_IF_ERROR(
-      BlockContents::Parse(*schema, std::move(payload), contents.get()));
-  out->Reset(schema, std::move(contents));
-  return Status::OK();
 }
 
 Status BlockReader::ParseColumnar(const Schema* schema, std::string image,
@@ -600,31 +573,6 @@ Status BlockReader::SeekFirst(const Key& prefix, bool or_equal,
   return Status::OK();
 }
 
-std::string StoreBlock(const std::string& payload) {
-  std::string compressed;
-  lzmini::Compress(payload, &compressed);
-  std::string out;
-  PutFixed32(&out,
-             crc32c::Mask(crc32c::Value(compressed.data(), compressed.size())));
-  out += compressed;
-  return out;
-}
-
-Status LoadBlock(const Slice& stored, std::string* payload,
-                 bool verify_checksum) {
-  Slice in = stored;
-  uint32_t masked;
-  if (!GetFixed32(&in, &masked)) {
-    return Status::Corruption("block frame too small");
-  }
-  if (verify_checksum &&
-      crc32c::Unmask(masked) != crc32c::Value(in.data(), in.size())) {
-    return Status::Corruption("block checksum mismatch");
-  }
-  payload->clear();
-  return lzmini::Decompress(in, payload);
-}
-
 std::string StoreBlockV2(const std::string& image) {
   std::string out;
   PutFixed32(&out, crc32c::Mask(crc32c::Value(image.data(), image.size())));
@@ -632,19 +580,17 @@ std::string StoreBlockV2(const std::string& image) {
   return out;
 }
 
-Status LoadBlockV2(const Slice& stored, std::string* image,
-                   bool verify_checksum) {
-  Slice in = stored;
-  uint32_t masked;
-  if (!GetFixed32(&in, &masked)) {
-    return Status::Corruption("block frame too small");
-  }
-  if (verify_checksum &&
-      crc32c::Unmask(masked) != crc32c::Value(in.data(), in.size())) {
-    return Status::Corruption("block checksum mismatch");
-  }
-  image->assign(in.data(), in.size());
+Status LoadBlockV2(const Slice& stored, std::string* image) {
+  if (stored.size() < 4) return Status::Corruption("block frame too small");
+  image->assign(stored.data() + 4, stored.size() - 4);
   return Status::OK();
+}
+
+Status LoadBlock(const Slice& stored, std::string* payload) {
+  if (stored.size() < 4) return Status::Corruption("block frame too small");
+  payload->clear();
+  return lzmini::Decompress(Slice(stored.data() + 4, stored.size() - 4),
+                            payload);
 }
 
 }  // namespace lt

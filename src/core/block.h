@@ -1,21 +1,8 @@
 // Tablet blocks (§3.2, §3.5).
 //
 // An on-disk tablet is a sequence of rows sorted by primary key and grouped
-// into blocks (64 kB of row data by default). Two block layouts exist,
-// selected by the tablet's format version (see tablet_writer.h):
-//
-// Row-wise (tablet formats 0 and 1) — stored as:
-//
-//   fixed32 masked-CRC32C of the compressed payload
-//   lzmini-compressed payload
-//
-// where the payload is:
-//
-//   row encodings back-to-back
-//   fixed32 start offset of each row   (enables in-block binary search)
-//   fixed32 row count
-//
-// Columnar (tablet format 2) — stored as:
+// into blocks (64 kB of row data by default). Every block this build writes
+// is columnar (tablet format 2, see tablet_writer.h), stored as:
 //
 //   fixed32 masked-CRC32C of the image
 //   image:
@@ -35,9 +22,22 @@
 // the shared BlockContents; in-block binary search touches only key
 // columns, and a projected scan never touches unreferenced columns at all.
 //
-// The per-tablet index stores the last key of every block, so a query
-// binary-searches the index to find the relevant block and then
-// binary-searches within the block to find the relevant row (§3.2).
+// Tablet format 1 blocks are still read (never written). They are
+// row-wise:
+//
+//   fixed32 masked-CRC32C of the compressed payload
+//   lzmini-compressed payload:
+//     row encodings back-to-back
+//     fixed32 start offset of each row
+//     fixed32 row count
+//
+// and are transposed into the same column view once, at parse.
+//
+// The tablet index stores each block's last key and the CRC of its whole
+// stored frame (the inner CRC above included), so readers check that one
+// and skip the inner one. A query binary-searches the index to find the
+// relevant block and then binary-searches within the block to find the
+// relevant row (§3.2).
 #ifndef LITTLETABLE_CORE_BLOCK_H_
 #define LITTLETABLE_CORE_BLOCK_H_
 
@@ -56,19 +56,16 @@
 
 namespace lt {
 
-/// Accumulates rows into one block payload. `format_version` < 2 produces
-/// the row-wise payload; 2 produces the columnar image. Block sizing is by
-/// uncompressed row-encoding bytes (data_bytes) in both modes, so the 64 kB
-/// split point is format-independent.
+/// Accumulates rows into one columnar block image. Blocks are sized by
+/// uncompressed row-encoding bytes (data_bytes), the unit of the 64 kB
+/// target.
 class BlockBuilder {
  public:
-  explicit BlockBuilder(const Schema* schema, uint32_t format_version = 0)
-      : schema_(schema), format_version_(format_version) {}
+  explicit BlockBuilder(const Schema* schema) : schema_(schema) {}
 
   /// Appends a row given as its encoding under the schema, well-formed (as
-  /// ParseRow checks). Rows must arrive in ascending key order. Row-wise
-  /// payloads take the bytes as they are; columnar mode decodes the cells
-  /// once, into the column accumulators.
+  /// ParseRow checks). Rows must arrive in ascending key order. The cells
+  /// are decoded once, into the column accumulators.
   void Add(const Slice& row);
   /// Encodes `row` (which must match the schema) and adds it.
   void Add(const Row& row);
@@ -78,26 +75,21 @@ class BlockBuilder {
   size_t data_bytes() const { return data_bytes_; }
   bool empty() const { return num_rows_ == 0; }
 
-  /// Completes the payload (row-wise) or image (columnar) and returns it;
-  /// the builder resets for the next block.
+  /// Completes the image and returns it; the builder resets for the next
+  /// block.
   std::string Finish();
 
   /// Cumulative chunk bytes this builder stored raw vs. lzmini-compressed
-  /// across all Finish calls (columnar mode only) — the per-table
-  /// block_bytes_raw/compressed counters.
+  /// across all Finish calls — the per-table block_bytes_raw/compressed
+  /// counters.
   uint64_t bytes_raw() const { return bytes_raw_; }
   uint64_t bytes_compressed() const { return bytes_compressed_; }
 
  private:
-  std::string FinishColumnar();
-
   const Schema* schema_;
-  uint32_t format_version_;
-  std::string buffer_;  // Row-wise: the row encodings; columnar: unused.
-  std::vector<uint32_t> offsets_;
   std::string row_buf_;  // Add(const Row&)'s encoding.
   size_t data_bytes_ = 0;
-  // Columnar mode: per-column value accumulators (indexed like the schema).
+  // Per-column value accumulators (indexed like the schema).
   std::vector<ColumnValues> cols_;
   size_t num_rows_ = 0;
   uint64_t bytes_raw_ = 0;
@@ -108,8 +100,8 @@ class BlockBuilder {
 /// BlockContents can be shared (via the block cache) by every cursor reading
 /// the block, and can outlive the TabletReader that produced it.
 ///
-/// Both layouts end up in the same column view. Row-wise blocks (formats
-/// 0/1) are transposed into columns once, at Parse — their cells are not
+/// Both layouts end up in the same column view. Row-wise blocks (format 1)
+/// are transposed into columns once, at Parse — their cells are not
 /// self-describing, so Parse takes the tablet schema. Columnar blocks keep
 /// the image and materialize one column per EnsureColumn call —
 /// thread-safe (double-checked atomics under a decode mutex), with sticky
@@ -129,8 +121,9 @@ struct BlockContents {
   std::vector<ChunkRef> chunks;
   bool columnar = false;
 
-  /// Validates the row-wise trailer and decodes every row into columns
-  /// typed by `schema` (the tablet's). Any malformed cell is Corruption.
+  /// Validates a format-1 row-wise payload's trailer and decodes every row
+  /// into columns typed by `schema` (the tablet's). Any malformed cell is
+  /// Corruption.
   static Status Parse(const Schema& schema, std::string payload,
                       BlockContents* out);
 
@@ -182,10 +175,6 @@ struct BlockContents {
 /// — so the per-row accessors below index the column arrays without checks.
 class BlockReader {
  public:
-  /// Parses `payload` (row-wise) into freshly owned contents.
-  static Status Parse(const Schema* schema, std::string payload,
-                      BlockReader* out);
-
   /// Parses a columnar `image` into freshly owned contents.
   static Status ParseColumnar(const Schema* schema, std::string image,
                               BlockReader* out);
@@ -280,22 +269,17 @@ class BlockReader {
   bool prepared_ = false;
 };
 
-/// Compresses and frames a row-wise block payload (CRC + lzmini).
-std::string StoreBlock(const std::string& payload);
-
-/// Reverses StoreBlock. Verifies the in-frame checksum unless
-/// `verify_checksum` is false — tablet formats >= 1 already checked a CRC
-/// over the whole stored frame, this checksum included.
-Status LoadBlock(const Slice& stored, std::string* payload,
-                 bool verify_checksum = true);
-
 /// Frames a columnar image (CRC + image; chunks are already individually
 /// compressed, so no whole-block pass).
 std::string StoreBlockV2(const std::string& image);
 
-/// Reverses StoreBlockV2; checksum verification as for LoadBlock.
-Status LoadBlockV2(const Slice& stored, std::string* image,
-                   bool verify_checksum = true);
+/// Reverses StoreBlockV2. The caller has already checked the index CRC,
+/// which covers the whole frame, so the inner CRC is not checked again.
+Status LoadBlockV2(const Slice& stored, std::string* image);
+
+/// Unframes and decompresses a format-1 row-wise block (inner CRC + lzmini
+/// payload); the inner CRC is skipped as for LoadBlockV2.
+Status LoadBlock(const Slice& stored, std::string* payload);
 
 }  // namespace lt
 

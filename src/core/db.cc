@@ -5,6 +5,13 @@
 
 namespace lt {
 
+namespace {
+
+// Real time between background maintenance passes (flush, merge, TTL).
+constexpr std::chrono::seconds kMaintenanceInterval{1};
+
+}  // namespace
+
 DB::DB(Env* env, std::shared_ptr<Clock> clock, std::string root,
        DbOptions options)
     : env_(env), clock_(std::move(clock)), root_(std::move(root)),
@@ -138,12 +145,10 @@ void DB::Abandon() {
 }
 
 void DB::BackgroundLoop() {
-  const auto interval =
-      std::chrono::microseconds(options_.maintenance_interval);
   while (true) {
     {
       std::unique_lock<std::mutex> lock(bg_mu_);
-      bg_cv_.wait_for(lock, interval, [this] { return stopping_; });
+      bg_cv_.wait_for(lock, kMaintenanceInterval, [this] { return stopping_; });
       if (stopping_) return;
     }
     MaintainNow();

@@ -1,6 +1,8 @@
 // Tuning knobs for tables and the database. Defaults are the paper's
 // production values: 16 MB flushes, 10-minute maximum in-memory tablet age,
-// 64 kB blocks, 128 MB merged-tablet cap, 90-second merge delay.
+// 64 kB blocks, 128 MB merged-tablet cap, 90-second merge delay. The
+// tablet format is not a knob: every flush and merge writes format 2
+// (tablet_writer.h).
 #ifndef LITTLETABLE_CORE_OPTIONS_H_
 #define LITTLETABLE_CORE_OPTIONS_H_
 
@@ -29,14 +31,6 @@ struct TableOptions {
 
   /// Bloom filter density for the §3.4.5 extension; <= 0 disables filters.
   int bloom_bits_per_key = 10;
-
-  /// On-disk tablet format version flushes write (must be <=
-  /// kTabletFormatLatest, which is also the default): 0/1 are the row-wise
-  /// layouts, 2 is columnar with per-column encodings (block.h). Merges
-  /// always write the latest format regardless, so downgrading this only
-  /// affects fresh flushes; tablets of every version stay readable
-  /// side-by-side.
-  uint32_t format_version = 2;
 
   /// Rows with timestamps older than now - ttl are aged out (§3.1);
   /// 0 retains forever.
@@ -107,8 +101,6 @@ struct DbOptions {
   /// Run flush/merge/TTL maintenance on a background thread. Tests and
   /// deterministic benchmarks disable this and call MaintainNow().
   bool background_maintenance = true;
-  /// Background scheduler pass interval, in real microseconds.
-  Timestamp maintenance_interval = 1 * kMicrosPerSecond;
   /// DB-wide structured logger, injected into every table that does not set
   /// its own. Null means Logger::Default() (stderr).
   std::shared_ptr<Logger> logger;

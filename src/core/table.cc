@@ -50,9 +50,6 @@ Status Table::Create(Env* env, std::shared_ptr<Clock> clock,
                      const Schema& schema, const TableOptions& options,
                      std::unique_ptr<Table>* out) {
   LT_RETURN_IF_ERROR(schema.Validate());
-  if (options.format_version > kTabletFormatLatest) {
-    return Status::InvalidArgument("unknown tablet format version");
-  }
   LT_RETURN_IF_ERROR(env->CreateDirIfMissing(dir));
   std::unique_ptr<Table> table(new Table(env, clock, dir, options));
   if (env->FileExists(table->DescriptorPath())) {
@@ -72,9 +69,6 @@ Status Table::Create(Env* env, std::shared_ptr<Clock> clock,
 Status Table::Open(Env* env, std::shared_ptr<Clock> clock,
                    const std::string& dir, const TableOptions& options,
                    std::unique_ptr<Table>* out) {
-  if (options.format_version > kTabletFormatLatest) {
-    return Status::InvalidArgument("unknown tablet format version");
-  }
   std::unique_ptr<Table> table(new Table(env, clock, dir, options));
   TableDescriptor desc;
   LT_RETURN_IF_ERROR(TableDescriptor::Load(env, table->DescriptorPath(), &desc));
@@ -941,7 +935,6 @@ Status Table::FlushSet(std::vector<uint64_t> root_ids) {
     wopts.block_bytes = opts_.block_bytes;
     wopts.bloom_bits_per_key = opts_.bloom_bits_per_key;
     wopts.sync = true;
-    wopts.format_version = opts_.format_version;
     wopts.stats = &stats_;
     TabletWriter writer(env_, TabletPath(fname), mt->schema().get(), wopts);
     Status s;
@@ -1213,13 +1206,12 @@ Status Table::MaybeMerge(Timestamp now) {
     std::lock_guard<std::mutex> lock(mu_);
     fname = TabletFileName(next_file_seq_++);
   }
+  // The output is format 2 like every tablet written, so merging is how a
+  // table's format-1 tablets are upgraded (§3.5: no rewrite in place).
   TabletWriterOptions wopts;
   wopts.block_bytes = opts_.block_bytes;
   wopts.bloom_bits_per_key = opts_.bloom_bits_per_key;
   wopts.sync = true;
-  // Merges always rewrite at the latest format: they are the upgrade path
-  // that converges a mixed-version table onto columnar blocks over time.
-  wopts.format_version = kTabletFormatLatest;
   wopts.stats = &stats_;
   TabletWriter writer(env_, TabletPath(fname), schema.get(), wopts);
 

@@ -469,12 +469,15 @@ Status TabletReader::LoadFooter(const std::string& fname) {
   GetFixed64(&in, &footer_size);
   GetFixed64(&in, &footer_offset);
   GetFixed64(&in, &magic);
-  if (magic == kTabletMagic) {
-    format_version_ = 0;
-  } else if (magic == kTabletMagicV2) {
+  if (magic == kTabletMagicV2) {
     format_version_ = 1;
   } else if (magic == kTabletMagicV3) {
     format_version_ = 2;
+  } else if (magic == kTabletMagic) {
+    // Format 0 (no per-block CRCs in the index) is no longer read; an older
+    // build must merge such tablets away before an upgrade.
+    return Status::Corruption(fname +
+                              ": tablet format 0 is no longer readable");
   } else {
     return Status::Corruption(fname + ": bad magic");
   }
@@ -497,9 +500,9 @@ Status TabletReader::LoadFooter(const std::string& fname) {
     return Status::Corruption(fname + ": footer checksum mismatch");
   }
   std::string footer;
-  if (format_version_ >= 2) {
-    // Format >= 2: a marker byte says whether the body is lzmini or raw
-    // (the store-raw fallback for incompressible footers).
+  if (format_version_ == 2) {
+    // A marker byte says whether the body is lzmini or raw (the store-raw
+    // fallback for incompressible footers).
     if (stored.empty()) return Status::Corruption(fname + ": empty footer");
     uint8_t marker = static_cast<uint8_t>(stored[0]);
     Slice body(stored.data() + 1, stored.size() - 1);
@@ -538,7 +541,7 @@ Status TabletReader::LoadFooter(const std::string& fname) {
     e.stored_len = stored32;
     e.payload_len = payload32;
     e.row_count = rows32;
-    if (format_version_ >= 1 && !GetFixed32(&f, &e.crc)) {
+    if (!GetFixed32(&f, &e.crc)) {
       return Status::Corruption(fname + ": bad index entry crc");
     }
     Slice key_in = key_enc;
@@ -627,21 +630,17 @@ Status TabletReader::ReadBlock(size_t i, BlockReader* out,
   if (stored.size() != e.stored_len) {
     return Status::Corruption(fname_ + ": truncated block read");
   }
-  // Verify-if-present: format >= 1 carries the expected CRC of the stored
-  // bytes in the (itself checksummed) footer index, so a flipped bit is
-  // caught before any decompression or row decoding runs.
-  if (format_version_ >= 1 &&
-      crc32c::Unmask(e.crc) != crc32c::Value(stored.data(), stored.size())) {
+  // The index carries the expected CRC of the stored bytes in the (itself
+  // checksummed) footer, so a flipped bit is caught before any
+  // decompression or row decoding runs. It covers the whole stored frame,
+  // the frame's own inner CRC included, so that one is not checked again.
+  if (crc32c::Unmask(e.crc) != crc32c::Value(stored.data(), stored.size())) {
     return Status::Corruption(fname_ + ": block checksum mismatch");
   }
-  // That CRC covers the whole stored frame, the frame's own inner CRC
-  // included, so the inner one is checked only where it is the sole
-  // protection (format 0).
-  const bool verify_inner = format_version_ == 0;
   std::string payload;
   auto contents = std::make_unique<BlockContents>();
-  if (format_version_ >= 2) {
-    LT_RETURN_IF_ERROR(LoadBlockV2(stored, &payload, verify_inner));
+  if (format_version_ == 2) {
+    LT_RETURN_IF_ERROR(LoadBlockV2(stored, &payload));
     if (payload.size() != e.payload_len) {
       return Status::Corruption(fname_ + ": block payload size mismatch");
     }
@@ -654,7 +653,7 @@ Status TabletReader::ReadBlock(size_t i, BlockReader* out,
       return Status::Corruption(fname_ + ": block chunk count mismatch");
     }
   } else {
-    LT_RETURN_IF_ERROR(LoadBlock(stored, &payload, verify_inner));
+    LT_RETURN_IF_ERROR(LoadBlock(stored, &payload));
     if (payload.size() != e.payload_len) {
       return Status::Corruption(fname_ + ": block payload size mismatch");
     }

@@ -66,9 +66,9 @@ class TabletReader : public std::enable_shared_from_this<TabletReader> {
   const Key& max_key() const { return max_key_; }
   bool has_bloom() const { return has_bloom_; }
 
-  /// On-disk format version this tablet was written under (0 = no per-block
-  /// CRCs in the index; 1 = index carries a CRC per stored block; 2 =
-  /// columnar blocks with per-chunk encodings, see block.h).
+  /// On-disk format version this tablet was written under: 2 = columnar
+  /// blocks with per-chunk encodings, 1 = row-wise blocks (read only; see
+  /// tablet_writer.h). Format 0 fails Load as Corruption.
   uint32_t format_version() const { return format_version_; }
 
   /// Bloom-filter check for a key prefix (or a full key). True means "may
@@ -98,7 +98,7 @@ class TabletReader : public std::enable_shared_from_this<TabletReader> {
     uint32_t stored_len;
     uint32_t payload_len;
     uint32_t row_count;
-    uint32_t crc = 0;  // Masked CRC32C of the stored block (format >= 1).
+    uint32_t crc = 0;  // Masked CRC32C of the stored block.
   };
 
   TabletReader() = default;

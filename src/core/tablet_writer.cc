@@ -15,17 +15,13 @@ TabletWriter::TabletWriter(Env* env, std::string fname, const Schema* schema,
       fname_(std::move(fname)),
       schema_(schema),
       opts_(options),
-      block_(schema, options.format_version),
+      block_(schema),
       bloom_(options.bloom_bits_per_key > 0 ? options.bloom_bits_per_key : 1),
       order_(*schema),
       cells_(schema->num_key_columns()),
       ends_(schema->num_key_columns()),
       last_cells_(schema->num_key_columns()),
       last_ends_(schema->num_key_columns()) {
-  if (opts_.format_version > kTabletFormatLatest) {
-    open_status_ = Status::InvalidArgument("unknown tablet format version");
-    return;
-  }
   open_status_ = env_->NewWritableFile(fname_, &file_);
 }
 
@@ -103,10 +99,9 @@ Status TabletWriter::FlushBlock() {
   entry.row_count = static_cast<uint32_t>(block_.num_rows());
   std::string payload = block_.Finish();
   entry.payload_len = static_cast<uint32_t>(payload.size());
-  // Format >= 2: `payload` is the columnar image, whose chunks are already
-  // individually compressed, so the frame skips the whole-block pass.
-  std::string stored =
-      opts_.format_version >= 2 ? StoreBlockV2(payload) : StoreBlock(payload);
+  // The chunks of the columnar image are already individually compressed,
+  // so the frame skips a whole-block pass.
+  std::string stored = StoreBlockV2(payload);
   entry.stored_len = static_cast<uint32_t>(stored.size());
   entry.crc = crc32c::Mask(crc32c::Value(stored.data(), stored.size()));
   LT_CRASH_POINT("tablet_writer:block_append");
@@ -132,10 +127,9 @@ Status TabletWriter::Finish(TabletMeta* meta) {
     PutVarint32(&footer, e.payload_len);
     PutVarint32(&footer, e.row_count);
     PutLengthPrefixedSlice(&footer, e.last_key);
-    // Format >= 1: the block's masked CRC travels in the (checksummed)
-    // footer, so reads verify blocks against the index, not just the
-    // block's own frame.
-    if (opts_.format_version >= 1) PutFixed32(&footer, e.crc);
+    // The block's masked CRC travels in the (checksummed) footer, so reads
+    // verify blocks against the index, not just the block's own frame.
+    PutFixed32(&footer, e.crc);
   }
   PutVarint64(&footer, ZigZagEncode(min_ts_));
   PutVarint64(&footer, ZigZagEncode(max_ts_));
@@ -152,36 +146,29 @@ Status TabletWriter::Finish(TabletMeta* meta) {
   lzmini::Compress(footer, &compressed);
   std::string stored_footer;
   uint64_t footer_bytes_raw = 0, footer_bytes_compressed = 0;
-  if (opts_.format_version >= 2) {
-    // Store-raw fallback: a leading marker byte says whether the payload is
-    // lzmini (1) or the raw footer (0), so incompressible footers do not
-    // pay the compressor's expansion. The trailer CRC covers marker + body.
-    if (compressed.size() < footer.size()) {
-      stored_footer.push_back('\x01');
-      stored_footer += compressed;
-      footer_bytes_compressed = compressed.size();
-    } else {
-      stored_footer.push_back('\x00');
-      stored_footer += footer;
-      footer_bytes_raw = footer.size();
-    }
+  // Store-raw fallback: a leading marker byte says whether the payload is
+  // lzmini (1) or the raw footer (0), so incompressible footers do not pay
+  // the compressor's expansion. The trailer CRC covers marker + body.
+  if (compressed.size() < footer.size()) {
+    stored_footer.push_back('\x01');
+    stored_footer += compressed;
+    footer_bytes_compressed = compressed.size();
   } else {
-    stored_footer = std::move(compressed);
+    stored_footer.push_back('\x00');
+    stored_footer += footer;
+    footer_bytes_raw = footer.size();
   }
   const uint64_t footer_offset = file_offset_;
   LT_CRASH_POINT("tablet_writer:footer");
   LT_RETURN_IF_ERROR(file_->Append(stored_footer));
   file_offset_ += stored_footer.size();
 
-  uint64_t magic = kTabletMagic;
-  if (opts_.format_version == 1) magic = kTabletMagicV2;
-  if (opts_.format_version >= 2) magic = kTabletMagicV3;
   std::string trailer;
   PutFixed32(&trailer, crc32c::Mask(crc32c::Value(stored_footer.data(),
                                                   stored_footer.size())));
   PutFixed64(&trailer, footer.size());
   PutFixed64(&trailer, footer_offset);
-  PutFixed64(&trailer, magic);
+  PutFixed64(&trailer, kTabletMagicV3);
   LT_CRASH_POINT("tablet_writer:trailer");
   LT_RETURN_IF_ERROR(file_->Append(trailer));
   file_offset_ += trailer.size();

@@ -11,23 +11,25 @@
 //     fixed64 magic                        (encodes the format version)
 //
 // The footer payload carries the tablet's schema, the block index (last key,
-// offset, sizes, row count, and — since format version 1 — a masked CRC32C
-// of each stored block), the tablet timespan, min/max keys, and the optional
-// Bloom filter over key prefixes (§3.4.5). On average the index is ~0.5% of
-// the tablet, so readers cache it in memory indefinitely.
+// offset, sizes, row count, and a masked CRC32C of each stored block), the
+// tablet timespan, min/max keys, and the optional Bloom filter over key
+// prefixes (§3.4.5). On average the index is ~0.5% of the tablet, so readers
+// cache it in memory indefinitely. The stored footer is a one-byte marker
+// (0 = raw, 1 = lzmini) ahead of the footer bytes, so an incompressible
+// footer skips the expansion.
 //
-// Format versions (distinguished by the trailer magic):
-//   0 ("lttab1v1"): no per-block CRC in the index; blocks carry only their
-//     in-frame CRC. Still readable — readers verify what is present.
-//   1 ("lttab1v2"): each index entry additionally stores the masked CRC32C
-//     of the block's stored (framed, compressed) bytes, so a read verifies
-//     the block against the checksummed footer before decompressing.
-//   2 ("lttab1v3"): blocks are columnar — per-column chunks with
-//     type-specialized encodings, each independently compressed or stored
-//     raw (see block.h) — and the footer gains a one-byte store-raw marker
-//     (0 = raw, 1 = lzmini) ahead of its payload so incompressible footers
-//     skip the expansion too. Index entries keep the v1 CRC; payload_len is
-//     the uncompressed image size.
+// Format versions (distinguished by the trailer magic). This build writes
+// only the newest:
+//   2 ("lttab1v3"): columnar blocks — per-column chunks with type-specialized
+//     encodings, each independently compressed or stored raw (see block.h).
+//     An index entry's payload_len is the uncompressed image size.
+//   1 ("lttab1v2"): row-wise blocks, each lzmini-compressed whole, and a
+//     footer that is always lzmini with no marker byte. Read only; merges
+//     rewrite its rows as format 2.
+//   0 ("lttab1v1"): format 1 without the per-block CRC in the index. No
+//     longer read: the reader refuses it as Corruption, so the table
+//     quarantines it. Merge such tablets with an older build before
+//     upgrading.
 //
 // Both flushes (§3.4.1) and merges write tablets through this class, always
 // as one long sequential write — that is the core of LittleTable's insert
@@ -50,7 +52,7 @@ constexpr uint64_t kTabletMagic = 0x6c74746162317631ull;    // "lttab1v1"
 constexpr uint64_t kTabletMagicV2 = 0x6c74746162317632ull;  // "lttab1v2"
 constexpr uint64_t kTabletMagicV3 = 0x6c74746162317633ull;  // "lttab1v3"
 constexpr size_t kTabletTrailerSize = 4 + 8 + 8 + 8;
-/// The newest on-disk format version this build writes.
+/// The on-disk format version this build writes (the only one).
 constexpr uint32_t kTabletFormatLatest = 2;
 
 struct TabletWriterOptions {
@@ -61,10 +63,6 @@ struct TabletWriterOptions {
   /// Sync the file before Finish returns (flushes must sync before the
   /// descriptor references the tablet).
   bool sync = true;
-  /// On-disk format version to emit. Production flushes honor
-  /// TableOptions::format_version and merges always write the latest;
-  /// tests pin older versions to exercise backward compatibility.
-  uint32_t format_version = kTabletFormatLatest;
   /// Optional per-table counters: receives block_bytes_raw/compressed for
   /// the store-raw fallback accounting. Must outlive the writer.
   TableStats* stats = nullptr;
@@ -101,7 +99,7 @@ class TabletWriter {
     uint32_t stored_len;
     uint32_t payload_len;
     uint32_t row_count;
-    uint32_t crc;  // Masked CRC32C of the stored block bytes (format >= 1).
+    uint32_t crc;  // Masked CRC32C of the stored block bytes.
   };
 
   Status FlushBlock();

@@ -38,6 +38,34 @@ constexpr uint64_t kChunkScanCap = 16384;
 // budget still fits several chunks.
 constexpr size_t kChunkTargetBytes = 64 * 1024;
 
+// The chunk byte target under query budget `budget` (0 = unbudgeted): a
+// quarter of the budget, within [1 KB, kChunkTargetBytes].
+size_t ChunkTarget(size_t budget) {
+  return budget > 0
+             ? std::min(kChunkTargetBytes, std::max<size_t>(1024, budget / 4))
+             : kChunkTargetBytes;
+}
+
+// Whether a stream may build its next chunk with `pending` bytes not yet
+// drained by the peer. Two chunk targets of headroom: the chunk about to
+// be built may overshoot its target by one row, and the accounted peak
+// (pending + frame) must stay within the budget, not one chunk past it. A
+// scan with nothing pending always proceeds — with a budget smaller than
+// two chunks, parking at zero pending would pause/resume forever without
+// emitting a byte.
+bool ChunkFits(size_t budget, size_t pending) {
+  return budget == 0 || pending == 0 ||
+         pending + 2 * ChunkTarget(budget) <= budget;
+}
+
+// Whether a stream parked on backpressure resumes: at the low-water mark
+// (half the budget), and only where its next chunk fits — else, with a
+// budget under four chunk targets, a stalled reader's stream would be
+// resumed and re-parked on every event-loop tick.
+bool ResumeParked(size_t budget, size_t pending) {
+  return pending <= budget / 2 && ChunkFits(budget, pending);
+}
+
 // Room in front of a kQueryChunk's rows for its frame header: the length
 // prefix, type and flags bytes, and the schema version and row count as
 // varint32s.
@@ -709,14 +737,14 @@ void LittleTableServer::FlushTick() {
       cs->want_write = want;
     }
     if (drained && draining_.load()) drain_cv_.notify_all();
-    // Resume a stream parked on backpressure once the buffer drains to
-    // the low-water mark (half the budget) — or unconditionally on write
-    // failure/cancel so the worker can finalize it.
+    // Resume a stream parked on backpressure once its next chunk fits
+    // below the low-water mark (ResumeParked) — or unconditionally on
+    // write failure/cancel so the worker can finalize it.
     {
       std::lock_guard<std::mutex> lock(sched_mu_);
       if (cs->stream && cs->stream->paused && !cs->running) {
-        const size_t low = opts_.query_budget_bytes / 2;
-        if (failed || pending <= low || cs->stream->cancel.load()) {
+        if (failed || ResumeParked(opts_.query_budget_bytes, pending) ||
+            cs->stream->cancel.load()) {
           cs->stream->paused = false;
           ScheduleLocked(cs);
           notify_sched = true;
@@ -955,10 +983,7 @@ LittleTableServer::SliceResult LittleTableServer::ExecuteQuerySlice(
     }
   }
   const size_t budget = opts_.query_budget_bytes;
-  const size_t chunk_target =
-      budget > 0
-          ? std::min(kChunkTargetBytes, std::max<size_t>(1024, budget / 4))
-          : kChunkTargetBytes;
+  const size_t chunk_target = ChunkTarget(budget);
   for (int chunk_i = 0; chunk_i < kSliceChunks; chunk_i++) {
     // Kill switches, re-checked between chunks inside the scan loop.
     if (st->cancel.load()) {
@@ -985,14 +1010,7 @@ LittleTableServer::SliceResult LittleTableServer::ExecuteQuerySlice(
       std::lock_guard<std::mutex> lock(cs->out_mu);
       out_pending = cs->outbuf.size() - cs->out_off;
     }
-    // Two chunk-targets of headroom: the chunk about to be built may
-    // overshoot its target by one row, and the accounted peak
-    // (out_pending + frame) must stay within the budget, not one chunk
-    // past it. A scan with nothing pending always proceeds — with a
-    // budget smaller than two chunks, parking at zero pending would
-    // pause/resume forever without emitting a byte.
-    if (budget > 0 && out_pending > 0 &&
-        out_pending + 2 * chunk_target > budget) {
+    if (!ChunkFits(budget, out_pending)) {
       stream_pauses_->Increment();
       {
         std::lock_guard<std::mutex> lock(sched_mu_);

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "core/db.h"
-#include "core/tablet_writer.h"  // kTabletFormatLatest
 #include "env/mem_env.h"
 #include "env/sim_disk_env.h"
 #include "net/client.h"
@@ -82,7 +81,6 @@ class ChaosRun : private SimRecorder {
   int ops_since_sample_ = 0;
   int partition_ops_left_ = 0;
   int disk_full_ops_left_ = 0;
-  uint32_t open_count_ = 0;  // DB opens so far; rotates the flush format.
 };
 
 Status ChaosRun::Setup() {
@@ -124,16 +122,7 @@ Status ChaosRun::OpenDb() {
   dopts.table_defaults.max_memtablet_age = 60 * kMicrosPerSecond;
   dopts.table_defaults.flush_retry_backoff = 1 * kMicrosPerSecond;
   dopts.table_defaults.flush_retry_max_backoff = 30 * kMicrosPerSecond;
-  // Mixed-format coverage: each open (initial + every crash/restart)
-  // deterministically rotates the flush format across every supported
-  // version, so a single run exercises v0/v1/v2 tablets side by side, the
-  // new writer's crash points, and merges that converge them to the latest
-  // format. Seed-dependent so the sweep varies the starting version.
-  dopts.table_defaults.format_version = static_cast<uint32_t>(
-      (opts_.seed + open_count_) % (kTabletFormatLatest + 1));
-  open_count_++;
-  Log("open_db format_version=" +
-      std::to_string(dopts.table_defaults.format_version));
+  Log("open_db");
   return DB::Open(env_, clock(), kRoot, dopts, &db_);
 }
 

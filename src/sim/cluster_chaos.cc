@@ -12,7 +12,6 @@
 #include "cluster/coordinator.h"
 #include "cluster/shard_map.h"
 #include "core/db.h"
-#include "core/tablet_writer.h"  // kTabletFormatLatest
 #include "env/mem_env.h"
 #include "net/client.h"
 #include "net/server.h"
@@ -35,7 +34,6 @@ struct NodeState {
   std::unique_ptr<MemEnv> env;
   std::unique_ptr<DB> db;
   std::unique_ptr<cluster::ReplicaAgent> agent;
-  uint32_t open_count = 0;  // DB opens; rotates the flush format.
 };
 
 struct GroupState {
@@ -195,11 +193,6 @@ Status ClusterChaosRun::OpenNodeDb(NodeState& n) {
   dopts.table_defaults.max_memtablet_age = 60 * kMicrosPerSecond;
   dopts.table_defaults.flush_retry_backoff = 1 * kMicrosPerSecond;
   dopts.table_defaults.flush_retry_max_backoff = 30 * kMicrosPerSecond;
-  // Rotate the flush format per open, like the single-node schedule, so
-  // tablet shipping moves mixed-version files between nodes.
-  dopts.table_defaults.format_version = static_cast<uint32_t>(
-      (opts_.seed + n.open_count) % (kTabletFormatLatest + 1));
-  n.open_count++;
   return DB::Open(n.env.get(), clock(), kRoot, dopts, &n.db);
 }
 

@@ -2,15 +2,16 @@
 // in place (key cells, AppendEncoded, MaterializeRow), so every surface that
 // reads them must still agree with a brute-force reference model. Random
 // schemas — int32/int64/string/blob key columns, double and blob values,
-// non-zero defaults — hold rows in format 0, 1 and 2 tablets (including
-// tablets written before a column was widened or appended) and in
-// memtablets. Random queries (projection, direction, key-prefix and ts
+// non-zero defaults — hold rows in tablets (including tablets written
+// before a column was widened or appended) and in memtablets. Random queries (projection, direction, key-prefix and ts
 // bounds, limits) run with the block cache off and on, through Table::Query
 // and through raw kQuery frames over SimTransport, whose kQueryChunk bodies
 // must be exactly the model rows' EncodeRow bytes. The server is a primary
 // ReplicaAgent's, and each query goes again as a kRoutedQuery, whose frames
 // must be the direct query's, frame for frame. A second pass repeats the
-// queries after maintenance merges the mixed tablets.
+// queries after maintenance merges the mixed-schema tablets. The committed
+// format-1 tablet (tests/data) gets the same checks, beside format-2
+// tablets, across a widen and an append.
 //
 // Streamed chunks: QueryStream::NextChunk fills each chunk a run at a time
 // (merge runs, tablet runs over block columns). Every query also checks
@@ -42,6 +43,7 @@
 #include "net/server.h"
 #include "net/wire.h"
 #include "sim/sim_transport.h"
+#include "tests/v1_fixture.h"
 #include "util/coding.h"
 #include "util/crc32c.h"
 #include "util/lzmini.h"
@@ -157,6 +159,11 @@ class Model {
   }
 
   void Add(const std::vector<Row>& rows) {
+    for (const Row& row : rows) {
+      std::string key;
+      EncodeKey(&key, schema_, schema_.KeyOf(row));
+      keys_.insert(key);
+    }
     rows_.insert(rows_.end(), rows.begin(), rows.end());
     std::sort(rows_.begin(), rows_.end(), [this](const Row& a, const Row& b) {
       return schema_.CompareKeys(a, b) < 0;
@@ -247,12 +254,11 @@ class CursorDiffTest : public ::testing::Test {
 
   void TearDown() override { StopServer(); }
 
-  DbOptions Options(uint32_t format_version, uint64_t cache_bytes) {
+  DbOptions Options(uint64_t cache_bytes) {
     DbOptions opts;
     opts.background_maintenance = false;
     opts.block_cache_bytes = cache_bytes;
     opts.table_defaults.block_bytes = 512;
-    opts.table_defaults.format_version = format_version;
     opts.table_defaults.merge.min_tablet_age = 0;
     opts.table_defaults.merge.rollover_delay_frac = 0;
     return opts;
@@ -577,17 +583,14 @@ void RunDifferential(CursorDiffTest* t, uint64_t seed, uint64_t cache_bytes) {
     model.Add(batch);
   };
 
-  // One flushed tablet per format, all under the original schema.
-  for (uint32_t version = 0; version <= kTabletFormatLatest; version++) {
-    t->OpenDb(t->Options(version, cache_bytes));
-    if (version == 0) {
-      ASSERT_TRUE(t->db_->CreateTable(kTable, model.schema()).ok());
-    }
-    Table* table = t->db_->GetTable(kTable).get();
-    insert(table, 150 + static_cast<int>(rnd.Uniform(150)));
+  // Three flushed tablets under the original schema.
+  t->OpenDb(t->Options(cache_bytes));
+  ASSERT_TRUE(t->db_->CreateTable(kTable, model.schema()).ok());
+  std::shared_ptr<Table> table = t->db_->GetTable(kTable);
+  for (int i = 0; i < 3; i++) {
+    insert(table.get(), 150 + static_cast<int>(rnd.Uniform(150)));
     ASSERT_TRUE(table->FlushAll().ok());
   }
-  std::shared_ptr<Table> table = t->db_->GetTable(kTable);
   // A tablet from before the widen, one from before the append, then rows
   // left in memtablets.
   ASSERT_TRUE(table->WidenColumn("w").ok());
@@ -620,8 +623,8 @@ void RunDifferential(CursorDiffTest* t, uint64_t seed, uint64_t cache_bytes) {
                      std::to_string(pass) + " query " + std::to_string(q));
       if (::testing::Test::HasFatalFailure()) return;
     }
-    // Second pass: maintenance merges the mixed-format, mixed-schema
-    // tablets into latest-format ones (merge rewrites materialize rows).
+    // Second pass: maintenance merges the mixed-schema tablets (merge
+    // rewrites materialize rows).
     for (int i = 0; i < 10; i++) ASSERT_TRUE(t->db_->MaintainNow().ok());
   }
   EXPECT_GE(table->stats().merges.load(), 1u);
@@ -646,6 +649,61 @@ TEST_F(CursorDiffTest, RandomSchemasMatchModelCacheOn) {
     RunDifferential(this, seed, 32 << 10);
     if (HasFatalFailure()) return;
   }
+}
+
+// ---- The committed format-1 tablet against the model. ----
+
+// The fixture installed beside format-2 flushes of random rows over the
+// same key space, then its int32 value column widened and a column
+// appended, with rows left in memtablets: every surface must match the
+// model, and again after maintenance merges the fixture into format 2. A
+// tiny stream budget over bounded pipes makes the streams park and resume.
+TEST_F(CursorDiffTest, V1FixtureMatchesModel) {
+  Random rnd(301);
+  root_ = "/fixture";
+  OpenDb(Options(0));
+  Model model(testutil::V1FixtureSchema());
+  ASSERT_TRUE(db_->CreateTable(kTable, model.schema()).ok());
+  std::shared_ptr<Table> table = db_->GetTable(kTable);
+  std::string fixture;
+  ASSERT_TRUE(testutil::ReadV1Fixture(&fixture).ok());
+  ASSERT_TRUE(
+      table->InstallTablet(testutil::V1FixtureMeta("000900.tab"), fixture)
+          .ok());
+  model.Add(testutil::V1FixtureRows());
+  const Timestamp base = testutil::kV1FixtureBaseTs;
+  auto insert = [&](int n) {
+    std::vector<Row> batch;
+    for (int i = 0; i < n; i++) batch.push_back(model.NewRow(&rnd, base));
+    ASSERT_TRUE(table->InsertBatch(batch).ok());
+    model.Add(batch);
+  };
+  insert(150);
+  ASSERT_TRUE(table->FlushAll().ok());
+  ASSERT_TRUE(table->WidenColumn("flags").ok());
+  model.Widen("flags");
+  insert(150);
+  ASSERT_TRUE(table->FlushAll().ok());
+  const Column appended("x", ColumnType::kString, Value::String("dflt"));
+  ASSERT_TRUE(table->AppendColumn(appended).ok());
+  model.Append(appended);
+  insert(100);
+  ASSERT_EQ(table->NumDiskTablets(), 3u);
+
+  StartServer(2048, 1024);
+  for (int pass = 0; pass < 2; pass++) {
+    for (int q = 0; q < 60; q++) {
+      QueryBounds b = RandomBounds(&rnd, model, base);
+      CheckQuery(this, table.get(), model, b,
+                 "pass " + std::to_string(pass) + " query " +
+                     std::to_string(q));
+      if (HasFatalFailure()) return;
+    }
+    for (int i = 0; i < 10; i++) ASSERT_TRUE(db_->MaintainNow().ok());
+  }
+  EXPECT_GE(table->stats().merges.load(), 1u);
+  EXPECT_GT(agent_->server()->metrics().GetCounter("server.stream_pauses")
+                ->Value(), 0);
 }
 
 // ---- Memtablets alone: arena cursors against the model. ----
@@ -673,7 +731,7 @@ void RunMemTabletDifferential(CursorDiffTest* t, uint64_t seed) {
   Random rnd(seed);
   t->root_ = "/mem" + std::to_string(seed);
   Model model(RandomSchema(&rnd));
-  DbOptions opts = t->Options(kTabletFormatLatest, 0);
+  DbOptions opts = t->Options(0);
   opts.table_defaults.flush_bytes = 16 << 10;
   t->OpenDb(opts);
   ASSERT_TRUE(t->db_->CreateTable(kTable, model.schema()).ok());
@@ -778,7 +836,6 @@ void InstallRelabeled(CursorDiffTest* t, const std::string& table_name,
   const std::string tmp = "/scratch.tab";
   TabletWriterOptions wopts;
   wopts.block_bytes = 128;
-  wopts.format_version = kTabletFormatLatest;
   TabletWriter writer(&t->env_, tmp, &written, wopts);
   for (const Row& row : rows) ASSERT_TRUE(writer.Add(row).ok());
   TabletMeta meta;
@@ -791,7 +848,7 @@ void InstallRelabeled(CursorDiffTest* t, const std::string& table_name,
 }
 
 TEST_F(CursorDiffTest, CellsOutsideDeclaredTypeFailClosed) {
-  OpenDb(Options(kTabletFormatLatest, 0));
+  OpenDb(Options(0));
   const Timestamp ts = clock_->Now() - kMicrosPerHour;
 
   // int32 out of range: "v" was written as int64; rows from 150 on hold

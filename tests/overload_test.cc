@@ -465,6 +465,38 @@ TEST_F(OverloadNetTest, SlowReaderBoundedBuffering) {
   EXPECT_LE(peak, sopts_.query_budget_bytes);
 }
 
+// A stream parked on a reader that stops stays parked. With a budget under
+// four chunk targets, the low-water mark alone would let the event loop
+// resume it on every tick while its next chunk cannot fit, and the slice
+// would re-park it at once, counting a pause each time.
+TEST_F(OverloadNetTest, StalledReaderStreamStaysParked) {
+  conn_buffer_bytes_ = 1024;
+  sopts_.query_budget_bytes = 2 * 1024;
+  StartServer();
+  Fill(2000);
+
+  std::unique_ptr<net::Connection> a = RawConn();
+  SendQuery(a.get(), QueryBounds{});  // And read nothing yet.
+  for (int i = 0; i < 1000 && CounterValue("server.stream_pauses") == 0; i++) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  const int64_t parked = CounterValue("server.stream_pauses");
+  ASSERT_GT(parked, 0);
+  // Forty poll intervals of a stalled reader.
+  std::this_thread::sleep_for(
+      std::chrono::milliseconds(40 * sopts_.poll_interval_ms));
+  EXPECT_EQ(CounterValue("server.stream_pauses"), parked);
+
+  // The reader comes back: the stream resumes and completes.
+  uint64_t rows = 0;
+  uint8_t flags = 0;
+  while ((flags & wire::kChunkFinal) == 0) {
+    flags = ReadChunk(a.get(), &rows);
+    if (::testing::Test::HasFailure()) return;
+  }
+  EXPECT_EQ(rows, 2000u);
+}
+
 // A stream's histograms land before its final chunk: right after each of
 // 200 back-to-back queries returns — no sleep, no polling — the server's
 // stream peak-bytes and query-latency histograms already count it.

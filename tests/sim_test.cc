@@ -928,7 +928,7 @@ TEST(ChaosSimTest, SameSeedYieldsByteIdenticalEventLogs) {
     ASSERT_EQ(a.event_log[i], b.event_log[i]) << "logs diverge at line " << i;
   }
   EXPECT_EQ(a.counters, b.counters);
-  ExpectPinnedDigest(a.event_log, 0x167d47e2u, "the single-node event log");
+  ExpectPinnedDigest(a.event_log, 0xd09df052u, "the single-node event log");
 }
 
 // With the deterministic self-monitoring sampler enabled, the surviving

@@ -17,6 +17,7 @@
 #include "core/tablet_writer.h"
 #include "env/mem_env.h"
 #include "tests/test_util.h"
+#include "tests/v1_fixture.h"
 #include "util/crc32c.h"
 #include "util/logger.h"
 #include "util/random.h"
@@ -41,11 +42,11 @@ class TableTest : public ::testing::Test {
     opts_.merge.rollover_delay_frac = 0;
   }
 
-  void Recreate() {
+  void Recreate(const Schema& schema = UsageSchema()) {
     table_.reset();
     Table::Destroy(&env_, "/db/usage");
-    ASSERT_TRUE(Table::Create(&env_, clock_, "/db/usage", "usage",
-                              UsageSchema(), opts_, &table_)
+    ASSERT_TRUE(Table::Create(&env_, clock_, "/db/usage", "usage", schema,
+                              opts_, &table_)
                     .ok());
   }
 
@@ -1327,65 +1328,124 @@ TEST_F(TableTest, QueryTracePopulated) {
 
 // ---- Block format v2: mixed-version tables, projection pushdown. ----
 
-// A table whose disk tablets span every supported format version serves
-// queries across all of them, and merging rewrites the survivors at the
-// latest (columnar) format — the upgrade path needs no offline tool.
+// Rows for format-2 tablets beside the committed format-1 tablet: one per
+// fixture (site, host, dev), at a device one past the fixture's, so their
+// keys interleave with the fixture's and never collide. `half` 0 or 1
+// picks every other one.
+std::vector<Row> FixtureNeighbourRows(int half) {
+  std::vector<Row> out;
+  const std::vector<Row> fixture = testutil::V1FixtureRows();
+  for (size_t i = 0; i < fixture.size(); i += 5) {
+    if (static_cast<int>(i / 5) % 2 != half) continue;
+    Row row = fixture[i];
+    row[2] = Value::Int64(row[2].i64() + 1);
+    row[6] = Value::Int64(-row[6].i64());
+    out.push_back(std::move(row));
+  }
+  return out;
+}
+
+// The formats of the table's tablets, by opening each file directly.
+std::vector<uint32_t> TabletVersions(Env* env, const std::string& dir) {
+  std::vector<uint32_t> versions;
+  std::vector<std::string> children;
+  EXPECT_TRUE(env->GetChildren(dir, &children).ok());
+  for (const std::string& name : children) {
+    if (name.size() < 4 || name.substr(name.size() - 4) != ".tab") continue;
+    std::shared_ptr<TabletReader> r;
+    EXPECT_TRUE(TabletReader::Open(env, dir + "/" + name, &r).ok());
+    EXPECT_TRUE(r->Load().ok());
+    versions.push_back(r->format_version());
+  }
+  std::sort(versions.begin(), versions.end());
+  return versions;
+}
+
+// A table holding the committed format-1 tablet beside format-2 flushes
+// serves queries across both formats, and merging rewrites every row at
+// format 2 — the upgrade path needs no offline tool.
 TEST_F(TableTest, MixedFormatVersionTabletsServeAndMergeToLatest) {
+  const Schema schema = testutil::V1FixtureSchema();
   opts_.merge.max_merged_bytes = 1ull << 30;
-  Recreate();
-  Timestamp t0 = Now() - 10 * kMicrosPerWeek;  // One deep-past week bin.
-  for (uint32_t version = 0; version <= kTabletFormatLatest; version++) {
-    // format_version only affects fresh flushes, so a reopen per version
-    // gives one tablet of each.
-    opts_.format_version = version;
-    Reopen();
-    std::vector<Row> batch;
-    for (int i = 0; i < 100; i++) {
-      batch.push_back(UsageRow(version, i, t0 + version * 1000 + i, i, 0.5));
-    }
-    ASSERT_TRUE(table_->InsertBatch(batch).ok());
+  Recreate(schema);
+  std::string fixture;
+  ASSERT_TRUE(testutil::ReadV1Fixture(&fixture).ok());
+  ASSERT_TRUE(
+      table_->InstallTablet(testutil::V1FixtureMeta("000900.tab"), fixture)
+          .ok());
+  std::vector<Row> model = testutil::V1FixtureRows();
+  for (int half = 0; half < 2; half++) {
+    const std::vector<Row> rows = FixtureNeighbourRows(half);
+    ASSERT_TRUE(table_->InsertBatch(rows).ok());
     ASSERT_TRUE(table_->FlushAll().ok());
+    model.insert(model.end(), rows.begin(), rows.end());
   }
-  EXPECT_EQ(table_->NumDiskTablets(), kTabletFormatLatest + 1);
+  std::sort(model.begin(), model.end(), [&](const Row& a, const Row& b) {
+    return schema.CompareKeys(a, b) < 0;
+  });
+  EXPECT_EQ(TabletVersions(&env_, "/db/usage"),
+            (std::vector<uint32_t>{1, 2, 2}));
 
-  // One tablet per version on disk; verify by opening them directly.
-  auto tablet_versions = [&] {
-    std::vector<uint32_t> versions;
-    std::vector<std::string> children;
-    EXPECT_TRUE(env_.GetChildren("/db/usage", &children).ok());
-    for (const std::string& name : children) {
-      if (name.size() < 4 || name.substr(name.size() - 4) != ".tab") continue;
-      std::shared_ptr<TabletReader> r;
-      EXPECT_TRUE(
-          TabletReader::Open(&env_, "/db/usage/" + name, &r).ok());
-      EXPECT_TRUE(r->Load().ok());
-      versions.push_back(r->format_version());
+  // Whole-table, key-bounded and limited descending queries, each drawing
+  // rows from both formats.
+  auto check = [&](const std::string& what) {
+    SCOPED_TRACE(what);
+    EXPECT_TRUE(Query(QueryBounds{}) == model);
+    QueryBounds site0;
+    site0.min_key = site0.max_key = KeyBound{{Value::Int32(0)}, true};
+    QueryBounds down;
+    down.direction = Direction::kDescending;
+    down.min_key = KeyBound{{Value::Int32(0), Value::String("h1")}, false};
+    down.limit = 50;
+    for (const QueryBounds& b : {site0, down}) {
+      std::vector<Row> want;
+      for (const Row& row : model) {
+        if (b.Matches(schema, row)) want.push_back(row);
+      }
+      if (b.direction == Direction::kDescending) {
+        std::reverse(want.begin(), want.end());
+      }
+      if (b.limit > 0 && want.size() > b.limit) want.resize(b.limit);
+      ASSERT_GT(want.size(), 0u);
+      EXPECT_TRUE(Query(b) == want);
     }
-    std::sort(versions.begin(), versions.end());
-    return versions;
   };
-  EXPECT_EQ(tablet_versions(), (std::vector<uint32_t>{0, 1, 2}));
+  check("before merge");
 
-  // Queries span all three formats transparently.
-  std::vector<Row> rows = Query(QueryBounds{});
-  ASSERT_EQ(rows.size(), 300u);
-  for (size_t i = 1; i < rows.size(); i++) {
-    EXPECT_LT(UsageSchema().CompareKeys(rows[i - 1], rows[i]), 0);
-  }
-
-  // Merge the mixed inputs: the output tablet is the latest format and
-  // preserves every row.
+  // Merge the mixed inputs: the output is format 2 and keeps every row.
   for (int i = 0; i < 20; i++) ASSERT_TRUE(table_->MaintainNow().ok());
-  ASSERT_LT(table_->NumDiskTablets(), 3u);
   EXPECT_GE(table_->stats().merges.load(), 1u);
-  for (uint32_t v : tablet_versions()) EXPECT_EQ(v, kTabletFormatLatest);
-  rows = Query(QueryBounds{});
-  EXPECT_EQ(rows.size(), 300u);
+  for (uint32_t v : TabletVersions(&env_, "/db/usage")) {
+    EXPECT_EQ(v, kTabletFormatLatest);
+  }
+  check("after merge");
 
   // And the merged table survives a reopen at default options.
   ResetOptions();
   Reopen();
-  EXPECT_EQ(Query(QueryBounds{}).size(), 300u);
+  check("after reopen");
+}
+
+// A format-0 tablet (no longer read) is quarantined like any unusable one:
+// the table serves the rest and counts the drop.
+TEST_F(TableTest, Format0TabletIsQuarantined) {
+  Recreate(testutil::V1FixtureSchema());
+  const std::vector<Row> rows = FixtureNeighbourRows(0);
+  ASSERT_TRUE(table_->InsertBatch(rows).ok());
+  ASSERT_TRUE(table_->FlushAll().ok());
+  std::string fixture;
+  ASSERT_TRUE(testutil::ReadV1Fixture(&fixture).ok());
+  ASSERT_TRUE(
+      table_->InstallTablet(testutil::V1FixtureMeta("000900.tab"), fixture)
+          .ok());
+  ASSERT_TRUE(WriteStringToFile(&env_, testutil::AsFormat0(fixture),
+                                "/db/usage/000900.tab", true)
+                  .ok());
+  Reopen();  // Fresh readers: the footer loads on the next query.
+  EXPECT_TRUE(Query(QueryBounds{}) == rows);
+  EXPECT_EQ(table_->stats().tablets_quarantined.load(), 1u);
+  EXPECT_EQ(table_->NumDiskTablets(), 1u);
+  EXPECT_TRUE(env_.FileExists("/db/usage/000900.tab.corrupt"));
 }
 
 // Paging a memtablet-only table: each page's snapshot copies rows in scan
@@ -1512,15 +1572,6 @@ TEST_F(TableTest, ProjectedQueryDecodesOnlyReferencedChunks) {
   EXPECT_TRUE(table_->Query(bad, &ignored).IsInvalidArgument());
 }
 
-TEST_F(TableTest, CreateRejectsUnknownFormatVersion) {
-  TableOptions opts = opts_;
-  opts.format_version = kTabletFormatLatest + 1;
-  std::unique_ptr<Table> t;
-  EXPECT_TRUE(Table::Create(&env_, clock_, "/db/future", "future",
-                            UsageSchema(), opts, &t)
-                  .IsInvalidArgument());
-}
-
 TEST_F(TableTest, SlowQueryLogEmitsOneStructuredLine) {
   auto sink = std::make_shared<CaptureLogSink>();
   opts_.logger = std::make_shared<Logger>(LogLevel::kDebug, sink);
@@ -1572,17 +1623,16 @@ TEST_F(TableTest, SlowQueryLogOffByDefault) {
 
 // A deterministic workload over every column type — int32, int64, double,
 // string and blob cells, strings both inside and beyond std::string's
-// inline capacity — flushed at each tablet format with a small flush_bytes
-// (so memtablets seal by size) and small blocks, then merged. Every tablet
+// inline capacity — flushed with a small flush_bytes (so memtablets seal by
+// size) and small blocks, then merged. Every tablet
 // file's length and CRC32C is pinned: a moved block boundary, seal point,
 // Bloom bit or cell byte fails this test.
-std::vector<std::string> PinnedTabletFiles(uint32_t format_version) {
+std::vector<std::string> PinnedTabletFiles() {
   MemEnv env;
   // Rows span the day boundary: two periods fill at once (§3.4.3).
   auto clock =
       std::make_shared<SimClock>(100 * kMicrosPerWeek + 3 * kMicrosPerHour);
   TableOptions opts;
-  opts.format_version = format_version;
   opts.flush_bytes = 256 << 10;
   opts.block_bytes = 2048;
   opts.merge.min_tablet_age = 0;
@@ -1663,56 +1713,22 @@ std::vector<std::string> PinnedTabletFiles(uint32_t format_version) {
 
 TEST(TabletBytesTest, FlushAndMergeOutputIsPinned) {
   // Recorded from the Row-based write path (std::set memtablet, flush and
-  // merge through TabletWriter::Add(const Row&)); one list per format.
-  const std::vector<std::vector<std::string>> expected = {
-      {
-          "flush 000001.tab 25932 968ee4f6",
-          "flush 000002.tab 25936 1e713569",
-          "flush 000003.tab 25879 5df11482",
-          "flush 000004.tab 25979 d35afc9a",
-          "flush 000005.tab 25864 9bec1593",
-          "flush 000006.tab 1967 b347fff2",
-          "flush 000007.tab 25899 6ac7e6f5",
-          "flush 000008.tab 25906 262919e0",
-          "flush 000009.tab 25877 ed57ae5d",
-          "flush 000010.tab 9987 205ff593",
-          "merge 000011.tab 104820 749eec64",
-          "merge 000012.tab 70526 6a47bde6",
-      },
-      {
-          "flush 000001.tab 26010 110f7b82",
-          "flush 000002.tab 26012 bc110189",
-          "flush 000003.tab 25955 2ed5f49d",
-          "flush 000004.tab 26059 a6522c3a",
-          "flush 000005.tab 25940 b2fec925",
-          "flush 000006.tab 1975 b213aab0",
-          "flush 000007.tab 25975 b7f971c7",
-          "flush 000008.tab 25982 756843a8",
-          "flush 000009.tab 25957 29f96567",
-          "flush 000010.tab 10015 88be449e",
-          "merge 000011.tab 104820 749eec64",
-          "merge 000012.tab 70526 6a47bde6",
-      },
-      {
-          "flush 000001.tab 21505 e4f105f6",
-          "flush 000002.tab 21455 f51a6a0c",
-          "flush 000003.tab 21538 3e9450e6",
-          "flush 000004.tab 21552 86822ae1",
-          "flush 000005.tab 21567 33f5b92c",
-          "flush 000006.tab 1625 52441090",
-          "flush 000007.tab 21412 a6aff588",
-          "flush 000008.tab 21461 06335c15",
-          "flush 000009.tab 21471 d4d4636e",
-          "flush 000010.tab 8369 da317df1",
-          "merge 000011.tab 104820 749eec64",
-          "merge 000012.tab 70526 6a47bde6",
-      },
+  // merge through TabletWriter::Add(const Row&)).
+  const std::vector<std::string> expected = {
+      "flush 000001.tab 21505 e4f105f6",
+      "flush 000002.tab 21455 f51a6a0c",
+      "flush 000003.tab 21538 3e9450e6",
+      "flush 000004.tab 21552 86822ae1",
+      "flush 000005.tab 21567 33f5b92c",
+      "flush 000006.tab 1625 52441090",
+      "flush 000007.tab 21412 a6aff588",
+      "flush 000008.tab 21461 06335c15",
+      "flush 000009.tab 21471 d4d4636e",
+      "flush 000010.tab 8369 da317df1",
+      "merge 000011.tab 104820 749eec64",
+      "merge 000012.tab 70526 6a47bde6",
   };
-  for (uint32_t v = 0; v <= kTabletFormatLatest; v++) {
-    SCOPED_TRACE("format " + std::to_string(v));
-    std::vector<std::string> got = PinnedTabletFiles(v);
-    EXPECT_EQ(got, expected[v]);
-  }
+  EXPECT_EQ(PinnedTabletFiles(), expected);
 }
 
 }  // namespace

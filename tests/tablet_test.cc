@@ -1,12 +1,14 @@
 // Tests for the on-disk tablet format: block builder/reader, tablet
 // writer/reader, index binary search, Bloom filters, schema translation on
-// read, corruption detection, and descending cursors.
+// read, corruption detection, descending cursors, the committed format-1
+// tablet, and format 0's refusal.
 #include <gtest/gtest.h>
 
 #include "core/tablet_reader.h"
 #include "core/tablet_writer.h"
 #include "env/mem_env.h"
 #include "tests/test_util.h"
+#include "tests/v1_fixture.h"
 #include "util/random.h"
 
 namespace lt {
@@ -29,7 +31,7 @@ TEST(BlockTest, BuildParseRoundTrip) {
   ASSERT_EQ(builder.num_rows(), 100u);
   std::string payload = builder.Finish();
   BlockReader reader;
-  ASSERT_TRUE(BlockReader::Parse(&s, std::move(payload), &reader).ok());
+  ASSERT_TRUE(BlockReader::ParseColumnar(&s, std::move(payload), &reader).ok());
   ASSERT_EQ(reader.num_rows(), 100u);
   ASSERT_TRUE(reader.Prepare().ok());
   Row row;
@@ -46,7 +48,7 @@ TEST(BlockTest, SeekFirstSemantics) {
   // Devices 0,2,4,...,18 under network 1.
   for (int i = 0; i < 10; i++) builder.Add(UsageRow(1, 2 * i, 100, 0, 0));
   BlockReader reader;
-  ASSERT_TRUE(BlockReader::Parse(&s, builder.Finish(), &reader).ok());
+  ASSERT_TRUE(BlockReader::ParseColumnar(&s, builder.Finish(), &reader).ok());
   size_t idx;
   // Exact hit, inclusive.
   ASSERT_TRUE(reader.SeekFirst({Value::Int64(1), Value::Int64(6)}, true, &idx).ok());
@@ -69,22 +71,6 @@ TEST(BlockTest, SeekFirstSemantics) {
   // Exclusive with a bare network prefix skips the entire network.
   ASSERT_TRUE(reader.SeekFirst({Value::Int64(1)}, false, &idx).ok());
   EXPECT_EQ(idx, 10u);
-}
-
-TEST(BlockTest, StoreLoadDetectsCorruption) {
-  Schema s = UsageSchema();
-  BlockBuilder builder(&s);
-  for (int i = 0; i < 50; i++) builder.Add(UsageRow(1, i, 100, 0, 0));
-  std::string stored = StoreBlock(builder.Finish());
-  std::string payload;
-  ASSERT_TRUE(LoadBlock(stored, &payload).ok());
-  // Flip one byte anywhere: the CRC must catch it.
-  for (size_t pos : {size_t{0}, size_t{4}, stored.size() / 2, stored.size() - 1}) {
-    std::string corrupt = stored;
-    corrupt[pos] ^= 0x40;
-    std::string out;
-    EXPECT_TRUE(LoadBlock(corrupt, &out).IsCorruption()) << "pos=" << pos;
-  }
 }
 
 class TabletIoTest : public ::testing::Test {
@@ -347,30 +333,21 @@ TEST_F(TabletIoTest, LargeBlobsSpanBlocks) {
   EXPECT_FALSE(c->Valid());
 }
 
-// Exhaustive corruption matrix: flip every single byte of a multi-block
-// tablet in turn; every read path must either fail with Corruption or
-// return exactly the original rows. A flipped byte must never surface as
-// wrong data or crash, no matter which region it lands in (block body,
-// block CRC, footer/index, trailer).
-TEST_F(TabletIoTest, CorruptionMatrixEveryFlippedByteDetected) {
-  TabletWriterOptions wopts;
-  wopts.block_bytes = 256;  // Small blocks: the file is mostly block region.
-  WriteAndOpen(200, wopts);
-  ASSERT_GT(reader_->num_blocks(), 4u);
-  EXPECT_EQ(reader_->format_version(), kTabletFormatLatest);
-  const std::vector<Row> expect = Scan(QueryBounds{});
-  ASSERT_EQ(expect.size(), 200u);
-
-  std::string data;
-  ASSERT_TRUE(ReadFileToString(&env_, "/t.tab", &data).ok());
-
+// Exhaustive corruption matrix: flip every single byte of the multi-block
+// tablet `data` in turn; every read path must either fail with Corruption
+// or return exactly `expect`. A flipped byte must never surface as wrong
+// data or crash, no matter which region it lands in (block body, block
+// CRC, footer/index, trailer).
+void ExpectEveryFlippedByteDetected(MemEnv* env, const std::string& data,
+                                    const Schema& schema,
+                                    const std::vector<Row>& expect) {
   // Full scan that reports failures instead of asserting mid-stream.
   auto scan = [&](const std::shared_ptr<TabletReader>& r, Direction dir,
                   std::vector<Row>* rows) -> Status {
     QueryBounds b;
     b.direction = dir;
     std::unique_ptr<Cursor> c;
-    Status s = r->NewCursor(b, &schema_, nullptr, &c);
+    Status s = r->NewCursor(b, &schema, nullptr, &c);
     if (!s.ok()) return s;
     while (c->Valid()) {
       c->MaterializeRow(&rows->emplace_back());
@@ -383,9 +360,9 @@ TEST_F(TabletIoTest, CorruptionMatrixEveryFlippedByteDetected) {
   for (size_t pos = 0; pos < data.size(); pos++) {
     std::string bad = data;
     bad[pos] ^= 0x40;
-    ASSERT_TRUE(WriteStringToFile(&env_, bad, "/m.tab", false).ok());
+    ASSERT_TRUE(WriteStringToFile(env, bad, "/m.tab", false).ok());
     std::shared_ptr<TabletReader> r;
-    ASSERT_TRUE(TabletReader::Open(&env_, "/m.tab", &r).ok());
+    ASSERT_TRUE(TabletReader::Open(env, "/m.tab", &r).ok());
     Status s = r->Load();
     if (!s.ok()) {
       EXPECT_TRUE(s.IsCorruption()) << "pos=" << pos << " " << s.ToString();
@@ -397,10 +374,7 @@ TEST_F(TabletIoTest, CorruptionMatrixEveryFlippedByteDetected) {
       // The flip went undetected only if the bytes still decode to the
       // original rows (e.g. a flip inside unreferenced padding — which this
       // format has none of — would land here).
-      ASSERT_EQ(rows.size(), expect.size()) << "pos=" << pos;
-      for (size_t i = 0; i < rows.size(); i++) {
-        ASSERT_EQ(schema_.CompareKeys(rows[i], expect[i]), 0) << "pos=" << pos;
-      }
+      ASSERT_TRUE(rows == expect) << "pos=" << pos;
     } else {
       EXPECT_TRUE(s.IsCorruption()) << "pos=" << pos << " " << s.ToString();
     }
@@ -417,39 +391,128 @@ TEST_F(TabletIoTest, CorruptionMatrixEveryFlippedByteDetected) {
   }
 }
 
-// Format version 0 tablets (no per-block CRC in the index) must remain
-// readable, and their blocks are still protected by the in-frame CRC.
-TEST_F(TabletIoTest, FormatVersion0StillReadable) {
+TEST_F(TabletIoTest, CorruptionMatrixEveryFlippedByteDetected) {
   TabletWriterOptions wopts;
-  wopts.block_bytes = 512;
-  wopts.format_version = 0;
-  WriteAndOpen(500, wopts);
-  EXPECT_EQ(reader_->format_version(), 0u);
-  std::vector<Row> rows = Scan(QueryBounds{});
-  ASSERT_EQ(rows.size(), 500u);
-  EXPECT_EQ(rows.front()[1].i64(), 0);
-
-  // A flip in a block body is still caught by the in-frame CRC.
+  wopts.block_bytes = 256;  // Small blocks: the file is mostly block region.
+  WriteAndOpen(200, wopts);
+  ASSERT_GT(reader_->num_blocks(), 4u);
+  EXPECT_EQ(reader_->format_version(), kTabletFormatLatest);
+  const std::vector<Row> expect = Scan(QueryBounds{});
+  ASSERT_EQ(expect.size(), 200u);
   std::string data;
   ASSERT_TRUE(ReadFileToString(&env_, "/t.tab", &data).ok());
-  std::string bad = data;
-  bad[data.size() / 4] ^= 0x40;  // Well inside the block region.
-  ASSERT_TRUE(WriteStringToFile(&env_, bad, "/v0bad.tab", false).ok());
-  std::shared_ptr<TabletReader> r;
-  ASSERT_TRUE(TabletReader::Open(&env_, "/v0bad.tab", &r).ok());
-  ASSERT_TRUE(r->Load().ok());  // Footer is intact.
-  std::unique_ptr<Cursor> c;
-  Status s = r->NewCursor(QueryBounds{}, &schema_, nullptr, &c);
-  while (s.ok() && c->Valid()) s = c->Next();
-  if (s.ok()) s = c->status();
-  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  ExpectEveryFlippedByteDetected(&env_, data, schema_, expect);
+  if (HasFatalFailure()) return;
+
+  // The committed format-1 tablet: its row-wise blocks are guarded by the
+  // index CRC over each whole stored frame.
+  SCOPED_TRACE("v1 fixture");
+  ASSERT_TRUE(testutil::ReadV1Fixture(&data).ok());
+  ExpectEveryFlippedByteDetected(&env_, data, testutil::V1FixtureSchema(),
+                                 testutil::V1FixtureRows());
 }
 
-TEST_F(TabletIoTest, WriterRejectsUnknownFormatVersion) {
-  TabletWriterOptions wopts;
-  wopts.format_version = kTabletFormatLatest + 1;
-  TabletWriter writer(&env_, "/future.tab", &schema_, wopts);
-  EXPECT_TRUE(writer.Add(UsageRow(1, 1, 100, 0, 0)).IsInvalidArgument());
+// Scans r every way the fixture tests use (both directions, every sampled
+// (site, host) prefix with its Bloom probe) and checks each against rows.
+void ExpectReadsBack(const std::shared_ptr<TabletReader>& r,
+                     const Schema& schema, const std::vector<Row>& rows) {
+  auto scan = [&](const QueryBounds& b) {
+    std::unique_ptr<Cursor> c;
+    EXPECT_TRUE(r->NewCursor(b, &schema, nullptr, &c).ok());
+    std::vector<Row> out;
+    while (c != nullptr && c->Valid()) {
+      c->MaterializeRow(&out.emplace_back());
+      EXPECT_TRUE(c->Next().ok());
+    }
+    return out;
+  };
+  EXPECT_EQ(r->row_count(), rows.size());
+  EXPECT_TRUE(scan(QueryBounds{}) == rows);
+  QueryBounds down;
+  down.direction = Direction::kDescending;
+  EXPECT_TRUE(scan(down) == std::vector<Row>(rows.rbegin(), rows.rend()));
+  for (size_t i = 0; i < rows.size(); i += 20) {
+    const Key prefix = {rows[i][0], rows[i][1]};
+    EXPECT_TRUE(r->MayContainPrefix(prefix));
+    QueryBounds b;
+    b.min_key = b.max_key = KeyBound{prefix, true};
+    std::vector<Row> want;
+    for (const Row& row : rows) {
+      if (row[0] == prefix[0] && row[1] == prefix[1]) want.push_back(row);
+    }
+    EXPECT_TRUE(scan(b) == want) << "row " << i;
+  }
+}
+
+// The committed format-1 tablet reads back exactly the rows it was written
+// from: several blocks, a Bloom filter, scans in both directions and under
+// key-prefix bounds.
+TEST_F(TabletIoTest, FormatVersion1StillReadable) {
+  const Schema schema = testutil::V1FixtureSchema();
+  const std::vector<Row> rows = testutil::V1FixtureRows();
+  ASSERT_EQ(rows.size(), testutil::kV1FixtureRows);
+  std::string data;
+  Status s = testutil::ReadV1Fixture(&data);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  ASSERT_TRUE(WriteStringToFile(&env_, data, "/v1.tab", false).ok());
+  std::shared_ptr<TabletReader> r;
+  ASSERT_TRUE(TabletReader::Open(&env_, "/v1.tab", &r).ok());
+  ASSERT_TRUE(r->Load().ok());
+  EXPECT_EQ(r->format_version(), 1u);
+  EXPECT_GT(r->num_blocks(), 4u);
+  EXPECT_TRUE(r->has_bloom());
+  ExpectReadsBack(r, schema, rows);
+}
+
+// Every readable format version serves the same rows: the fixture's rows
+// rewritten at the latest format read back exactly as the v1 fixture does,
+// and the columnar file is the smaller one.
+TEST_F(TabletIoTest, AllFormatVersionsRoundTripSameRows) {
+  const Schema schema = testutil::V1FixtureSchema();
+  const std::vector<Row> rows = testutil::V1FixtureRows();
+  std::string data;
+  ASSERT_TRUE(testutil::ReadV1Fixture(&data).ok());
+  ASSERT_TRUE(WriteStringToFile(&env_, data, "/v1.tab", false).ok());
+  {
+    TabletWriterOptions wopts;
+    wopts.block_bytes = 512;
+    TabletWriter writer(&env_, "/v2.tab", &schema, wopts);
+    for (const Row& row : rows) ASSERT_TRUE(writer.Add(row).ok());
+    TabletMeta meta;
+    ASSERT_TRUE(writer.Finish(&meta).ok());
+  }
+  for (const char* path : {"/v1.tab", "/v2.tab"}) {
+    SCOPED_TRACE(path);
+    std::shared_ptr<TabletReader> r;
+    ASSERT_TRUE(TabletReader::Open(&env_, path, &r).ok());
+    ASSERT_TRUE(r->Load().ok());
+    EXPECT_EQ(r->format_version(),
+              std::string(path) == "/v1.tab" ? 1u : kTabletFormatLatest);
+    EXPECT_TRUE(r->has_bloom());
+    ExpectReadsBack(r, schema, rows);
+  }
+  uint64_t v1_size, v2_size;
+  ASSERT_TRUE(env_.GetFileSize("/v1.tab", &v1_size).ok());
+  ASSERT_TRUE(env_.GetFileSize("/v2.tab", &v2_size).ok());
+  EXPECT_LT(v2_size, v1_size);
+}
+
+// Format 0 is refused, not read: the fixture with format 0's magic fails
+// its footer load as Corruption naming the format, and stays failed.
+TEST_F(TabletIoTest, Format0TabletFailsClosed) {
+  std::string data;
+  ASSERT_TRUE(testutil::ReadV1Fixture(&data).ok());
+  ASSERT_TRUE(
+      WriteStringToFile(&env_, testutil::AsFormat0(data), "/v0.tab", false)
+          .ok());
+  std::shared_ptr<TabletReader> r;
+  ASSERT_TRUE(TabletReader::Open(&env_, "/v0.tab", &r).ok());
+  Status s = r->Load();
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_NE(s.ToString().find("format 0"), std::string::npos) << s.ToString();
+  EXPECT_TRUE(TabletReader::Unusable(s));
+  std::unique_ptr<Cursor> c;
+  EXPECT_TRUE(r->NewCursor(QueryBounds{}, &schema_, nullptr, &c).IsCorruption());
 }
 
 TEST_F(TabletIoTest, IndexIsSmallFractionOfTablet) {
@@ -618,7 +681,7 @@ TEST_F(TabletIoTest, TransientFooterReadErrorIsRetried) {
 
 TEST(BlockTest, ColumnarBuildParseRoundTrip) {
   Schema s = UsageSchema();
-  BlockBuilder builder(&s, /*format_version=*/2);
+  BlockBuilder builder(&s);
   for (int i = 0; i < 100; i++) {
     builder.Add(UsageRow(1, i, 1000 + i, i * 10, i * 0.5));
   }
@@ -649,7 +712,7 @@ TEST(BlockTest, ColumnarBuildParseRoundTrip) {
 
 TEST(BlockTest, ColumnarProjectionSkipsAndDefaultsUnneededColumns) {
   Schema s = UsageSchema();
-  BlockBuilder builder(&s, /*format_version=*/2);
+  BlockBuilder builder(&s);
   for (int i = 0; i < 50; i++) builder.Add(UsageRow(1, i, 100 + i, i * 10, 2.5));
   std::string image = builder.Finish();
   auto contents = std::make_shared<BlockContents>();
@@ -676,7 +739,7 @@ TEST(BlockTest, ColumnarProjectionSkipsAndDefaultsUnneededColumns) {
 
 TEST(BlockTest, ColumnarLazyDecodeIsPerColumn) {
   Schema s = UsageSchema();
-  BlockBuilder builder(&s, /*format_version=*/2);
+  BlockBuilder builder(&s);
   for (int i = 0; i < 20; i++) builder.Add(UsageRow(1, i, 100 + i, i, 0.5));
   BlockContents contents;
   ASSERT_TRUE(BlockContents::ParseColumnar(builder.Finish(), &contents).ok());
@@ -688,46 +751,6 @@ TEST(BlockTest, ColumnarLazyDecodeIsPerColumn) {
   ASSERT_TRUE(contents.EnsureColumn(3, &did).ok());
   EXPECT_FALSE(did);
   EXPECT_EQ(contents.column(3).ints[19], 19);
-}
-
-TEST_F(TabletIoTest, FormatVersion1StillReadable) {
-  TabletWriterOptions wopts;
-  wopts.block_bytes = 512;
-  wopts.format_version = 1;
-  WriteAndOpen(500, wopts);
-  EXPECT_EQ(reader_->format_version(), 1u);
-  std::vector<Row> rows = Scan(QueryBounds{});
-  ASSERT_EQ(rows.size(), 500u);
-  EXPECT_EQ(rows.back()[1].i64(), 99);
-}
-
-// Every supported format version round-trips the same rows; v2 files are
-// no larger than v1 on the paper's usage schema (regular timestamps and
-// small counters are where the per-column encodings pay).
-TEST_F(TabletIoTest, AllFormatVersionsRoundTripSameRows) {
-  std::vector<Row> expect;
-  std::vector<uint64_t> sizes;
-  for (uint32_t version = 0; version <= kTabletFormatLatest; version++) {
-    TabletWriterOptions wopts;
-    wopts.format_version = version;
-    WriteAndOpen(2000, wopts);
-    EXPECT_EQ(reader_->format_version(), version);
-    std::vector<Row> rows = Scan(QueryBounds{});
-    ASSERT_EQ(rows.size(), 2000u);
-    if (version == 0) {
-      expect = rows;
-    } else {
-      for (size_t i = 0; i < rows.size(); i++) {
-        ASSERT_EQ(schema_.CompareKeys(rows[i], expect[i]), 0);
-        EXPECT_EQ(rows[i][3].i64(), expect[i][3].i64());
-        EXPECT_EQ(rows[i][4].dbl(), expect[i][4].dbl());
-      }
-    }
-    uint64_t file_size;
-    ASSERT_TRUE(env_.GetFileSize("/t.tab", &file_size).ok());
-    sizes.push_back(file_size);
-  }
-  EXPECT_LT(sizes[2], sizes[1]) << "v2 should shrink the usage schema";
 }
 
 TEST_F(TabletIoTest, ProjectedCursorSkipsUnreferencedChunks) {

@@ -15,6 +15,15 @@ namespace cluster {
 using wire::ErrCode;
 using wire::MsgType;
 
+namespace {
+
+// Backoff between routed-request retries: doubling from the initial delay
+// up to the cap.
+constexpr int64_t kBackoffInitialMs = 20;
+constexpr int64_t kBackoffMaxMs = 500;
+
+}  // namespace
+
 ClusterClient::ClusterClient(const ClusterClientOptions& options)
     : opts_(options) {}
 
@@ -66,11 +75,11 @@ void ClusterClient::DropClient(const Endpoint& ep) {
 }
 
 void ClusterClient::Backoff(int attempt) {
-  int64_t delay = opts_.backoff_initial_ms;
-  for (int i = 0; i < attempt && delay < opts_.backoff_max_ms; i++) {
+  int64_t delay = kBackoffInitialMs;
+  for (int i = 0; i < attempt && delay < kBackoffMaxMs; i++) {
     delay *= 2;
   }
-  delay = std::min<int64_t>(delay, opts_.backoff_max_ms);
+  delay = std::min(delay, kBackoffMaxMs);
   if (opts_.client.backoff_sleep) {
     opts_.client.backoff_sleep(delay);
   } else {

@@ -34,13 +34,11 @@ struct ClusterClientOptions {
   net::Transport* transport = nullptr;
   /// Retries per routed request across map refreshes / failovers. Each
   /// retry refetches the shard map, so this bounds how many probe rounds a
-  /// request survives waiting for a failover to complete.
-  int max_retries = 8;
-  /// Backoff between retries (doubling, capped). The sleep goes through
+  /// request survives waiting for a failover to complete. Retries back
+  /// off 20 ms, doubling up to 500 ms; the sleep goes through
   /// client.backoff_sleep when set — the chaos harness injects a hook that
   /// advances simulated time and pumps the coordinator.
-  int backoff_initial_ms = 20;
-  int backoff_max_ms = 500;
+  int max_retries = 8;
 };
 
 class ClusterClient {

@@ -58,9 +58,6 @@ Status DB::Open(Env* env, std::shared_ptr<Clock> clock,
     TableOptions topts = options.table_defaults;
     if (!topts.block_cache) topts.block_cache = db->block_cache_;
     if (!topts.logger) topts.logger = db->logger_;
-    if (topts.slow_query_micros == 0) {
-      topts.slow_query_micros = options.slow_query_micros;
-    }
     Status s = Table::Open(env, clock, dir, topts, &table);
     if (!s.ok()) {
       // One damaged table (unreadable descriptor) must not keep the whole
@@ -186,9 +183,6 @@ Status DB::CreateTableInternal(const std::string& name, const Schema& schema,
   TableOptions topts = options ? *options : options_.table_defaults;
   if (!topts.block_cache) topts.block_cache = block_cache_;
   if (!topts.logger) topts.logger = logger_;
-  if (topts.slow_query_micros == 0) {
-    topts.slow_query_micros = options_.slow_query_micros;
-  }
   std::unique_ptr<Table> table;
   LT_RETURN_IF_ERROR(Table::Create(env_, clock_, TableDir(name), name, schema,
                                    topts, &table));

@@ -65,16 +65,10 @@ struct TableOptions {
   bool verify_open = false;
 
   /// Decompressed-block cache consulted by every tablet block read. Null
-  /// means no shared cache; see block_cache_bytes. DB::Open and
-  /// DB::CreateTable inject the DB-wide cache here (one cache across all
-  /// tables) unless the caller supplied their own.
+  /// means no cache. DB::Open and DB::CreateTable inject the DB-wide cache
+  /// here (one cache across all tables) unless the caller supplied their
+  /// own; a standalone Table that wants a cache passes one here.
   std::shared_ptr<Cache> block_cache;
-
-  /// When block_cache is null and this is > 0, the table builds a private
-  /// cache of this many bytes at construction (standalone Table users and
-  /// tests; tables under a DB normally share the DB-wide cache instead).
-  /// 0 disables caching.
-  uint64_t block_cache_bytes = 0;
 
   /// Structured logger for table events (quarantine, descriptor failures,
   /// slow queries). Null means Logger::Default() (stderr). DB::Open and
@@ -104,9 +98,6 @@ struct DbOptions {
   /// DB-wide structured logger, injected into every table that does not set
   /// its own. Null means Logger::Default() (stderr).
   std::shared_ptr<Logger> logger;
-  /// DB-wide slow-query threshold, injected into tables whose
-  /// table_defaults leave it 0. See TableOptions::slow_query_micros.
-  int64_t slow_query_micros = 0;
 };
 
 }  // namespace lt

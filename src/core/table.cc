@@ -37,11 +37,6 @@ Table::Table(Env* env, std::shared_ptr<Clock> clock, std::string dir,
              TableOptions options)
     : env_(env), clock_(std::move(clock)), dir_(std::move(dir)),
       opts_(options) {
-  // Standalone tables (no DB-injected shared cache) get a private one when
-  // sized; tables under a DB share the DB-wide cache instead.
-  if (!opts_.block_cache && opts_.block_cache_bytes > 0) {
-    opts_.block_cache = std::make_shared<Cache>(opts_.block_cache_bytes);
-  }
   if (!opts_.logger) opts_.logger = Logger::Default();
 }
 

@@ -5,6 +5,9 @@
 namespace lt {
 namespace {
 
+// Virtual extent reserved per file; files never collide.
+constexpr uint64_t kExtentBytes = 4ull << 30;
+
 std::string CacheKey(const std::string& fname, uint64_t chunk) {
   return fname + ':' + std::to_string(chunk);
 }
@@ -300,7 +303,7 @@ uint64_t SimDiskEnv::ExtentStartLocked(const std::string& fname) {
   auto it = extents_.find(fname);
   if (it != extents_.end()) return it->second.start;
   uint64_t start = next_extent_;
-  next_extent_ += opts_.extent_bytes;
+  next_extent_ += kExtentBytes;
   extents_[fname] = Extent{start};
   return start;
 }

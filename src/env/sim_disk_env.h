@@ -47,8 +47,6 @@ struct SimDiskOptions {
   uint64_t readahead_bytes = 128 * 1024;
   /// Simulated OS page cache capacity (0 disables caching entirely).
   uint64_t page_cache_bytes = 4ull << 30;
-  /// Virtual extent reserved per file; files never collide.
-  uint64_t extent_bytes = 4ull << 30;
   /// Drive-internal cache modeled as sequential prefetch: a file read
   /// sequentially grows a prefetch window (doubling per sequential miss) up
   /// to drive_cache_bytes divided by the number of concurrently read files.

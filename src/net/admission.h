@@ -59,12 +59,6 @@ struct AdmissionOptions {
   /// How long a queued scan may wait before it is shed with kServerBusy
   /// (0 = wait forever).
   int queue_wait_timeout_ms = 1000;
-  /// Queries whose client-requested row limit is at or below this skip
-  /// the concurrent-scan slots (they still pay the tenant's query
-  /// quota): a bounded point lookup should not queue behind firehose
-  /// scans. Unbounded requests always compete for slots, even when the
-  /// server's default row cap would truncate them. 0 disables the bypass.
-  uint64_t small_query_row_limit = 512;
   /// Quota applied to any bound tenant without an explicit entry. A
   /// connection that never bound a tenant (network id 0) is exempt unless
   /// tenant_quotas carries an explicit entry for 0.

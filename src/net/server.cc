@@ -33,6 +33,10 @@ constexpr int kSliceChunks = 4;
 // checks can get on a selective scan that matches almost nothing.
 constexpr uint64_t kChunkScanCap = 16384;
 
+// Queries whose client-requested row limit is at or below this skip the
+// concurrent-scan slots; they still pay the tenant's query quota.
+constexpr uint64_t kSmallQueryRowLimit = 512;
+
 // Encoded-byte target for one kQueryChunk frame (chunks also cap at
 // kChunkRows rows). Shrunk when the query byte budget is tight so the
 // budget still fits several chunks.
@@ -840,19 +844,11 @@ LittleTableServer::SliceResult LittleTableServer::ExecuteQuerySlice(
                                "schema changed or bad bounds"));
     }
     // Slot exemption is judged on the limit the CLIENT asked for, before
-    // the server's row cap rewrites it: a bounded point lookup should not
-    // queue behind firehose scans, but an "everything" request is a scan
-    // no matter how the cap truncates it.
+    // the table's row cap (TableOptions::server_row_limit) clamps it: a
+    // bounded point lookup should not queue behind firehose scans, but an
+    // "everything" request is a scan no matter how the cap truncates it.
     const bool slot_exempt =
-        opts_.admission.small_query_row_limit > 0 && bounds.limit > 0 &&
-        bounds.limit <= opts_.admission.small_query_row_limit;
-    // §3.5: the server applies its own row cap even to an "everything"
-    // query; truncation surfaces as more-available on the final chunk, so
-    // paging clients continue past it transparently.
-    if (opts_.default_query_row_cap > 0 &&
-        (bounds.limit == 0 || bounds.limit > opts_.default_query_row_cap)) {
-      bounds.limit = opts_.default_query_row_cap;
-    }
+        bounds.limit > 0 && bounds.limit <= kSmallQueryRowLimit;
     auto stream = std::make_unique<StreamState>();
     stream->table = std::move(table);
     stream->bounds = bounds;

@@ -81,13 +81,6 @@ struct ServerOptions {
 
   // --- Overload resilience -----------------------------------------------
 
-  /// Server-side cap on rows one kQuery may return (§3.5: the server
-  /// applies its own cap even when the client asks for everything). A
-  /// client limit of 0, or above the cap, is clamped to it; truncation is
-  /// reported through the final chunk's more-available flag so paging
-  /// clients continue past it transparently. 0 = no server-level cap
-  /// (TableOptions::server_row_limit still applies).
-  uint64_t default_query_row_cap = 0;
   /// Per-query streaming byte budget: the most encoded-but-unacknowledged
   /// response data one query may pin (the chunk being built plus the
   /// connection's unflushed outbound buffer). A scan that fills the budget
@@ -133,10 +126,6 @@ class LittleTableServer {
   size_t ConnectionCount() const {
     return conn_count_.load(std::memory_order_relaxed);
   }
-
-  /// Historical alias for ConnectionCount(), from the thread-per-connection
-  /// server. Connections no longer own threads; the worker pool is fixed.
-  size_t NumConnThreads() { return ConnectionCount(); }
 
   /// Server-level metrics: per-opcode request latency histograms
   /// (server.op.<name>.micros) and connection/request/error counters

@@ -72,10 +72,9 @@ MetricsSampler::MetricsSampler(DB* db, SamplerOptions options)
 MetricsSampler::~MetricsSampler() { Stop(); }
 
 Status MetricsSampler::Start() {
-  if (opts_.interval <= 0 || opts_.rollup_interval < opts_.interval ||
-      opts_.rollup_interval % opts_.interval != 0) {
+  if (opts_.interval <= 0 || kMicrosPerMinute % opts_.interval != 0) {
     return Status::InvalidArgument(
-        "rollup_interval must be a positive multiple of interval");
+        "interval must be positive and divide a minute");
   }
   if (db_->GetTable(kMetricsTable1s) == nullptr) {
     TableOptions topts = db_->options().table_defaults;
@@ -216,7 +215,7 @@ Status MetricsSampler::SampleOnce(Timestamp now) {
   last_sample_ts_ = aligned;
 
   // Rollup the elapsed 1m window before sampling into the new one.
-  const Timestamp window = aligned - (aligned % opts_.rollup_interval);
+  const Timestamp window = aligned - (aligned % kMicrosPerMinute);
   Status rollup_status;
   if (window_start_ >= 0 && window > window_start_) {
     rollup_status = EmitRollup(window_start_);

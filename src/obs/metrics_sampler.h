@@ -19,9 +19,9 @@
 // histograms expand to .count/.p50/.p90/.p99/.p999/.max rows carrying the
 // lifetime distribution so far.
 //
-// At every `rollup_interval` boundary (default 1 min) the 1 s samples of
-// the elapsed window are rolled up — the §4.1.2 aggregator pattern turned
-// inward — into `__sys_metrics_1m`:
+// At every minute boundary the 1 s samples of the elapsed minute are
+// rolled up — the §4.1.2 aggregator pattern turned inward — into
+// `__sys_metrics_1m`:
 //
 //     (metric STRING, ts TIMESTAMP, avg, min, max DOUBLE, n INT64)
 //
@@ -73,10 +73,9 @@ Schema MetricsSchema1s();
 Schema MetricsSchema1m();
 
 struct SamplerOptions {
-  /// Sampling period for __sys_metrics_1s.
+  /// Sampling period for __sys_metrics_1s. Must divide a minute, the
+  /// rollup window of __sys_metrics_1m.
   Timestamp interval = kMicrosPerSecond;
-  /// Rollup window for __sys_metrics_1m (must be a multiple of interval).
-  Timestamp rollup_interval = kMicrosPerMinute;
   /// Retention for the two tables (0 = keep forever).
   Timestamp ttl_1s = 2 * kMicrosPerHour;
   Timestamp ttl_1m = 14 * kMicrosPerDay;

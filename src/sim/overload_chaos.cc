@@ -117,7 +117,6 @@ Status OverloadRun::Setup() {
   sopts.io_timeout_ms = 10 * 60 * 1000;
   sopts.drain_timeout_ms = 200;
   sopts.query_budget_bytes = opts_.query_budget_bytes;
-  sopts.default_query_row_cap = opts_.default_query_row_cap;
   sopts.admission.max_concurrent_scans = opts_.max_concurrent_scans;
   sopts.admission.max_queued_scans = opts_.max_queued_scans;
   sopts.admission.queue_wait_timeout_ms = opts_.queue_wait_timeout_ms;

@@ -52,9 +52,6 @@ struct OverloadChaosOptions {
   int preload_rows = 2000;
   /// Server-side per-query streaming byte budget (the oracle's bound).
   size_t query_budget_bytes = 8 * 1024;
-  /// Server-side default row cap (0 = uncapped); exercises the
-  /// more-available truncation path under load when set.
-  uint64_t default_query_row_cap = 0;
   /// Admission knobs.
   size_t max_concurrent_scans = 2;
   size_t max_queued_scans = 3;

@@ -54,7 +54,6 @@ struct SimTransport::Inner {
   std::mutex mu;
   std::condition_variable cv;
   std::shared_ptr<SimClock> clock;
-  bool auto_advance = true;
   size_t conn_buffer_bytes = 0;  // WriteSome cap per direction; 0 = none.
 
   struct ListenerState {
@@ -132,16 +131,14 @@ class SimConnection final : public net::Connection {
       HalfPipe& in = incoming();
       if (!in.empty()) {
         Timestamp at = in.chunks.front().deliver_at;
-        if (at <= inner_->clock->Now()) {
-          *ready = true;
-          return Status::OK();
-        }
-        if (inner_->auto_advance) {
+        if (at > inner_->clock->Now()) {
+          // Only delayed data pending: leap SimClock to its delivery time
+          // instead of waiting.
           inner_->LeapTo(at);
           inner_->cv.notify_all();
-          *ready = true;
-          return Status::OK();
         }
+        *ready = true;
+        return Status::OK();
       } else if (pipe_->reset || in.closed) {
         // The next read reports the reset/EOF; poll(2) flags these ready.
         *ready = true;
@@ -298,11 +295,9 @@ class SimConnection final : public net::Connection {
           inner_->cv.notify_all();  // Freed buffer space: writers unblock.
           continue;
         }
-        if (inner_->auto_advance) {
-          inner_->LeapTo(front.deliver_at);
-          inner_->cv.notify_all();
-          continue;
-        }
+        inner_->LeapTo(front.deliver_at);
+        inner_->cv.notify_all();
+        continue;
       } else {
         // Deliverable data always wins over error reporting, so a torn
         // write delivers its prefix before the reset surfaces.
@@ -320,7 +315,7 @@ class SimConnection final : public net::Connection {
         if ((inner_->partitioned ||
              inner_->LinkDownLocked(pipe_->client_node,
                                     pipe_->server_node)) &&
-            inner_->auto_advance && read_timeout_ms_ > 0) {
+            read_timeout_ms_ > 0) {
           inner_->LeapTo(sim_deadline);
           inner_->cv.notify_all();
           return Status::DeadlineExceeded(
@@ -495,8 +490,7 @@ class SimPoller final : public net::Poller {
         }
       }
       if (!ready->empty()) return Status::OK();
-      if (earliest != std::numeric_limits<Timestamp>::max() &&
-          inner_->auto_advance) {
+      if (earliest != std::numeric_limits<Timestamp>::max()) {
         inner_->LeapTo(earliest);
         inner_->cv.notify_all();
         continue;  // Re-scan: the leap made that data deliverable.
@@ -580,7 +574,6 @@ SimTransport::SimTransport(const SimTransportOptions& options)
     : inner_(std::make_shared<Inner>()) {
   clock_ = options.clock ? options.clock : std::make_shared<SimClock>();
   inner_->clock = clock_;
-  inner_->auto_advance = options.auto_advance_clock;
   inner_->conn_buffer_bytes = options.conn_buffer_bytes;
 }
 
@@ -635,9 +628,7 @@ Status SimTransport::ConnectFrom(const std::string& node,
     // SYNs vanish into the partition; charge the handshake deadline to
     // SimClock instead of really waiting it out.
     if (timeout_ms > 0) {
-      if (inner_->auto_advance) {
-        inner_->LeapTo(inner_->clock->Now() + Timestamp{timeout_ms} * 1000);
-      }
+      inner_->LeapTo(inner_->clock->Now() + Timestamp{timeout_ms} * 1000);
       return Status::DeadlineExceeded("connect " + Where(port) +
                                       " timed out after " +
                                       std::to_string(timeout_ms) + " ms");

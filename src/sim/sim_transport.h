@@ -36,13 +36,11 @@ namespace sim {
 
 struct SimTransportOptions {
   /// Clock delayed deliveries and partitioned-read deadlines are measured
-  /// on. Null: the transport creates its own SimClock starting at 0.
+  /// on. A reader that finds only delayed data advances it to the earliest
+  /// delivery time instead of waiting (the simulation "time leap"), and a
+  /// partitioned read charges its deadline to it. Null: the transport
+  /// creates its own SimClock starting at 0.
   std::shared_ptr<SimClock> clock;
-  /// When a reader finds only not-yet-deliverable (delayed) data, advance
-  /// the clock to the earliest delivery time instead of waiting — the
-  /// simulation "time leap". Also charges partitioned-read deadlines to the
-  /// clock. Disable to exercise real waiting.
-  bool auto_advance_clock = true;
   /// Per-direction in-flight byte cap modeling a bounded kernel send
   /// buffer, honored by Connection::WriteSome only: once a connection
   /// direction holds this many unread bytes, WriteSome accepts nothing
@@ -77,8 +75,8 @@ class SimTransport final : public net::Transport {
                  std::unique_ptr<net::Connection>* conn) override;
   /// Readiness multiplexer over simulated connections. When every watched
   /// connection's pending data is delayed delivery, Wait leaps SimClock to
-  /// the earliest delivery time (under auto_advance_clock) instead of
-  /// sleeping — the same time-leap WaitReadable performs.
+  /// the earliest delivery time instead of sleeping — the same time-leap
+  /// WaitReadable performs.
   Status NewPoller(std::unique_ptr<net::Poller>* poller) override;
 
   // --- Fault injection (thread-safe) ------------------------------------

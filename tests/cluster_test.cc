@@ -224,8 +224,6 @@ class ClusterTest : public ::testing::Test {
     cluster::ClusterClientOptions ccopts;
     ccopts.transport = transport_->ForNode("client");
     ccopts.max_retries = 10;
-    ccopts.backoff_initial_ms = 20;
-    ccopts.backoff_max_ms = 500;
     ccopts.client.clock = clock_;
     ccopts.client.connect_timeout_ms = 500;
     ccopts.client.read_timeout_ms = 1000;

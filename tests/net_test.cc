@@ -439,7 +439,7 @@ TEST_F(NetTest, FinishedConnectionThreadsAreReaped) {
     ASSERT_TRUE(Client::Connect("127.0.0.1", server_->port(), &c).ok());
     ASSERT_TRUE(c->Ping().ok());
     c.reset();
-    tracked = server_->NumConnThreads();
+    tracked = server_->ConnectionCount();
     if (tracked < 10) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
@@ -806,7 +806,7 @@ TEST(NetRobustnessTest, StopDrainsInFlightQueryAndRejectsNewFrames) {
   // The in-flight query completed in full despite the concurrent Stop().
   EXPECT_TRUE(query_ok.load());
   EXPECT_EQ(got_rows.load(), 2000u);
-  EXPECT_EQ(server.NumConnThreads(), 0u);
+  EXPECT_EQ(server.ConnectionCount(), 0u);
   EXPECT_GE(CounterValue(&server, "server.shutdown_rejects"), 1);
 }
 

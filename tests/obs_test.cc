@@ -79,6 +79,15 @@ TEST(MetricsSamplerTest, StartCreatesSystemTablesWithConfiguredTtls) {
   EXPECT_EQ(t1s->schema()->num_key_columns(), 2u);
 }
 
+TEST(MetricsSamplerTest, StartRejectsIntervalThatDoesNotDivideAMinute) {
+  ObsFixture fx;
+  obs::SamplerOptions sopts = ManualSampler();
+  sopts.interval = 7 * kMicrosPerSecond;  // 60 s is not a multiple of 7 s.
+  obs::MetricsSampler sampler(fx.db.get(), sopts);
+  EXPECT_TRUE(sampler.Start().IsInvalidArgument());
+  EXPECT_EQ(fx.db->GetTable(obs::kMetricsTable1s), nullptr);
+}
+
 TEST(MetricsSamplerTest, SampleOnceWritesPerTableCountersWithAlignedTs) {
   ObsFixture fx;
   obs::MetricsSampler sampler(fx.db.get(), ManualSampler());

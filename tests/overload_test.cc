@@ -199,9 +199,12 @@ class OverloadNetTest : public ::testing::Test {
     if (server_) server_->Stop();
   }
 
-  /// Creates "usage" and inserts `n` rows for network 1 (distinct devices).
+  /// Creates "usage" (unless the test already did) and inserts `n` rows for
+  /// network 1 (distinct devices).
   void Fill(int n) {
-    ASSERT_TRUE(client_->CreateTable("usage", UsageSchema(), 0).ok());
+    if (!db_->GetTable("usage")) {
+      ASSERT_TRUE(client_->CreateTable("usage", UsageSchema(), 0).ok());
+    }
     std::vector<Row> rows;
     for (int i = 0; i < n; i++) {
       rows.push_back(UsageRow(1, i, clock_->Now() + i, i * 7, 0.5));
@@ -299,10 +302,12 @@ TEST_F(OverloadNetTest, BudgetedStreamingCompletesLargeResult) {
   EXPECT_LE(peak, sopts_.query_budget_bytes);
 }
 
-// S1: the server-side default row cap truncates uncapped queries and says
-// so via the final chunk's more-available flag; paging resumes past it.
+// S1: the table's row cap (§3.5) truncates uncapped queries and says so via
+// the final chunk's more-available flag; paging resumes past it.
 TEST_F(OverloadNetTest, DefaultRowCapTruncatesWithMoreAvailable) {
-  sopts_.default_query_row_cap = 64;
+  TableOptions topts = db_->options().table_defaults;
+  topts.server_row_limit = 64;
+  ASSERT_TRUE(db_->CreateTable("usage", UsageSchema(), &topts).ok());
   StartServer();
   Fill(300);
   QueryResult res;
@@ -451,6 +456,12 @@ TEST_F(OverloadNetTest, SlowReaderBoundedBuffering) {
 
   std::unique_ptr<net::Connection> a = RawConn();
   SendQuery(a.get(), QueryBounds{});
+  // Read nothing until the stream has parked: an unread 1 KB pipe cannot
+  // drain a 4 KB budget, so the first pause does not depend on whether
+  // the reader happens to fall behind.
+  for (int i = 0; i < 1000 && CounterValue("server.stream_pauses") == 0; i++) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
   uint64_t rows = 0;
   uint8_t flags = 0;
   while ((flags & wire::kChunkFinal) == 0) {

@@ -87,10 +87,6 @@ void ClusterClient::Backoff(int attempt) {
   }
 }
 
-bool ClusterClient::IsConnectionError(const Status& s) {
-  return s.IsNetworkError() || s.IsUnavailable() || s.IsDeadlineExceeded();
-}
-
 bool ClusterClient::BodyHasCode(const std::string& body, ErrCode code) {
   return !body.empty() && static_cast<ErrCode>(body[0]) == code;
 }
@@ -98,6 +94,18 @@ bool ClusterClient::BodyHasCode(const std::string& body, ErrCode code) {
 Status ClusterClient::RoutedCall(uint32_t group_id, MsgType op,
                                  const std::string& inner, MsgType* rt,
                                  std::string* rb, int* attempts_out) {
+  return Routed(
+      group_id, inner, /*retry_busy=*/true,
+      [&](Client* client, const std::string& body) {
+        return client->Call(op, body, rt, rb);
+      },
+      rt, rb, attempts_out);
+}
+
+Status ClusterClient::Routed(uint32_t group_id, const std::string& inner,
+                             bool retry_busy, const Attempt& attempt_fn,
+                             const MsgType* rt, const std::string* rb,
+                             int* attempts_out) {
   Status last = Status::Unavailable("no attempt made");
   for (int attempt = 0; attempt <= opts_.max_retries; attempt++) {
     if (attempt > 0) {
@@ -118,9 +126,9 @@ Status ClusterClient::RoutedCall(uint32_t group_id, MsgType op,
     PutVarint32(&body, group_id);
     PutVarint64(&body, map_.epoch);
     body += inner;
-    last = client->Call(op, body, rt, rb);
+    last = attempt_fn(client, body);
     if (!last.ok()) {
-      if (!IsConnectionError(last)) return last;
+      if (!Client::IsConnectionError(last)) return last;
       DropClient(primary);
       continue;
     }
@@ -128,7 +136,8 @@ Status ClusterClient::RoutedCall(uint32_t group_id, MsgType op,
       last = Status::Aborted("wrong shard");
       continue;
     }
-    if (*rt == MsgType::kError && BodyHasCode(*rb, ErrCode::kServerBusy)) {
+    if (retry_busy && *rt == MsgType::kError &&
+        BodyHasCode(*rb, ErrCode::kServerBusy)) {
       // Replication window full (or draining): give the shipper a chance.
       last = Status::Unavailable("shard busy");
       continue;
@@ -262,68 +271,41 @@ Status ClusterClient::QueryGroup(uint32_t group_id, const std::string& table,
   PutVarint32(&inner, schema->version());
   wire::EncodeBounds(&inner, *schema, bounds);
 
-  Status last = Status::Unavailable("no attempt made");
-  for (int attempt = 0; attempt <= opts_.max_retries; attempt++) {
-    if (attempt > 0) {
-      Backoff(attempt - 1);
-      RefreshMap();
-    }
-    const ShardGroupInfo* g = map_.GroupById(group_id);
-    if (g == nullptr) {
-      return Status::NotFound("no shard group " + std::to_string(group_id));
-    }
-    const Endpoint primary = g->primary;
-    Client* client = ClientFor(primary);
-    if (client == nullptr) {
-      last = Status::Unavailable("primary unreachable: " + primary.ToString());
-      continue;
-    }
-    std::string body;
-    PutVarint32(&body, group_id);
-    PutVarint64(&body, map_.epoch);
-    body += inner;
-    result->rows.clear();
-    result->more_available = false;
-    bool retry = false;
-    Status app_error;
-    last = client->CallStream(
-        MsgType::kRoutedQuery, body,
-        [&](MsgType type, Slice in, bool* done) -> Status {
-          if (type == MsgType::kError) {
-            const std::string eb = in.ToString();
-            if (BodyHasCode(eb, ErrCode::kWrongShard)) {
-              retry = true;
-            } else {
-              app_error = Client::ErrorFromBody(Slice(eb));
-            }
-            *done = true;
-            return Status::OK();
-          }
-          if (type != MsgType::kQueryChunk) {
-            return Status::NetworkError("unexpected response");
-          }
-          uint8_t flags;
-          LT_RETURN_IF_ERROR(
-              Client::DecodeQueryChunk(in, *schema, &flags, &result->rows));
-          if (flags & wire::kChunkFinal) {
-            result->more_available = flags & wire::kChunkMoreAvailable;
-            *done = true;
-          }
-          return Status::OK();
-        });
-    if (!last.ok()) {
-      if (!IsConnectionError(last)) return last;
-      DropClient(primary);
-      continue;
-    }
-    if (retry) {
-      last = Status::Aborted("wrong shard");
-      continue;
-    }
-    if (!app_error.ok()) return app_error;
-    return Status::OK();
-  }
-  return last;
+  // A routed query does not retry kServerBusy: that answer means its wait
+  // for a scan slot expired, and the caller decides what to do about load.
+  MsgType rt = MsgType::kQueryChunk;
+  std::string rb;
+  LT_RETURN_IF_ERROR(Routed(
+      group_id, inner, /*retry_busy=*/false,
+      [&](Client* client, const std::string& body) {
+        result->rows.clear();
+        result->more_available = false;
+        rt = MsgType::kQueryChunk;
+        return client->CallStream(
+            MsgType::kRoutedQuery, body,
+            [&](MsgType type, Slice in, bool* done) -> Status {
+              if (type == MsgType::kError) {
+                rt = type;
+                rb = in.ToString();
+                *done = true;
+                return Status::OK();
+              }
+              if (type != MsgType::kQueryChunk) {
+                return Status::NetworkError("unexpected response");
+              }
+              uint8_t flags;
+              LT_RETURN_IF_ERROR(
+                  Client::DecodeQueryChunk(in, *schema, &flags, &result->rows));
+              if (flags & wire::kChunkFinal) {
+                result->more_available = flags & wire::kChunkMoreAvailable;
+                *done = true;
+              }
+              return Status::OK();
+            });
+      },
+      &rt, &rb));
+  if (rt == MsgType::kError) return Client::ErrorFromBody(Slice(rb));
+  return Status::OK();
 }
 
 Status ClusterClient::Query(const std::string& table,

@@ -16,6 +16,7 @@
 #ifndef LITTLETABLE_CLUSTER_CLUSTER_CLIENT_H_
 #define LITTLETABLE_CLUSTER_CLUSTER_CLIENT_H_
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -87,20 +88,32 @@ class ClusterClient {
   Client* ClientFor(const Endpoint& ep);
   void DropClient(const Endpoint& ep);
   void Backoff(int attempt);
-  static bool IsConnectionError(const Status& s);
   static bool BodyHasCode(const std::string& body, wire::ErrCode code);
 
-  /// One routed round trip to `group_id`'s primary with the full retry
-  /// protocol (connection error or kWrongShard → backoff + map refresh +
-  /// retry). On success `*rt`/`*rb` hold the response frame — which may
-  /// still be an application-level kError — and `*attempts_out` (optional)
-  /// the number of send attempts that preceded it.
+  /// One attempt of a routed request: sends the routed `body` (group id,
+  /// map epoch, then the request's own bytes) on `client`.
+  using Attempt =
+      std::function<Status(Client* client, const std::string& body)>;
+
+  /// The routed retry loop: sends `inner` to `group_id`'s primary through
+  /// `attempt`, which leaves the answer's frame type in *rt and, for a
+  /// kError, its body in *rb. A connection error or kWrongShard (and
+  /// kServerBusy when `retry_busy`) backs off, refreshes the map and
+  /// retries. On success *rt/*rb hold the answer — which may still be an
+  /// application-level kError — and `*attempts_out` (optional) the number
+  /// of send attempts that preceded it.
+  Status Routed(uint32_t group_id, const std::string& inner, bool retry_busy,
+                const Attempt& attempt, const wire::MsgType* rt,
+                const std::string* rb, int* attempts_out = nullptr);
+
+  /// One routed round trip (Client::Call) through Routed, retrying
+  /// kServerBusy too.
   Status RoutedCall(uint32_t group_id, wire::MsgType op,
                     const std::string& inner, wire::MsgType* rt,
                     std::string* rb, int* attempts_out = nullptr);
 
   /// Query one group (kRoutedQuery + kQuery inner), decoding the chunk
-  /// stream; same retry protocol as RoutedCall.
+  /// stream (Client::CallStream) through Routed.
   Status QueryGroup(uint32_t group_id, const std::string& table,
                     const QueryBounds& bounds, QueryResult* result);
 

@@ -45,15 +45,18 @@ namespace lt {
 class Table;
 
 /// A pull-based query: the same snapshot visibility and TTL/limit semantics
-/// as Table::Query, but rows come out one at a time on demand, so the caller
-/// (the server's streaming read path) decides how much to materialize and
-/// can abandon the scan at any point. Created by Table::NewQueryStream; the
-/// Table must outlive the stream. Not thread-safe — one thread at a time,
-/// though different calls may come from different worker threads.
+/// as Table::Query, pulled on demand, so the caller decides how much to
+/// materialize and can abandon the scan at any point. Created by
+/// Table::NewQueryStream; the Table must outlive the stream. Not
+/// thread-safe — one thread at a time, though different calls may come
+/// from different worker threads.
 ///
-/// Rows are read in place (see cursor.h): Next positions the stream on a
-/// matching row, and the caller encodes it (AppendEncoded — the server's
-/// chunk path, no per-row allocation) or materializes it (MaterializeRow).
+/// NextChunk is the serving path: the server's streaming read path pulls
+/// one wire chunk of encoded rows per call, copied from the cursors a run
+/// at a time. Next is the one-row reference: it positions the stream on a
+/// matching row, read in place (see cursor.h) with AppendEncoded or
+/// MaterializeRow. Table::Query materializes through Next, and
+/// cursor_diff_test checks every NextChunk against a Next loop.
 class QueryStream {
  public:
   ~QueryStream();

@@ -53,107 +53,29 @@ AdmissionController::Bucket& AdmissionController::BucketFor(
   return b;
 }
 
-bool AdmissionController::ChargeQueryLocked(int64_t tenant, Timestamp now) {
-  if (const TenantQuota* q = QuotaFor(tenant)) {
-    Bucket& b = BucketFor(tenant, *q, now);
-    if (q->queries_per_sec > 0) {
-      if (b.query_tokens < 1) return false;
-      b.query_tokens -= 1;
-    }
-    // A scan admitted while the row bucket is still paying off an earlier
-    // scan's debt would shed on its first chunk anyway; shed it now, before
-    // it costs a slot.
-    if (q->scanned_rows_per_sec > 0 && b.row_tokens < 0) return false;
-  }
-  return true;
-}
-
 bool AdmissionController::ChargeQuery(int64_t tenant) {
   std::lock_guard<std::mutex> lock(mu_);
-  return ChargeQueryLocked(tenant, clock_->Now());
-}
-
-AdmissionController::Decision AdmissionController::Request(uint64_t waiter_id,
-                                                           int64_t tenant) {
-  std::lock_guard<std::mutex> lock(mu_);
   const Timestamp now = clock_->Now();
-  if (!ChargeQueryLocked(tenant, now)) return Decision::kShedQuota;
-  if (opts_.max_concurrent_scans == 0 || active_ < opts_.max_concurrent_scans) {
-    active_++;
-    return Decision::kAdmitted;
+  const TenantQuota* q = QuotaFor(tenant);
+  if (q == nullptr) return true;
+  Bucket& b = BucketFor(tenant, *q, now);
+  if (q->queries_per_sec > 0) {
+    if (b.query_tokens < 1) return false;
+    b.query_tokens -= 1;
   }
-  if (queue_.size() >= opts_.max_queued_scans) return Decision::kShedQueueFull;
-  Waiter w;
-  w.id = waiter_id;
-  w.enqueued_at = now;
-  w.deadline = opts_.queue_wait_timeout_ms > 0
-                   ? now + Timestamp{opts_.queue_wait_timeout_ms} * 1000
-                   : 0;
-  queue_.push_back(w);
-  return Decision::kQueued;
+  // A scan admitted while the row bucket is still paying off an earlier
+  // scan's debt would shed on its first chunk anyway; shed it now, before
+  // it costs a slot.
+  return q->scanned_rows_per_sec <= 0 || b.row_tokens >= 0;
 }
 
 bool AdmissionController::ChargeScannedRows(int64_t tenant, uint64_t n) {
   std::lock_guard<std::mutex> lock(mu_);
   const TenantQuota* q = QuotaFor(tenant);
   if (q == nullptr || q->scanned_rows_per_sec <= 0) return true;
-  const Timestamp now = clock_->Now();
-  Bucket& b = BucketFor(tenant, *q, now);
+  Bucket& b = BucketFor(tenant, *q, clock_->Now());
   b.row_tokens -= static_cast<double>(n);
   return b.row_tokens >= 0;
-}
-
-void AdmissionController::Release(std::vector<Departure>* granted) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const Timestamp now = clock_->Now();
-  if (active_ > 0) active_--;
-  // FIFO: hand freed slots to the head of the wait queue. A loop rather
-  // than a single grant so a shrinking active count can never strand
-  // waiters while slots sit idle.
-  while (!queue_.empty() &&
-         (opts_.max_concurrent_scans == 0 ||
-          active_ < opts_.max_concurrent_scans)) {
-    const Waiter& w = queue_.front();
-    granted->push_back({w.id, std::max<Timestamp>(0, now - w.enqueued_at)});
-    queue_.pop_front();
-    active_++;
-  }
-}
-
-bool AdmissionController::CancelWaiter(uint64_t waiter_id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-    if (it->id == waiter_id) {
-      queue_.erase(it);
-      return true;
-    }
-  }
-  return false;
-}
-
-void AdmissionController::ExpireWaiters(std::vector<Departure>* expired) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (opts_.queue_wait_timeout_ms <= 0 || queue_.empty()) return;
-  const Timestamp now = clock_->Now();
-  for (auto it = queue_.begin(); it != queue_.end();) {
-    if (it->deadline > 0 && now >= it->deadline) {
-      expired->push_back(
-          {it->id, std::max<Timestamp>(0, now - it->enqueued_at)});
-      it = queue_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-size_t AdmissionController::active_scans() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return active_;
-}
-
-size_t AdmissionController::queued_scans() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return queue_.size();
 }
 
 }  // namespace lt

@@ -196,6 +196,11 @@ class Client {
   /// cluster router, which interprets raw response frames from Call.
   static Status ErrorFromBody(Slice body);
 
+  /// True for errors where reconnect + retry may help: the peer vanished,
+  /// a deadline expired, or the server said busy/shutting down. Public for
+  /// the cluster router's retry loop.
+  static bool IsConnectionError(const Status& s);
+
   /// Decodes a kQueryChunk body whose rows are encoded under `schema`:
   /// returns its flags byte in `*flags` and appends its rows to `*rows`.
   /// Fails closed — Corruption for a malformed header, a row count larger
@@ -224,9 +229,6 @@ class Client {
   /// Called WITHOUT mu_ held: the sleep must not stall other threads'
   /// requests on this Client.
   void Backoff(int attempt);
-  /// True for errors where reconnect + retry may help: the peer vanished,
-  /// a deadline expired, or the server said busy/shutting down.
-  static bool IsConnectionError(const Status& s);
   /// Runs request attempts of `fn`, reconnecting and retrying on
   /// connection errors per the retry policy. Only for idempotent requests.
   /// Acquires mu_ around each attempt (callers must NOT hold it) and

@@ -261,7 +261,7 @@ void LittleTableServer::Stop() {
   workers_.clear();
   {
     std::lock_guard<std::mutex> lock(sched_mu_);
-    parked_.clear();
+    slot_queue_.clear();
   }
   active_connections_->Add(-static_cast<int64_t>(conns_.size()));
   conns_.clear();  // Destroys the connections (closes them). Any live
@@ -365,7 +365,7 @@ void LittleTableServer::EventLoop() {
           // Connection-close cancellation: a peer that vanished mid-query
           // aborts the scan instead of letting it run to completion into
           // a buffer nobody will read. A parked stream is re-scheduled so
-          // a worker finalizes it (releasing its admission slot).
+          // a worker finalizes it (returning its scan slot).
           if (cs->stream) {
             cs->stream->cancel.store(true);
             if (!cs->running) {
@@ -577,29 +577,25 @@ void LittleTableServer::EnqueueTask(const std::shared_ptr<ConnState>& cs,
 void LittleTableServer::IdleTick() {
   const Timestamp now = idle_clock_->Now();
   bool notify_sched = false;
-  // Shed admission waiters whose queue-wait deadline passed: each parked
+  // Shed slot waiters whose queue-wait deadline passed: each parked
   // connection is re-scheduled and a worker slice answers it kServerBusy —
-  // an explicit reply, never a silent drop.
-  {
-    std::vector<AdmissionController::Departure> expired;
-    admission_->ExpireWaiters(&expired);
-    if (!expired.empty()) {
-      std::lock_guard<std::mutex> lock(sched_mu_);
-      for (const AdmissionController::Departure& d : expired) {
-        auto it = parked_.find(d.id);
-        if (it == parked_.end()) continue;
-        std::shared_ptr<ConnState> cs = it->second;
-        parked_.erase(it);
-        if (cs->stream && cs->stream->queued) {
-          cs->stream->queued = false;
-          cs->stream->expired = true;
-          cs->stream->queue_wait_micros = d.waited_micros;
-          ScheduleLocked(cs);
-          notify_sched = true;
-        }
-      }
+  // an explicit reply, never a silent drop. Entries joined the queue in
+  // clock order, so the expired ones are a prefix.
+  if (opts_.admission.queue_wait_timeout_ms > 0) {
+    const Timestamp wait =
+        Timestamp{opts_.admission.queue_wait_timeout_ms} * 1000;
+    std::lock_guard<std::mutex> lock(sched_mu_);
+    const size_t queued = slot_queue_.size();
+    while (!slot_queue_.empty() &&
+           now - slot_queue_.front()->stream->queued_at >= wait) {
+      std::shared_ptr<ConnState> cs = std::move(slot_queue_.front());
+      slot_queue_.pop_front();
+      cs->stream->slot = Slot::kExpired;
+      cs->stream->queue_wait_micros = now - cs->stream->queued_at;
+      ScheduleLocked(cs);
+      notify_sched = true;
     }
-    if (!expired.empty()) UpdateScanGauges();
+    if (slot_queue_.size() != queued) UpdateScanGaugesLocked();
   }
   for (auto it = conns_.begin(); it != conns_.end();) {
     const std::shared_ptr<ConnState>& cs = it->second;
@@ -631,7 +627,7 @@ void LittleTableServer::IdleTick() {
       std::lock_guard<std::mutex> lock(sched_mu_);
       if (stalled) cs->dead = true;
       // A dead connection with a stream still attached: make sure a
-      // worker finalizes it (releasing its admission slot) — the cancel
+      // worker finalizes it (returning its scan slot) — the cancel
       // may have been set after the stream parked.
       if (cs->dead && cs->stream && !cs->running) {
         cs->stream->cancel.store(true);
@@ -760,38 +756,33 @@ void LittleTableServer::FlushTick() {
   if (notify_sched) sched_cv_.notify_all();
 }
 
-void LittleTableServer::UpdateScanGauges() {
-  scans_active_->Set(static_cast<int64_t>(admission_->active_scans()));
-  scans_queued_->Set(static_cast<int64_t>(admission_->queued_scans()));
+void LittleTableServer::UpdateScanGaugesLocked() {
+  scans_active_->Set(static_cast<int64_t>(scans_held_));
+  scans_queued_->Set(static_cast<int64_t>(slot_queue_.size()));
 }
 
-void LittleTableServer::ResumeGranted(
-    const std::vector<AdmissionController::Departure>& g) {
-  if (g.empty()) return;
-  bool notify = false;
-  {
-    std::lock_guard<std::mutex> lock(sched_mu_);
-    for (const AdmissionController::Departure& d : g) {
-      auto it = parked_.find(d.id);
-      if (it == parked_.end()) continue;  // Cancelled/died; slot was or
-                                          // will be released by that path.
-      std::shared_ptr<ConnState> cs = it->second;
-      parked_.erase(it);
-      if (cs->stream && cs->stream->queued) {
-        cs->stream->queued = false;
-        cs->stream->admitted = true;
-        cs->stream->queue_wait_micros = d.waited_micros;
-        ScheduleLocked(cs);
-        notify = true;
-      }
-    }
+bool LittleTableServer::ReleaseSlotLocked() {
+  // FIFO: a waiter means every slot was taken, so the freed one goes to
+  // the longest waiter.
+  bool granted = false;
+  if (slot_queue_.empty()) {
+    scans_held_--;
+  } else {
+    std::shared_ptr<ConnState> next = std::move(slot_queue_.front());
+    slot_queue_.pop_front();
+    StreamState* w = next->stream.get();
+    w->slot = Slot::kHeld;
+    w->queue_wait_micros =
+        std::max<Timestamp>(0, idle_clock_->Now() - w->queued_at);
+    ScheduleLocked(next);
+    granted = true;
   }
-  if (notify) sched_cv_.notify_all();
+  UpdateScanGaugesLocked();
+  return granted;
 }
 
 LittleTableServer::SliceResult LittleTableServer::ExecuteQuerySlice(
     const std::shared_ptr<ConnState>& cs, Task& task) {
-  using Decision = AdmissionController::Decision;
   // The request's own opcode histogram: kQuery, or kRoutedQuery.
   LatencyHistogram* const op_micros =
       op_micros_[static_cast<uint8_t>(task.payload[0])];
@@ -853,56 +844,64 @@ LittleTableServer::SliceResult LittleTableServer::ExecuteQuerySlice(
     stream->table = std::move(table);
     stream->bounds = bounds;
     stream->tenant = cs->tenant;
-    stream->slot_exempt = slot_exempt;
     stream->op_start = op_start;
+    const Timestamp now = idle_clock_->Now();
     if (opts_.query_deadline_ms > 0) {
-      stream->deadline =
-          idle_clock_->Now() + Timestamp{opts_.query_deadline_ms} * 1000;
+      stream->deadline = now + Timestamp{opts_.query_deadline_ms} * 1000;
     }
-    Decision d = Decision::kShedQuota;
-    if (slot_exempt && admission_->ChargeQuery(cs->tenant)) {
-      d = Decision::kAdmitted;
-    }
-    {
-      // Request and park are one step under sched_mu_: a Release on
-      // another worker that grants this waiter resumes it through
-      // ResumeGranted, which takes sched_mu_ and so finds it parked.
-      // (Admission's lock nests inside sched_mu_, never around it.)
-      std::lock_guard<std::mutex> lock(sched_mu_);
-      if (!slot_exempt) d = admission_->Request(cs->id, cs->tenant);
-      if (d == Decision::kAdmitted || d == Decision::kQueued) {
-        st = stream.get();
-        st->admitted = d == Decision::kAdmitted;
-        st->queued = d == Decision::kQueued;
-        if (st->queued) parked_[cs->id] = cs;
-        cs->stream = std::move(stream);
-      }
-    }
-    if (!slot_exempt) UpdateScanGauges();
-    if (d == Decision::kShedQuota) {
+    // Every query pays its tenant's query bucket first, a queue-full shed
+    // included.
+    if (!admission_->ChargeQuery(cs->tenant)) {
       query_shed_->Increment();
       query_shed_quota_->Increment();
       return reply(error_frame(ErrCode::kResourceExhausted,
                                "tenant quota exceeded"));
     }
-    if (d == Decision::kShedQueueFull) {
+    bool queue_full = false;
+    Slot slot = Slot::kNone;
+    {
+      // Take a slot, or join the queue and park, in one sched_mu_ step: a
+      // slot released on another worker grants the queue head under the
+      // same lock, so it always finds this stream parked.
+      std::lock_guard<std::mutex> lock(sched_mu_);
+      if (!slot_exempt) {
+        const size_t max = opts_.admission.max_concurrent_scans;
+        if (max == 0 || scans_held_ < max) {
+          stream->slot = Slot::kHeld;
+          scans_held_++;
+        } else if (slot_queue_.size() < opts_.admission.max_queued_scans) {
+          stream->slot = Slot::kQueued;
+          stream->queued_at = now;
+          slot_queue_.push_back(cs);
+        } else {
+          queue_full = true;
+        }
+        UpdateScanGaugesLocked();
+      }
+      if (!queue_full) {
+        st = stream.get();
+        slot = st->slot;
+        cs->stream = std::move(stream);
+      }
+    }
+    if (queue_full) {
       query_shed_->Increment();
       query_shed_queue_full_->Increment();
       return reply(error_frame(ErrCode::kResourceExhausted,
                                "admission queue full"));
     }
-    // Queued: a Release grant or expiry resumes us.
-    if (d == Decision::kQueued) return SliceResult::kParked;
+    // Queued: a grant or the wait's expiry resumes us.
+    if (slot == Slot::kQueued) return SliceResult::kParked;
   }
 
   // Tear-down common to every way a stream ends: record, append the
   // terminal frame (empty when silence is the answer — dead peer),
-  // release the slot, detach. Stats are recorded BEFORE the terminal
+  // return a held slot, detach. Stats are recorded BEFORE the terminal
   // frame is appended: once the client can observe the response, the
   // table's query counters and the server's stream histograms must
   // already reflect it (the deterministic chaos sampler depends on that
   // ordering).
-  auto finalize = [&](bool release_slot, const Slice& terminal) {
+  auto finalize = [&](const Slice& terminal) {
     if (st->qs) st->qs->Finish();
     if (st->queue_wait_micros >= 0) {
       queue_wait_micros_->Record(static_cast<uint64_t>(st->queue_wait_micros));
@@ -913,60 +912,52 @@ LittleTableServer::SliceResult LittleTableServer::ExecuteQuerySlice(
     const Timestamp micros = MonotonicMicros() - st->op_start;
     if (op_micros != nullptr) op_micros->Record(static_cast<uint64_t>(micros));
     if (!terminal.empty()) AppendOutput(cs, terminal);
-    if (release_slot && !st->slot_exempt) {
-      std::vector<AdmissionController::Departure> granted;
-      admission_->Release(&granted);
-      ResumeGranted(granted);
-      UpdateScanGauges();
+    bool granted = false;
+    {
+      std::lock_guard<std::mutex> lock(sched_mu_);
+      if (st->slot == Slot::kHeld) granted = ReleaseSlotLocked();
+      cs->stream.reset();
     }
-    std::lock_guard<std::mutex> lock(sched_mu_);
-    cs->stream.reset();
+    if (granted) sched_cv_.notify_all();
     return SliceResult::kDone;
   };
-  bool queued, expired, admitted;
   const bool cancelled = st->cancel.load();
   bool wfail;
   {
     std::lock_guard<std::mutex> lock(cs->out_mu);
     wfail = cs->write_failed;
   }
+  Slot slot;
   {
     std::lock_guard<std::mutex> lock(sched_mu_);
     st->paused = false;  // If we were parked on backpressure, no longer.
-    queued = st->queued;
-    expired = st->expired;
-    admitted = st->admitted;
-    if (queued && (cancelled || wfail)) {
-      // Claim the waiter under sched_mu_ so a concurrent grant cannot
-      // also act on it; the controller race is settled below.
-      st->queued = false;
-      parked_.erase(cs->id);
+    if (st->slot == Slot::kQueued && (cancelled || wfail)) {
+      // Leave the queue in the same step that reads the state: a grant or
+      // an expiry either already moved the stream out of kQueued, or it
+      // will not find it in the queue.
+      slot_queue_.erase(
+          std::find(slot_queue_.begin(), slot_queue_.end(), cs));
+      st->slot = Slot::kNone;
+      UpdateScanGaugesLocked();
     }
-  }
-  if (queued && (cancelled || wfail)) {
-    // A false CancelWaiter means a grant raced us out of the queue — the
-    // slot is ours now and must be released on the way out.
-    admitted = !admission_->CancelWaiter(cs->id);
-    UpdateScanGauges();
-    queued = false;
+    slot = st->slot;
   }
   if (wfail) {
     // Peer unreachable: nothing to say, just unwind.
-    return finalize(admitted, "");
+    return finalize("");
   }
-  if (expired) {
+  if (slot == Slot::kExpired) {
     query_shed_->Increment();
     query_shed_wait_timeout_->Increment();
-    return finalize(admitted,
-                    error_frame(ErrCode::kServerBusy,
+    return finalize(error_frame(ErrCode::kServerBusy,
                                 "timed out waiting for a scan slot"));
   }
   if (cancelled) {
     query_cancelled_->Increment();
-    return finalize(admitted,
-                    error_frame(ErrCode::kCancelled, "query cancelled"));
+    return finalize(error_frame(ErrCode::kCancelled, "query cancelled"));
   }
-  if (queued) return SliceResult::kParked;  // Spurious resume; keep waiting.
+  // Spurious resume; keep waiting.
+  if (slot == Slot::kQueued) return SliceResult::kParked;
 
   // Admitted: open the stream lazily so queued scans pin no tablet
   // snapshot while waiting.
@@ -975,7 +966,7 @@ LittleTableServer::SliceResult LittleTableServer::ExecuteQuerySlice(
     if (!s.ok()) {
       std::string out;
       ReplyStatus(&out, s);
-      return finalize(true, out);
+      return finalize(out);
     }
   }
   const size_t budget = opts_.query_budget_bytes;
@@ -984,19 +975,18 @@ LittleTableServer::SliceResult LittleTableServer::ExecuteQuerySlice(
     // Kill switches, re-checked between chunks inside the scan loop.
     if (st->cancel.load()) {
       query_cancelled_->Increment();
-      return finalize(true,
-                      error_frame(ErrCode::kCancelled, "query cancelled"));
+      return finalize(error_frame(ErrCode::kCancelled, "query cancelled"));
     }
     {
       std::lock_guard<std::mutex> lock(cs->out_mu);
       wfail = cs->write_failed;
     }
-    if (wfail) return finalize(true, "");
+    if (wfail) return finalize("");
     if (st->deadline > 0 && idle_clock_->Now() >= st->deadline) {
       query_deadline_exceeded_->Increment();
       query_shed_->Increment();
-      return finalize(true, error_frame(ErrCode::kResourceExhausted,
-                                        "query deadline exceeded"));
+      return finalize(error_frame(ErrCode::kResourceExhausted,
+                                  "query deadline exceeded"));
     }
     // Backpressure: never build a chunk the budget cannot hold on top of
     // what the peer has not drained. Park — costing no worker thread —
@@ -1033,13 +1023,13 @@ LittleTableServer::SliceResult LittleTableServer::ExecuteQuerySlice(
     if (delta > 0 && !admission_->ChargeScannedRows(st->tenant, delta)) {
       query_shed_->Increment();
       query_shed_quota_->Increment();
-      return finalize(true, error_frame(ErrCode::kResourceExhausted,
-                                        "scanned-rows quota exceeded"));
+      return finalize(error_frame(ErrCode::kResourceExhausted,
+                                  "scanned-rows quota exceeded"));
     }
     if (!s.ok()) {
       std::string out;
       ReplyStatus(&out, s);
-      return finalize(true, out);
+      return finalize(out);
     }
     if (n > 0 || final) {
       uint8_t flags = 0;
@@ -1066,7 +1056,7 @@ LittleTableServer::SliceResult LittleTableServer::ExecuteQuerySlice(
       st->peak_bytes = std::max(st->peak_bytes, out_pending + chunk.size());
       // The final chunk rides through finalize so table stats land before
       // the client can observe the end of the stream.
-      if (final) return finalize(true, chunk);
+      if (final) return finalize(chunk);
       AppendOutput(cs, chunk);
     }
   }
@@ -1104,7 +1094,7 @@ void LittleTableServer::WorkerLoop() {
                           opts_.extension);
       if (query && db_ != nullptr) {
         // Queries stream, direct or routed: executed in bounded slices
-        // under the admission controller and the per-query byte budget
+        // under the scan slots, tenant quotas and the per-query byte budget
         // instead of materializing the whole result.
         sr = ExecuteQuerySlice(cs, task);
       } else if (op == static_cast<uint8_t>(MsgType::kSetTenant)) {
@@ -1174,7 +1164,7 @@ void LittleTableServer::WorkerLoop() {
       // an expiry or a cancel does not schedule a running connection.
       const StreamState* st = cs->stream.get();
       if (sr != SliceResult::kParked || st->cancel.load() ||
-          !(st->queued || st->paused)) {
+          !(st->slot == Slot::kQueued || st->paused)) {
         ScheduleLocked(cs);
         if (cs->queued_run) sched_cv_.notify_one();
       }

@@ -92,8 +92,9 @@ struct ServerOptions {
   /// scan loop; an over-deadline scan is shed mid-stream with
   /// kResourceExhausted. Measured on `clock`. 0 = none.
   int query_deadline_ms = 0;
-  /// Concurrent-scan slots, FIFO wait queue, and per-tenant token-bucket
-  /// quotas (keyed by the ConfigStore network id bound with kSetTenant).
+  /// Concurrent-scan slots, FIFO wait queue (both kept by the server), and
+  /// per-tenant token-bucket quotas (keyed by the ConfigStore network id
+  /// bound with kSetTenant).
   AdmissionOptions admission;
 };
 
@@ -152,6 +153,17 @@ class LittleTableServer {
     bool registered = false;  // Counted in active_requests_ for the drain.
   };
 
+  // Where a stream stands with the scan slots (DESIGN.md §10). Every
+  // transition happens under sched_mu_, together with the slot count and
+  // the wait queue it changes.
+  enum class Slot : uint8_t {
+    kNone,     // Holds no slot and waits for none: a small (limit-bounded)
+               // query, or a waiter that left the queue on a cancel.
+    kQueued,   // Parked in slot_queue_.
+    kHeld,     // Holds a slot; finalize returns it to the queue head.
+    kExpired,  // Left the queue at its wait deadline; shed on next slice.
+  };
+
   // State of one in-flight streaming kQuery. Installed on the connection
   // by the first worker slice and torn down by the finalizing slice; the
   // pointer itself is guarded by sched_mu_, the scan internals are owned
@@ -165,13 +177,9 @@ class LittleTableServer {
     std::unique_ptr<QueryStream> qs;
     int64_t tenant = 0;
     // --- Guarded by sched_mu_. ---
-    bool queued = false;    // Waiting in the admission queue.
-    bool admitted = false;  // Holds a scan slot (must be Release()d).
-    // Small (limit-bounded) query admitted without a slot: finalize must
-    // not Release, and it was never queued.
-    bool slot_exempt = false;
-    bool paused = false;    // Parked on outbound-buffer backpressure.
-    bool expired = false;   // Queue wait timed out; shed on next slice.
+    Slot slot = Slot::kNone;
+    Timestamp queued_at = 0;  // Idle-clock reading when it joined the queue.
+    bool paused = false;      // Parked on outbound-buffer backpressure.
     // Set by the event loop (kCancel frame, connection death); checked
     // between chunks by the slicing worker.
     std::atomic<bool> cancel{false};
@@ -266,9 +274,12 @@ class LittleTableServer {
   /// budget between chunks.
   SliceResult ExecuteQuerySlice(const std::shared_ptr<ConnState>& cs,
                                 Task& task);
-  /// Re-schedules connections whose queued scans were just granted slots.
-  void ResumeGranted(const std::vector<AdmissionController::Departure>& g);
-  void UpdateScanGauges();
+  /// Returns a held scan slot and grants it to the head of the wait queue,
+  /// if any. sched_mu_ must be held; true means a waiter was scheduled and
+  /// the caller notifies sched_cv_ after unlocking.
+  bool ReleaseSlotLocked();
+  /// Publishes the slot count and queue length. sched_mu_ must be held.
+  void UpdateScanGaugesLocked();
 
   /// Handles one request; appends response frames to `*out`.
   void Dispatch(wire::MsgType type, Slice body, std::string* out);
@@ -373,11 +384,12 @@ class LittleTableServer {
   std::condition_variable sched_cv_;
   std::deque<std::shared_ptr<ConnState>> run_queue_;
   bool workers_stop_ = false;  // guarded by sched_mu_
-  // Connections whose stream is parked in the admission wait queue, by
-  // connection id — how a worker releasing a slot (or the event loop
-  // expiring a wait) reaches a connection it does not otherwise own.
-  // Guarded by sched_mu_.
-  std::map<uint64_t, std::shared_ptr<ConnState>> parked_;
+  // Scan slots: how many streams hold one, and the FIFO of connections
+  // whose stream is parked waiting for one (Slot::kQueued, in queue order).
+  // A worker releasing a slot, the event loop expiring a wait and a cancel
+  // all act on these in one sched_mu_ step. Guarded by sched_mu_.
+  size_t scans_held_ = 0;
+  std::deque<std::shared_ptr<ConnState>> slot_queue_;
 };
 
 }  // namespace lt

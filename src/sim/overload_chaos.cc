@@ -1,9 +1,11 @@
 #include "sim/overload_chaos.h"
 
 #include <algorithm>
+#include <chrono>
 #include <deque>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -409,9 +411,37 @@ void OverloadRun::FinalChecks() {
   while (report()->ok && !pending_.empty()) DrainOldestBlocking();
   if (!report()->ok) return;
 
+  // No scan slot outlives its query: with every query ended, the server's
+  // slot count and wait queue read zero. A disconnected query's stream is
+  // finalized after the event loop notices the close, so allow a bounded
+  // wait (real time) for it.
+  ServerStats stats;
+  Status s;
+  for (int i = 0; i < 200; i++) {
+    s = client_->Stats("", &stats);
+    if (!s.ok()) {
+      Violation("stats fetch failed: " + s.ToString());
+      return;
+    }
+    if (stats.counters["server.scans_active"] == 0 &&
+        stats.counters["server.scans_queued"] == 0) {
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  if (stats.counters["server.scans_active"] != 0 ||
+      stats.counters["server.scans_queued"] != 0) {
+    Violation("slot leaked: scans_active=" +
+              std::to_string(stats.counters["server.scans_active"]) +
+              " scans_queued=" +
+              std::to_string(stats.counters["server.scans_queued"]) +
+              " after every query ended");
+    return;
+  }
+
   // Service restored: a plain query after the storm succeeds.
   std::vector<Row> rows;
-  Status s = client_->QueryAll(
+  s = client_->QueryAll(
       kEventsTable, QueryBounds::ForPrefix(Key{Value::Int64(1)}), &rows);
   if (!s.ok()) {
     Violation("post-storm query failed: " + s.ToString());
@@ -427,7 +457,6 @@ void OverloadRun::FinalChecks() {
   Log("post_storm_query rows=" + std::to_string(rows.size()));
 
   // The accounted per-query peak respected the budget.
-  ServerStats stats;
   s = client_->Stats("", &stats);
   if (!s.ok()) {
     Violation("stats fetch failed: " + s.ToString());

@@ -1,16 +1,21 @@
-// Overload-resilience coverage (PR 10): AdmissionController unit tests on
-// SimClock (slots, FIFO queue, wait expiry, per-tenant token buckets), and
-// end-to-end server tests over SimTransport for the streaming query path —
-// byte-budgeted scans, the server-side default row cap, queue-wait expiry
-// answered kServerBusy, cancel-mid-scan releasing its slot, connection-
-// close cancellation, the slow-reader bounded-buffering regression, and a
-// slot granted to a scan between its admission request and its park.
+// Overload-resilience coverage: AdmissionController unit tests on SimClock
+// (per-tenant token buckets), and end-to-end server tests over SimTransport
+// for the streaming query path — byte-budgeted scans, the server-side row
+// cap, the scan slots (FIFO queue, queue-full shed, queue-wait expiry at
+// each waiter's own deadline answered kServerBusy, wait-time recording),
+// cancel-mid-scan releasing its slot, connection-close cancellation, the
+// slow-reader bounded-buffering regression, a slot granted to a scan
+// between its admission and its park, and a queued scan's cancel racing
+// its grant or expiry.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <condition_variable>
+#include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -35,125 +40,94 @@ using testutil::UsageSchema;
 using wire::ErrCode;
 using wire::MsgType;
 
-// ---------------------------------------------------------------------------
-// AdmissionController unit tests (pure SimClock, no server).
+// The server's clock in the gated tests: readings pass through from a
+// SimClock, but a call that an armed hold's rule picks waits until the
+// test opens that hold. A rule sees whether the caller is the event loop,
+// which the clock learns while the server is otherwise idle.
+class GateClock : public Clock {
+ public:
+  using Rule = std::function<bool(bool event_loop)>;
 
-class AdmissionTest : public ::testing::Test {
- protected:
-  std::shared_ptr<SimClock> clock_ =
-      std::make_shared<SimClock>(100 * kMicrosPerWeek);
-};
+  explicit GateClock(std::shared_ptr<SimClock> base) : base_(std::move(base)) {}
 
-TEST_F(AdmissionTest, SlotsThenFifoQueueThenShed) {
-  AdmissionOptions opts;
-  opts.max_concurrent_scans = 2;
-  opts.max_queued_scans = 2;
-  AdmissionController ac(opts, clock_);
-
-  EXPECT_EQ(ac.Request(1, 0), AdmissionController::Decision::kAdmitted);
-  EXPECT_EQ(ac.Request(2, 0), AdmissionController::Decision::kAdmitted);
-  EXPECT_EQ(ac.Request(3, 0), AdmissionController::Decision::kQueued);
-  EXPECT_EQ(ac.Request(4, 0), AdmissionController::Decision::kQueued);
-  EXPECT_EQ(ac.Request(5, 0), AdmissionController::Decision::kShedQueueFull);
-  EXPECT_EQ(ac.active_scans(), 2u);
-  EXPECT_EQ(ac.queued_scans(), 2u);
-
-  // Slots hand off in arrival order.
-  clock_->Advance(5000);
-  std::vector<AdmissionController::Departure> granted;
-  ac.Release(&granted);
-  ASSERT_EQ(granted.size(), 1u);
-  EXPECT_EQ(granted[0].id, 3u);
-  EXPECT_EQ(granted[0].waited_micros, 5000);
-  granted.clear();
-  ac.Release(&granted);
-  ASSERT_EQ(granted.size(), 1u);
-  EXPECT_EQ(granted[0].id, 4u);
-  EXPECT_EQ(ac.queued_scans(), 0u);
-}
-
-TEST_F(AdmissionTest, QueueWaitExpiry) {
-  AdmissionOptions opts;
-  opts.max_concurrent_scans = 1;
-  opts.queue_wait_timeout_ms = 100;
-  AdmissionController ac(opts, clock_);
-  ASSERT_EQ(ac.Request(1, 0), AdmissionController::Decision::kAdmitted);
-  ASSERT_EQ(ac.Request(2, 0), AdmissionController::Decision::kQueued);
-
-  std::vector<AdmissionController::Departure> expired;
-  ac.ExpireWaiters(&expired);
-  EXPECT_TRUE(expired.empty());  // Deadline not reached yet.
-  clock_->Advance(101 * 1000);
-  ac.ExpireWaiters(&expired);
-  ASSERT_EQ(expired.size(), 1u);
-  EXPECT_EQ(expired[0].id, 2u);
-  EXPECT_EQ(ac.queued_scans(), 0u);
-}
-
-TEST_F(AdmissionTest, CancelWaiterVsGrantRace) {
-  AdmissionOptions opts;
-  opts.max_concurrent_scans = 1;
-  AdmissionController ac(opts, clock_);
-  ASSERT_EQ(ac.Request(1, 0), AdmissionController::Decision::kAdmitted);
-  ASSERT_EQ(ac.Request(2, 0), AdmissionController::Decision::kQueued);
-  // Still queued: cancel removes it.
-  EXPECT_TRUE(ac.CancelWaiter(2));
-  // Re-queue, then grant it via Release: cancel now reports false — the
-  // waiter owns a slot the caller must Release.
-  ASSERT_EQ(ac.Request(2, 0), AdmissionController::Decision::kQueued);
-  std::vector<AdmissionController::Departure> granted;
-  ac.Release(&granted);
-  ASSERT_EQ(granted.size(), 1u);
-  EXPECT_FALSE(ac.CancelWaiter(2));
-  EXPECT_EQ(ac.active_scans(), 1u);
-}
-
-TEST_F(AdmissionTest, QueryQuotaExhaustsAndRefills) {
-  AdmissionOptions opts;
-  opts.default_quota.queries_per_sec = 2;  // Burst defaults to 2.
-  AdmissionController ac(opts, clock_);
-  EXPECT_EQ(ac.Request(1, 7), AdmissionController::Decision::kAdmitted);
-  EXPECT_EQ(ac.Request(2, 7), AdmissionController::Decision::kAdmitted);
-  EXPECT_EQ(ac.Request(3, 7), AdmissionController::Decision::kShedQuota);
-  // Another tenant has its own bucket.
-  EXPECT_EQ(ac.Request(4, 8), AdmissionController::Decision::kAdmitted);
-  // Half a second refills one token.
-  clock_->Advance(500 * 1000);
-  EXPECT_EQ(ac.Request(5, 7), AdmissionController::Decision::kAdmitted);
-  EXPECT_EQ(ac.Request(6, 7), AdmissionController::Decision::kShedQuota);
-}
-
-TEST_F(AdmissionTest, RowQuotaDebtDelaysNextQuery) {
-  AdmissionOptions opts;
-  opts.default_quota.scanned_rows_per_sec = 1000;
-  AdmissionController ac(opts, clock_);
-  ASSERT_EQ(ac.Request(1, 7), AdmissionController::Decision::kAdmitted);
-  // The first charge takes the bucket deep into debt: the scan is shed.
-  EXPECT_TRUE(ac.ChargeScannedRows(7, 900));
-  EXPECT_FALSE(ac.ChargeScannedRows(7, 900));
-  // While in debt, new queries for the tenant are shed at admission.
-  EXPECT_EQ(ac.Request(2, 7), AdmissionController::Decision::kShedQuota);
-  // A second of refill clears the debt (800 over, +1000 back).
-  clock_->Advance(kMicrosPerSecond);
-  EXPECT_EQ(ac.Request(3, 7), AdmissionController::Decision::kAdmitted);
-  EXPECT_TRUE(ac.ChargeScannedRows(7, 100));
-}
-
-TEST_F(AdmissionTest, AnonymousTenantExemptUnlessExplicit) {
-  AdmissionOptions opts;
-  opts.default_quota.queries_per_sec = 1;
-  AdmissionController ac(opts, clock_);
-  // Tenant 0 (never bound) is exempt from the default quota.
-  for (uint64_t i = 0; i < 10; i++) {
-    EXPECT_EQ(ac.Request(i, 0), AdmissionController::Decision::kAdmitted);
+  Timestamp Now() const override {
+    std::unique_lock<std::mutex> lock(mu_);
+    const std::thread::id me = std::this_thread::get_id();
+    if (learning_) {
+      seen_.push_back(me);
+      cv_.notify_all();
+    }
+    for (Hold& h : holds_) {
+      if (h.armed && h.rule(me == event_loop_)) {
+        h.armed = false;
+        h.held = true;
+        cv_.notify_all();
+        cv_.wait(lock, [&h] { return !h.held; });
+        break;
+      }
+    }
+    return base_->Now();
   }
-  // An explicit entry for 0 binds it like any other tenant.
-  AdmissionOptions opts2;
-  opts2.tenant_quotas[0].queries_per_sec = 1;
-  AdmissionController ac2(opts2, clock_);
-  EXPECT_EQ(ac2.Request(1, 0), AdmissionController::Decision::kAdmitted);
-  EXPECT_EQ(ac2.Request(2, 0), AdmissionController::Decision::kShedQuota);
-}
+
+  /// Learns the event loop's thread: while no request runs, it is the one
+  /// thread reading the clock (its housekeeping tick).
+  bool LearnEventLoop() {
+    std::unique_lock<std::mutex> lock(mu_);
+    seen_.clear();
+    learning_ = true;
+    const bool ok = cv_.wait_for(lock, std::chrono::seconds(2),
+                                 [this] { return seen_.size() >= 6; });
+    learning_ = false;
+    if (!ok) return false;
+    for (const std::thread::id& t : seen_) {
+      if (t != seen_[0]) return false;
+    }
+    event_loop_ = seen_[0];
+    return true;
+  }
+
+  /// Arms a hold: the first call `rule` picks waits for Open(id).
+  int Arm(Rule rule) {
+    std::lock_guard<std::mutex> lock(mu_);
+    holds_.push_back({std::move(rule), true, false});
+    return static_cast<int>(holds_.size()) - 1;
+  }
+  /// Waits up to `wait` for hold `id` to catch a call, then disarms it.
+  /// True if a call is held.
+  bool WaitHeld(int id, std::chrono::milliseconds wait) {
+    std::unique_lock<std::mutex> lock(mu_);
+    Hold& h = holds_[id];
+    cv_.wait_for(lock, wait, [&h] { return h.held; });
+    h.armed = false;
+    return h.held;
+  }
+  void Open(int id) {
+    std::lock_guard<std::mutex> lock(mu_);
+    holds_[id].held = false;
+    cv_.notify_all();
+  }
+  /// Disarms and opens every hold, so a failed test can stop the server.
+  void OpenAll() {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (Hold& h : holds_) h.armed = h.held = false;
+    cv_.notify_all();
+  }
+
+ private:
+  struct Hold {
+    Rule rule;
+    bool armed;
+    bool held;
+  };
+
+  const std::shared_ptr<SimClock> base_;
+  mutable std::mutex mu_;
+  mutable std::condition_variable cv_;
+  mutable bool learning_ = false;
+  mutable std::vector<std::thread::id> seen_;
+  std::thread::id event_loop_;
+  mutable std::deque<Hold> holds_;  // A deque: held calls keep references.
+};
 
 // ---------------------------------------------------------------------------
 // End-to-end server tests over SimTransport.
@@ -178,7 +152,7 @@ class OverloadNetTest : public ::testing::Test {
     transport_ = std::make_unique<SimTransport>(topts);
     sopts_.port = kPort;
     sopts_.transport = transport_.get();
-    sopts_.clock = server_clock_ ? server_clock_ : clock_;
+    sopts_.clock = gate_ ? std::static_pointer_cast<Clock>(gate_) : clock_;
     sopts_.poll_interval_ms = 5;
     server_ = std::make_unique<LittleTableServer>(db_.get(), sopts_);
     ASSERT_TRUE(server_->Start().ok());
@@ -196,6 +170,7 @@ class OverloadNetTest : public ::testing::Test {
 
   void TearDown() override {
     client_.reset();
+    if (gate_) gate_->OpenAll();
     if (server_) server_->Stop();
   }
 
@@ -225,9 +200,10 @@ class OverloadNetTest : public ::testing::Test {
     return conn;
   }
 
-  void SendQuery(net::Connection* conn, const QueryBounds& bounds) {
+  void SendQuery(net::Connection* conn, const QueryBounds& bounds,
+                 const std::string& table = "usage") {
     std::string req;
-    PutLengthPrefixedSlice(&req, "usage");
+    PutLengthPrefixedSlice(&req, table);
     PutVarint32(&req, schema_.version());
     wire::EncodeBounds(&req, schema_, bounds);
     const std::string f = wire::Frame(MsgType::kQuery, req);
@@ -265,11 +241,231 @@ class OverloadNetTest : public ::testing::Test {
     return flags;
   }
 
+  void SendCancel(net::Connection* conn) {
+    const std::string f = wire::Frame(MsgType::kCancel, "");
+    ASSERT_TRUE(conn->WriteAll(f.data(), f.size()).ok());
+  }
+
+  /// Reads a query's chunks, adding their rows to *rows, up to its terminal
+  /// frame: the error code of a kError terminal, or nullopt after the final
+  /// chunk.
+  std::optional<ErrCode> ReadTerminal(net::Connection* conn,
+                                      uint64_t* rows = nullptr) {
+    uint64_t ignored = 0;
+    while (true) {
+      MsgType type;
+      std::string body;
+      Status s = ReadFrame(conn, &type, &body);
+      EXPECT_TRUE(s.ok()) << s.ToString();
+      if (!s.ok() || body.empty()) return ErrCode::kGeneric;
+      if (type == MsgType::kError) return static_cast<ErrCode>(body[0]);
+      EXPECT_EQ(type, MsgType::kQueryChunk);
+      Slice in(body);
+      const uint8_t flags = static_cast<uint8_t>(in[0]);
+      in.remove_prefix(1);
+      uint32_t version = 0, count = 0;
+      EXPECT_TRUE(GetVarint32(&in, &version) && GetVarint32(&in, &count));
+      *(rows != nullptr ? rows : &ignored) += count;
+      if (flags & wire::kChunkFinal) return std::nullopt;
+    }
+  }
+
+  /// Reads a kCancel's kOk acknowledgment.
+  void ReadAck(net::Connection* conn) {
+    MsgType type;
+    std::string body;
+    ASSERT_TRUE(ReadFrame(conn, &type, &body).ok());
+    EXPECT_EQ(type, MsgType::kOk);
+  }
+
+  /// Starts a full scan whose reader stops after the first chunk: it holds
+  /// a scan slot, parked on backpressure (with a 1 KB pipe).
+  std::unique_ptr<net::Connection> StartParkedScan() {
+    std::unique_ptr<net::Connection> conn = RawConn();
+    SendQuery(conn.get(), QueryBounds{});
+    uint64_t rows = 0;
+    EXPECT_EQ(ReadChunk(conn.get(), &rows) & wire::kChunkFinal, 0);
+    return conn;
+  }
+
+  /// Polls (real time, up to 2 s) until `done` holds.
+  static bool WaitFor(const std::function<bool()>& done) {
+    for (int i = 0; i < 1000; i++) {
+      if (done()) return true;
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    return done();
+  }
+
   int64_t CounterValue(const std::string& name) {
     return server_->metrics().GetCounter(name)->Value();
   }
+  int64_t GaugeValue(const std::string& name) {
+    return server_->metrics().GetGauge(name)->Value();
+  }
+  bool WaitForGauge(const std::string& name, int64_t value) {
+    return WaitFor([&] { return GaugeValue(name) == value; });
+  }
   uint64_t HistMax(const std::string& name) {
     return server_->metrics().GetHistogram(name)->Snapshot().max;
+  }
+
+  // Which event a queued scan B's cancel meets in RunSlotRace; A holds
+  // the only slot.
+  enum class Race {
+    kExpiry,           // B's cancel is read, then its wait expires.
+    kCancelThenGrant,  // B's cancel runs before A's cancel frees the slot.
+    kGrantThenCancel,  // A's cancel frees the slot for B, then B's runs.
+  };
+
+  /// Starts the server for RunSlotRace.
+  void StartSlotRaceServer() {
+    conn_buffer_bytes_ = 1024;
+    // Four chunk targets or more: a stream parked on backpressure stays
+    // parked until its reader drains.
+    sopts_.query_budget_bytes = 8 * 1024;
+    // Never hit (clock_ holds still), but every scan slice reads the clock
+    // for it, which is where the gate holds the worker.
+    sopts_.query_deadline_ms = 3600 * 1000;
+    // One worker: scheduled slices run in run-queue order.
+    sopts_.worker_threads = 1;
+    sopts_.drain_timeout_ms = 200;
+    sopts_.admission.max_concurrent_scans = 1;
+    sopts_.admission.queue_wait_timeout_ms = 100;
+    gate_ = std::make_shared<GateClock>(clock_);
+    ASSERT_TRUE(db_->CreateTable("idle", UsageSchema(), nullptr).ok());
+    StartServer();
+    Fill(2000);
+  }
+
+  /// Parks the only worker inside a small query on the empty table "idle"
+  /// (*conn), past its admission and holding no lock: the query's third
+  /// clock reading, after its deadline stamp and its quota charge, is the
+  /// deadline check in its scan loop. Returns the hold to open.
+  int HoldWorker(std::unique_ptr<net::Connection>* conn) {
+    const int hold = gate_->Arm(
+        [n = 0](bool event_loop) mutable { return !event_loop && ++n == 3; });
+    *conn = RawConn();
+    QueryBounds small;
+    small.limit = 10;
+    SendQuery(conn->get(), small, "idle");
+    EXPECT_TRUE(gate_->WaitHeld(hold, std::chrono::seconds(2)));
+    return hold;
+  }
+
+  /// Sends a kCancel and waits until the event loop has scheduled the
+  /// cancelled stream behind the held worker (`depth` runnable in all).
+  void Cancel(net::Connection* conn, int64_t depth) {
+    SendCancel(conn);
+    ASSERT_TRUE(WaitForGauge("server.run_queue_depth", depth));
+  }
+
+  /// With no scan left, exactly one slot is free: X takes it, Y queues.
+  void ExpectOneFreeSlot() {
+    ASSERT_TRUE(WaitFor([&] {
+      return GaugeValue("server.scans_active") == 0 &&
+             GaugeValue("server.scans_queued") == 0;
+    }));
+    std::unique_ptr<net::Connection> x = StartParkedScan();
+    EXPECT_EQ(GaugeValue("server.scans_active"), 1);
+    std::unique_ptr<net::Connection> y = RawConn();
+    SendQuery(y.get(), QueryBounds{});
+    ASSERT_TRUE(WaitForGauge("server.scans_queued", 1));
+    EXPECT_EQ(GaugeValue("server.scans_active"), 1);
+    x.reset();
+    y.reset();
+    EXPECT_TRUE(WaitFor([&] {
+      return GaugeValue("server.scans_active") == 0 &&
+             GaugeValue("server.scans_queued") == 0;
+    }));
+  }
+
+  /// A queued scan's cancel racing the other events that take it out of
+  /// the slot queue: its queue-wait expiry, or the grant of a slot another
+  /// scan releases. Whatever the order, the server must count one slot:
+  /// no scan runs beside the holder, and the count returns to zero.
+  void RunSlotRace(Race race) {
+    // A holds the only slot, parked on backpressure; B queues behind it.
+    std::unique_ptr<net::Connection> a = StartParkedScan();
+    bool learned = false;
+    for (int i = 0; i < 5 && !learned; i++) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      learned = gate_->LearnEventLoop();
+    }
+    ASSERT_TRUE(learned);
+    std::unique_ptr<net::Connection> b = RawConn();
+    SendQuery(b.get(), QueryBounds{});
+    ASSERT_TRUE(WaitForGauge("server.scans_queued", 1));
+
+    std::unique_ptr<net::Connection> d;
+    const int worker = HoldWorker(&d);
+    int loop = -1;
+    switch (race) {
+      case Race::kExpiry: {
+        Cancel(b.get(), 1);
+        // B's wait expires 100 ms after it queued. Hold the event loop's
+        // second clock reading past that. When the expiry pass ran outside
+        // the scheduling lock, that reading was its own, taken under the
+        // slot queue's lock after B's cancel was read: B's worker claimed
+        // B, then found it gone from the queue.
+        const Timestamp past = clock_->Now() + 200 * 1000;
+        loop = gate_->Arm(
+            [clock = clock_, past, n = 0](bool event_loop) mutable {
+              return event_loop && clock->Now() >= past && ++n == 2;
+            });
+        clock_->Advance(200 * 1000);
+        ASSERT_TRUE(gate_->WaitHeld(loop, std::chrono::seconds(2)));
+        break;
+      }
+      case Race::kCancelThenGrant:
+        Cancel(b.get(), 1);
+        Cancel(a.get(), 2);
+        break;
+      case Race::kGrantThenCancel:
+        Cancel(a.get(), 1);
+        Cancel(b.get(), 2);
+        break;
+    }
+    gate_->Open(worker);
+    if (loop >= 0) {
+      // Let the worker reach B's cancel before the expiry goes on.
+      std::this_thread::sleep_for(std::chrono::milliseconds(100));
+      gate_->Open(loop);
+    }
+    EXPECT_EQ(ReadTerminal(d.get()), std::nullopt);
+    // B ends with an explicit reply: its cancel's, or its expired wait's.
+    const std::optional<ErrCode> b_end = ReadTerminal(b.get());
+    if (race == Race::kExpiry) {
+      EXPECT_TRUE(b_end == ErrCode::kServerBusy ||
+                  b_end == ErrCode::kCancelled);
+    } else {
+      EXPECT_EQ(b_end, ErrCode::kCancelled);
+    }
+    ReadAck(b.get());
+    if (race != Race::kExpiry) {
+      EXPECT_EQ(ReadTerminal(a.get()), ErrCode::kCancelled);
+      ReadAck(a.get());
+      ExpectOneFreeSlot();
+      return;
+    }
+
+    // A still holds the only slot: C queues rather than run beside it.
+    EXPECT_EQ(GaugeValue("server.scans_active"), 1);
+    std::unique_ptr<net::Connection> c = RawConn();
+    SendQuery(c.get(), QueryBounds{});
+    EXPECT_TRUE(WaitForGauge("server.scans_queued", 1));
+    // One slot in use until A ends, and then C holds it.
+    uint64_t rows = 0;
+    uint8_t flags = 0;
+    while ((flags & wire::kChunkFinal) == 0) {
+      EXPECT_EQ(GaugeValue("server.scans_active"), 1);
+      flags = ReadChunk(a.get(), &rows);
+      if (::testing::Test::HasFailure()) return;
+    }
+    rows = 0;
+    EXPECT_EQ(ReadTerminal(c.get(), &rows), std::nullopt);
+    EXPECT_EQ(rows, 2000u);
+    ExpectOneFreeSlot();
   }
 
   MemEnv env_;
@@ -277,7 +473,7 @@ class OverloadNetTest : public ::testing::Test {
   std::unique_ptr<SimTransport> transport_;
   std::unique_ptr<DB> db_;
   ServerOptions sopts_;
-  std::shared_ptr<Clock> server_clock_;  // Null: the server reads clock_.
+  std::shared_ptr<GateClock> gate_;  // Null: the server reads clock_.
   size_t conn_buffer_bytes_ = 0;
   int64_t client_network_id_ = 0;
   int client_max_retries_ = 3;
@@ -285,6 +481,108 @@ class OverloadNetTest : public ::testing::Test {
   std::unique_ptr<Client> client_;
   Schema schema_;
 };
+
+// ---------------------------------------------------------------------------
+// Admission tests. AdmissionController's per-tenant token buckets are unit
+// tests on the fixture's SimClock alone (no server is started). The scan
+// slots belong to the server, so their expiry step is tested over the wire.
+
+class AdmissionTest : public OverloadNetTest {};
+
+TEST_F(AdmissionTest, QueryQuotaExhaustsAndRefills) {
+  AdmissionOptions opts;
+  opts.default_quota.queries_per_sec = 2;  // Burst defaults to 2.
+  AdmissionController ac(opts, clock_);
+  EXPECT_TRUE(ac.ChargeQuery(7));
+  EXPECT_TRUE(ac.ChargeQuery(7));
+  EXPECT_FALSE(ac.ChargeQuery(7));
+  // Another tenant has its own bucket.
+  EXPECT_TRUE(ac.ChargeQuery(8));
+  // Half a second refills one token.
+  clock_->Advance(500 * 1000);
+  EXPECT_TRUE(ac.ChargeQuery(7));
+  EXPECT_FALSE(ac.ChargeQuery(7));
+}
+
+TEST_F(AdmissionTest, RowQuotaDebtDelaysNextQuery) {
+  AdmissionOptions opts;
+  opts.default_quota.scanned_rows_per_sec = 1000;
+  AdmissionController ac(opts, clock_);
+  ASSERT_TRUE(ac.ChargeQuery(7));
+  // The first charge takes the bucket deep into debt: the scan is shed.
+  EXPECT_TRUE(ac.ChargeScannedRows(7, 900));
+  EXPECT_FALSE(ac.ChargeScannedRows(7, 900));
+  // While in debt, new queries for the tenant are shed at admission.
+  EXPECT_FALSE(ac.ChargeQuery(7));
+  // A second of refill clears the debt (800 over, +1000 back).
+  clock_->Advance(kMicrosPerSecond);
+  EXPECT_TRUE(ac.ChargeQuery(7));
+  EXPECT_TRUE(ac.ChargeScannedRows(7, 100));
+}
+
+TEST_F(AdmissionTest, AnonymousTenantExemptUnlessExplicit) {
+  AdmissionOptions opts;
+  opts.default_quota.queries_per_sec = 1;
+  AdmissionController ac(opts, clock_);
+  // Tenant 0 (never bound) is exempt from the default quota.
+  for (int i = 0; i < 10; i++) EXPECT_TRUE(ac.ChargeQuery(0));
+  // An explicit entry for 0 binds it like any other tenant.
+  AdmissionOptions opts2;
+  opts2.tenant_quotas[0].queries_per_sec = 1;
+  AdmissionController ac2(opts2, clock_);
+  EXPECT_TRUE(ac2.ChargeQuery(0));
+  EXPECT_FALSE(ac2.ChargeQuery(0));
+}
+
+// Each queued scan's wait expires at its own deadline: the expiry step
+// sheds only the waiters whose deadline has passed, keeps a later arrival
+// queued, and records each expired wait.
+TEST_F(AdmissionTest, QueueWaitExpiry) {
+  conn_buffer_bytes_ = 1024;
+  sopts_.query_budget_bytes = 2 * 1024;
+  sopts_.admission.max_concurrent_scans = 1;
+  sopts_.admission.queue_wait_timeout_ms = 100;
+  StartServer();
+  Fill(2000);
+  std::unique_ptr<net::Connection> a = StartParkedScan();
+
+  // B queues, then C 50 ms later. Each wait for the gauge comes before
+  // the next advance, so the deadlines are 100 ms and 150 ms from now.
+  std::unique_ptr<net::Connection> b = RawConn();
+  SendQuery(b.get(), QueryBounds{});
+  ASSERT_TRUE(WaitForGauge("server.scans_queued", 1));
+  clock_->Advance(50 * 1000);
+  std::unique_ptr<net::Connection> c = RawConn();
+  SendQuery(c.get(), QueryBounds{});
+  ASSERT_TRUE(WaitForGauge("server.scans_queued", 2));
+
+  // Past B's deadline, short of C's: B alone is shed, and C keeps
+  // waiting through ten event-loop ticks.
+  clock_->Advance(51 * 1000);
+  EXPECT_EQ(ReadTerminal(b.get()), ErrCode::kServerBusy);
+  EXPECT_EQ(GaugeValue("server.scans_queued"), 1);
+  std::this_thread::sleep_for(
+      std::chrono::milliseconds(10 * sopts_.poll_interval_ms));
+  EXPECT_EQ(GaugeValue("server.scans_queued"), 1);
+  EXPECT_EQ(CounterValue("server.query_shed.wait_timeout"), 1);
+
+  // Past C's deadline: C is shed and the queue is empty.
+  clock_->Advance(50 * 1000);
+  EXPECT_EQ(ReadTerminal(c.get()), ErrCode::kServerBusy);
+  EXPECT_EQ(GaugeValue("server.scans_queued"), 0);
+  EXPECT_EQ(CounterValue("server.query_shed.wait_timeout"), 2);
+  // Both waited 101 ms of server-clock time.
+  const HistogramSnapshot waits =
+      server_->metrics().GetHistogram("server.queue_wait_micros")->Snapshot();
+  EXPECT_EQ(waits.count, 2u);
+  EXPECT_EQ(waits.sum, 202u * 1000);
+  EXPECT_EQ(waits.max, 101u * 1000);
+
+  // A held the slot throughout and still completes.
+  EXPECT_EQ(GaugeValue("server.scans_active"), 1);
+  EXPECT_EQ(ReadTerminal(a.get()), std::nullopt);
+  ExpectOneFreeSlot();
+}
 
 // Acceptance criterion: a query whose result is >= 10x the per-query byte
 // budget completes via streaming, and the accounted peak stays <= budget.
@@ -336,7 +634,8 @@ TEST_F(OverloadNetTest, DefaultRowCapTruncatesWithMoreAvailable) {
   EXPECT_EQ(pages, (300 + 63) / 64);
 }
 
-// Queue-wait deadline expiry answers kServerBusy (never a silent drop).
+// Queue-wait deadline expiry answers kServerBusy (never a silent drop),
+// not before the deadline, and records how long the scan waited.
 TEST_F(OverloadNetTest, QueueWaitExpiryAnswersServerBusy) {
   conn_buffer_bytes_ = 1024;
   sopts_.query_budget_bytes = 2 * 1024;
@@ -362,7 +661,12 @@ TEST_F(OverloadNetTest, QueueWaitExpiryAnswersServerBusy) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   ASSERT_EQ(queued->Value(), 1);
-  clock_->Advance(200 * 1000);
+  // Short of the deadline, B keeps waiting through ten event-loop ticks.
+  clock_->Advance(99 * 1000);
+  std::this_thread::sleep_for(
+      std::chrono::milliseconds(10 * sopts_.poll_interval_ms));
+  EXPECT_EQ(queued->Value(), 1);
+  clock_->Advance(2 * 1000);
   MsgType type;
   std::string body;
   ASSERT_TRUE(ReadFrame(b.get(), &type, &body).ok());
@@ -370,6 +674,12 @@ TEST_F(OverloadNetTest, QueueWaitExpiryAnswersServerBusy) {
   ASSERT_FALSE(body.empty());
   EXPECT_EQ(static_cast<ErrCode>(body[0]), ErrCode::kServerBusy);
   EXPECT_EQ(CounterValue("server.query_shed.wait_timeout"), 1);
+  EXPECT_EQ(queued->Value(), 0);
+  // Its wait, in server-clock time, is recorded before the reply.
+  const HistogramSnapshot waits =
+      server_->metrics().GetHistogram("server.queue_wait_micros")->Snapshot();
+  EXPECT_EQ(waits.count, 1u);
+  EXPECT_EQ(waits.sum, 101u * 1000);
 
   // A still completes.
   uint8_t flags = 0;
@@ -634,83 +944,13 @@ TEST_F(OverloadNetTest, QueryDeadlineShedsMidStream) {
   EXPECT_EQ(CounterValue("server.query_deadline_exceeded"), 1);
 }
 
-// The server's clock in GrantBeforeParkIsNotLost. Once armed, the first
-// call from a thread other than the event loop, made while the server
-// reports a queued scan, waits for Open(). When admission and the park
-// were two steps, that call was a worker stamping a just-queued scan's
-// deadline — after its admission request, before its park.
-class GateClock : public Clock {
- public:
-  explicit GateClock(std::shared_ptr<SimClock> base) : base_(std::move(base)) {}
-
-  Timestamp Now() const override {
-    std::unique_lock<std::mutex> lock(mu_);
-    const std::thread::id me = std::this_thread::get_id();
-    if (learning_) {
-      seen_.push_back(me);
-      cv_.notify_all();
-    }
-    if (armed_ && me != event_loop_ && queued_->Value() > 0) {
-      armed_ = false;
-      held_ = true;
-      cv_.notify_all();
-      cv_.wait(lock, [this] { return !held_; });
-    }
-    return base_->Now();
-  }
-
-  /// Learns the event loop's thread: while no request runs, it is the one
-  /// thread reading the clock (its housekeeping tick).
-  bool LearnEventLoop() {
-    std::unique_lock<std::mutex> lock(mu_);
-    seen_.clear();
-    learning_ = true;
-    const bool ok = cv_.wait_for(lock, std::chrono::seconds(2),
-                                 [this] { return seen_.size() >= 6; });
-    learning_ = false;
-    if (!ok) return false;
-    for (const std::thread::id& t : seen_) {
-      if (t != seen_[0]) return false;
-    }
-    event_loop_ = seen_[0];
-    return true;
-  }
-
-  void Arm(Gauge* queued) {
-    std::lock_guard<std::mutex> lock(mu_);
-    queued_ = queued;
-    armed_ = true;
-  }
-  /// Disarms once a call is held, or after `wait`.
-  void Disarm(std::chrono::milliseconds wait) {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait_for(lock, wait, [this] { return held_; });
-    armed_ = false;
-  }
-  void Open() {
-    std::lock_guard<std::mutex> lock(mu_);
-    held_ = false;
-    cv_.notify_all();
-  }
-
- private:
-  const std::shared_ptr<SimClock> base_;
-  mutable std::mutex mu_;
-  mutable std::condition_variable cv_;
-  mutable bool learning_ = false;
-  mutable std::vector<std::thread::id> seen_;
-  mutable bool armed_ = false;
-  mutable bool held_ = false;
-  std::thread::id event_loop_;
-  Gauge* queued_ = nullptr;
-};
-
 // A scan slot granted to a queued scan before it parked must reach it.
-// B queues behind A's slot; a worker stops B right after its admission
-// request (where the gate clock can), A finishes and its slot goes to B,
-// then B goes on. B must still get its rows; when the request and the
-// park were two steps, the grant found no parked B, B waited for good
-// and the slot leaked.
+// B queues behind A's slot; the gate clock holds the first worker clock
+// reading made while a scan is queued (when the admission request and the
+// park were two steps, B's, between them) while A finishes and its slot
+// goes to B; then B goes on. B must still get its rows; when the request
+// and the park were two steps, the grant found no parked B, B waited for
+// good and the slot leaked.
 TEST_F(OverloadNetTest, GrantBeforeParkIsNotLost) {
   conn_buffer_bytes_ = 1024;
   // A budget of four chunk targets or more: a stream parked on
@@ -719,8 +959,7 @@ TEST_F(OverloadNetTest, GrantBeforeParkIsNotLost) {
   sopts_.query_deadline_ms = 3600 * 1000;  // Never hit: clock_ holds still.
   sopts_.admission.max_concurrent_scans = 1;
   sopts_.admission.queue_wait_timeout_ms = 0;
-  auto gate = std::make_shared<GateClock>(clock_);
-  server_clock_ = gate;
+  gate_ = std::make_shared<GateClock>(clock_);
   StartServer();
   Fill(2000);
 
@@ -732,12 +971,15 @@ TEST_F(OverloadNetTest, GrantBeforeParkIsNotLost) {
   bool learned = false;
   for (int i = 0; i < 5 && !learned; i++) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    learned = gate->LearnEventLoop();
+    learned = gate_->LearnEventLoop();
   }
   ASSERT_TRUE(learned);
 
+  // Hold the first worker clock reading made while a scan is queued.
   Gauge* queued = server_->metrics().GetGauge("server.scans_queued");
-  gate->Arm(queued);
+  const int hold = gate_->Arm([queued](bool event_loop) {
+    return !event_loop && queued->Value() > 0;
+  });
   std::unique_ptr<net::Connection> b = RawConn();
   b->set_read_timeout_ms(3000);
   SendQuery(b.get(), QueryBounds{});
@@ -745,7 +987,7 @@ TEST_F(OverloadNetTest, GrantBeforeParkIsNotLost) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   ASSERT_EQ(queued->Value(), 1);
-  gate->Disarm(std::chrono::milliseconds(200));
+  gate_->WaitHeld(hold, std::chrono::milliseconds(200));
 
   // A finishes; its slot goes to B (the queue empties).
   uint8_t flags = 0;
@@ -758,7 +1000,7 @@ TEST_F(OverloadNetTest, GrantBeforeParkIsNotLost) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   EXPECT_EQ(queued->Value(), 0);
-  gate->Open();
+  gate_->Open(hold);
 
   uint64_t b_rows = 0;
   flags = 0;
@@ -768,6 +1010,70 @@ TEST_F(OverloadNetTest, GrantBeforeParkIsNotLost) {
   }
   EXPECT_EQ(b_rows, 2000u);
   EXPECT_EQ(server_->metrics().GetGauge("server.scans_active")->Value(), 0);
+}
+
+// Two slots and a two-deep queue: scans past the slots queue in arrival
+// order, the next one is shed at once, and each freed slot goes to the
+// longest waiter, whose wait lands in server.queue_wait_micros.
+TEST_F(OverloadNetTest, SlotsThenFifoQueueThenShed) {
+  conn_buffer_bytes_ = 1024;
+  sopts_.query_budget_bytes = 8 * 1024;
+  sopts_.admission.max_concurrent_scans = 2;
+  sopts_.admission.max_queued_scans = 2;
+  sopts_.admission.queue_wait_timeout_ms = 0;
+  StartServer();
+  Fill(2000);
+
+  std::unique_ptr<net::Connection> a1 = StartParkedScan();
+  std::unique_ptr<net::Connection> a2 = StartParkedScan();
+  EXPECT_EQ(GaugeValue("server.scans_active"), 2);
+  std::unique_ptr<net::Connection> b[3];
+  for (int i = 0; i < 2; i++) {
+    b[i] = RawConn();
+    SendQuery(b[i].get(), QueryBounds{});
+    ASSERT_TRUE(WaitForGauge("server.scans_queued", i + 1));
+  }
+  b[2] = RawConn();
+  SendQuery(b[2].get(), QueryBounds{});
+  EXPECT_EQ(ReadTerminal(b[2].get()), ErrCode::kResourceExhausted);
+  EXPECT_EQ(CounterValue("server.query_shed.queue_full"), 1);
+  EXPECT_EQ(GaugeValue("server.scans_active"), 2);
+  EXPECT_EQ(GaugeValue("server.scans_queued"), 2);
+
+  // A1 ends 5 ms after the waiters queued: its slot goes to B1, B2 waits.
+  clock_->Advance(5 * 1000);
+  a1.reset();
+  ASSERT_TRUE(WaitForGauge("server.scans_queued", 1));
+  // B1 streams to its end at 8 ms, and its slot goes to B2.
+  clock_->Advance(3 * 1000);
+  uint64_t rows = 0;
+  EXPECT_EQ(ReadTerminal(b[0].get(), &rows), std::nullopt);
+  EXPECT_EQ(rows, 2000u);
+  rows = 0;
+  EXPECT_EQ(ReadTerminal(b[1].get(), &rows), std::nullopt);
+  EXPECT_EQ(rows, 2000u);
+  a2.reset();
+  const HistogramSnapshot waits =
+      server_->metrics().GetHistogram("server.queue_wait_micros")->Snapshot();
+  EXPECT_EQ(waits.count, 2u);
+  EXPECT_EQ(waits.sum, (5u + 8u) * 1000);
+}
+
+// The over-release this race used to cause: the expiry pass took B out of
+// the queue after B's cancel claimed it, so B read "not queued" as
+// "granted", returned A's slot, and C ran beside A.
+TEST_F(OverloadNetTest, QueuedCancelVsExpiryKeepsOneSlot) {
+  StartSlotRaceServer();
+  RunSlotRace(Race::kExpiry);
+}
+
+// Both orders of a queued scan's cancel and the grant of the slot it waits
+// for: a cancelled waiter takes no slot, and a granted one returns it.
+TEST_F(OverloadNetTest, QueuedCancelVsGrantKeepsOneSlot) {
+  StartSlotRaceServer();
+  RunSlotRace(Race::kCancelThenGrant);
+  if (::testing::Test::HasFailure()) return;
+  RunSlotRace(Race::kGrantThenCancel);
 }
 
 }  // namespace

@@ -45,13 +45,45 @@ KeyCell KeyCellAt(const ColumnValues& col, size_t i) {
   return cell;
 }
 
-// Appends a decoded cell to its column; `v` matches the column's arm.
-void AppendCell(const Value& v, ColumnValues* col) {
+// Appends `n` copies of a decoded cell to its column; `v` matches the
+// column's arm.
+void AppendCell(const Value& v, ColumnValues* col, size_t n = 1) {
   switch (col->arm) {
-    case ColumnValues::Arm::kInt: col->ints.push_back(v.AsInt()); break;
-    case ColumnValues::Arm::kDouble: col->dbls.push_back(v.dbl()); break;
-    case ColumnValues::Arm::kBytes: col->strs.push_back(v.bytes()); break;
-    case ColumnValues::Arm::kNone: break;
+    case ColumnValues::Arm::kInt:
+      col->ints.insert(col->ints.end(), n, v.AsInt());
+      break;
+    case ColumnValues::Arm::kDouble:
+      col->dbls.insert(col->dbls.end(), n, v.dbl());
+      break;
+    case ColumnValues::Arm::kBytes:
+      col->strs.insert(col->strs.end(), n, v.bytes());
+      break;
+    case ColumnValues::Arm::kNone:
+      break;
+  }
+}
+
+// Appends `src`'s values [first, first + count) onto `dst`, of the same arm.
+void AppendRange(const ColumnValues& src, size_t first, size_t count,
+                 ColumnValues* dst) {
+  switch (src.arm) {
+    case ColumnValues::Arm::kInt: {
+      auto b = src.ints.begin() + static_cast<ptrdiff_t>(first);
+      dst->ints.insert(dst->ints.end(), b, b + static_cast<ptrdiff_t>(count));
+      break;
+    }
+    case ColumnValues::Arm::kDouble: {
+      auto b = src.dbls.begin() + static_cast<ptrdiff_t>(first);
+      dst->dbls.insert(dst->dbls.end(), b, b + static_cast<ptrdiff_t>(count));
+      break;
+    }
+    case ColumnValues::Arm::kBytes: {
+      auto b = src.strs.begin() + static_cast<ptrdiff_t>(first);
+      dst->strs.insert(dst->strs.end(), b, b + static_cast<ptrdiff_t>(count));
+      break;
+    }
+    case ColumnValues::Arm::kNone:
+      break;
   }
 }
 
@@ -84,19 +116,66 @@ void AppendEncodedCell(Slice* in, ColumnValues* col) {
   }
 }
 
-}  // namespace
-
-void BlockBuilder::Add(const Slice& row) {
-  num_rows_++;
-  data_bytes_ += row.size();
-  if (cols_.empty()) {
-    cols_.resize(schema_->num_columns());
-    for (size_t c = 0; c < cols_.size(); c++) {
-      cols_[c].arm = ArmFor(schema_->columns()[c].type);
+// BlockReader::RowLengths over a prepared reader's columns and projected
+// defaults. A helper, not a call, in AppendRows: the scan's hot loop.
+void ComputeRowLengths(const std::vector<const ColumnValues*>& cols,
+                       const std::vector<std::string>& defaults, size_t first,
+                       size_t count, bool descending, size_t tail,
+                       std::vector<size_t>* lengths) {
+  const ptrdiff_t step = descending ? -1 : 1;
+  size_t fixed = tail;
+  for (size_t c = 0; c < cols.size(); c++) {
+    if (cols[c] == nullptr) {
+      fixed += defaults[c].size();
+    } else if (cols[c]->arm == ColumnValues::Arm::kDouble) {
+      fixed += 8;
     }
   }
+  lengths->assign(count, fixed);
+  size_t* len = lengths->data();
+  for (const ColumnValues* col : cols) {
+    if (col == nullptr) continue;
+    if (col->arm == ColumnValues::Arm::kInt) {
+      const int64_t* v = col->ints.data() + first;
+      for (size_t k = 0; k < count; k++) {
+        len[k] += VarintLength(ZigZagEncode(v[static_cast<ptrdiff_t>(k) * step]));
+      }
+    } else if (col->arm == ColumnValues::Arm::kBytes) {
+      const std::string* v = col->strs.data() + first;
+      for (size_t k = 0; k < count; k++) {
+        const size_t n = v[static_cast<ptrdiff_t>(k) * step].size();
+        len[k] += VarintLength(n) + n;
+      }
+    }
+  }
+}
+
+}  // namespace
+
+void BlockBuilder::InitColumns() {
+  cols_.resize(schema_->num_columns());
+  for (size_t c = 0; c < cols_.size(); c++) {
+    cols_[c].arm = ArmFor(schema_->columns()[c].type);
+  }
+}
+
+void BlockBuilder::Add(const Slice& row) {
+  if (cols_.empty()) InitColumns();
+  num_rows_++;
+  data_bytes_ += row.size();
   Slice in = row;
   for (ColumnValues& col : cols_) AppendEncodedCell(&in, &col);
+}
+
+void BlockBuilder::AddRows(const BlockReader& block, size_t first,
+                           size_t count, size_t bytes) {
+  if (cols_.empty()) InitColumns();
+  num_rows_ += count;
+  data_bytes_ += bytes;
+  const size_t copied = block.AppendColumns(first, count, cols_.data());
+  for (size_t c = copied; c < cols_.size(); c++) {
+    AppendCell(schema_->columns()[c].default_value, &cols_[c], count);
+  }
 }
 
 void BlockBuilder::Add(const Row& row) {
@@ -411,6 +490,13 @@ void BlockReader::AppendEncodedAt(size_t i, std::string* dst) const {
   }
 }
 
+void BlockReader::RowLengths(size_t first, size_t count, bool descending,
+                             size_t tail, std::vector<size_t>* lengths) const {
+  assert(prepared_ && count > 0 &&
+         (descending ? first + 1 >= count : first + count <= num_rows()));
+  ComputeRowLengths(cols_, defaults_, first, count, descending, tail, lengths);
+}
+
 size_t BlockReader::AppendRows(size_t first, size_t count, bool descending,
                                const Slice& tail, size_t byte_target,
                                std::string* dst,
@@ -419,31 +505,9 @@ size_t BlockReader::AppendRows(size_t first, size_t count, bool descending,
          (descending ? first + 1 >= count : first + count <= num_rows()));
   const ptrdiff_t step = descending ? -1 : 1;
   // Pass 1, column by column: each row's encoded length.
-  size_t fixed = tail.size();
-  for (size_t c = 0; c < cols_.size(); c++) {
-    if (cols_[c] == nullptr) {
-      fixed += defaults_[c].size();
-    } else if (cols_[c]->arm == ColumnValues::Arm::kDouble) {
-      fixed += 8;
-    }
-  }
-  offsets->assign(count, fixed);
+  ComputeRowLengths(cols_, defaults_, first, count, descending, tail.size(),
+                    offsets);
   size_t* len = offsets->data();
-  for (const ColumnValues* col : cols_) {
-    if (col == nullptr) continue;
-    if (col->arm == ColumnValues::Arm::kInt) {
-      const int64_t* v = col->ints.data() + first;
-      for (size_t k = 0; k < count; k++) {
-        len[k] += VarintLength(ZigZagEncode(v[static_cast<ptrdiff_t>(k) * step]));
-      }
-    } else if (col->arm == ColumnValues::Arm::kBytes) {
-      const std::string* v = col->strs.data() + first;
-      for (size_t k = 0; k < count; k++) {
-        const size_t n = v[static_cast<ptrdiff_t>(k) * step].size();
-        len[k] += VarintLength(n) + n;
-      }
-    }
-  }
   // The rows that fit; lengths become start offsets.
   size_t end = dst->size();
   size_t n = 0;
@@ -505,6 +569,19 @@ size_t BlockReader::AppendRows(size_t first, size_t count, bool descending,
     for (size_t k = 0; k < n; k++) memcpy(base + len[k], tail.data(), tail.size());
   }
   return n;
+}
+
+size_t BlockReader::AppendColumns(size_t first, size_t count,
+                                  ColumnValues* cols) const {
+  assert(prepared_ && first + count <= num_rows());
+  for (size_t c = 0; c < cols_.size(); c++) {
+    if (cols_[c] == nullptr) {
+      AppendCell(schema_->columns()[c].default_value, &cols[c], count);
+    } else {
+      AppendRange(*cols_[c], first, count, &cols[c]);
+    }
+  }
+  return cols_.size();
 }
 
 void BlockReader::RowAt(size_t i, Row* out) const {

@@ -56,6 +56,8 @@
 
 namespace lt {
 
+class BlockReader;
+
 /// Accumulates rows into one columnar block image. Blocks are sized by
 /// uncompressed row-encoding bytes (data_bytes), the unit of the 64 kB
 /// target.
@@ -69,6 +71,13 @@ class BlockBuilder {
   void Add(const Slice& row);
   /// Encodes `row` (which must match the schema) and adds it.
   void Add(const Row& row);
+  /// Appends rows [first, first + count) of `block` as decoded columns, a
+  /// range copy per column. The block's schema is an older version of this
+  /// builder's or the same (§3.5: evolution appends columns and widens
+  /// int32 to int64, which share the integer arm); appended columns take
+  /// their defaults. `bytes` is the rows' encoded length under this schema.
+  void AddRows(const BlockReader& block, size_t first, size_t count,
+               size_t bytes);
 
   size_t num_rows() const { return num_rows_; }
   /// Bytes of row data so far (the 64 kB target applies to this).
@@ -86,6 +95,9 @@ class BlockBuilder {
   uint64_t bytes_compressed() const { return bytes_compressed_; }
 
  private:
+  /// Sizes cols_ to the schema (on first use).
+  void InitColumns();
+
   const Schema* schema_;
   std::string row_buf_;  // Add(const Row&)'s encoding.
   size_t data_bytes_ = 0;
@@ -237,6 +249,11 @@ class BlockReader {
   const int64_t* KeyInts(size_t c) const { return cols_[c]->ints.data(); }
   /// Appends the row's encoding under the block's schema (EncodeRow bytes).
   void AppendEncodedAt(size_t i, std::string* dst) const;
+  /// Sets (*lengths)[k] to the encoded length of the k-th of `count` rows
+  /// starting at row `first` and moving down (`descending`) or up, plus
+  /// `tail` bytes; computed column by column.
+  void RowLengths(size_t first, size_t count, bool descending, size_t tail,
+                  std::vector<size_t>* lengths) const;
   /// Appends the encodings of up to `count` rows starting at row `first`
   /// and moving down (`descending`) or up, each followed by `tail`, and
   /// stops after the row that brings dst->size() to `byte_target`.
@@ -245,6 +262,10 @@ class BlockReader {
   size_t AppendRows(size_t first, size_t count, bool descending,
                     const Slice& tail, size_t byte_target, std::string* dst,
                     std::vector<size_t>* offsets) const;
+  /// Appends rows [first, first + count) of each column onto `cols` (one
+  /// per schema column, each of the same arm; projected-away columns append
+  /// their defaults) and returns the number of columns, the schema's.
+  size_t AppendColumns(size_t first, size_t count, ColumnValues* cols) const;
   /// Builds the row as Values under the block's schema.
   void RowAt(size_t i, Row* out) const;
 

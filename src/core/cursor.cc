@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "core/row_codec.h"
+#include "core/tablet_writer.h"
 
 namespace lt {
 
@@ -37,7 +38,7 @@ void KeyOrder::CellsOf(const Key& key, std::vector<KeyCell>* out) const {
   for (size_t c = 0; c < n; c++) out->push_back(CellOf(key[c]));
 }
 
-Status Cursor::AppendRun(RunState* run, std::string* dst) {
+Status Cursor::AppendRun(RunState* run, RunOutput out) {
   // Steps past the current row, counting what the step scanned.
   auto advance = [&] {
     const uint64_t before =
@@ -53,6 +54,7 @@ Status Cursor::AppendRun(RunState* run, std::string* dst) {
     run->on_row = false;
     LT_RETURN_IF_ERROR(advance());
   }
+  std::string row;  // A writer's row encoding.
   while (Valid()) {
     if (run->PastStop(key())) {
       run->end = RunEnd::kStop;
@@ -70,11 +72,17 @@ Status Cursor::AppendRun(RunState* run, std::string* dst) {
       run->end = RunEnd::kLimit;
       return Status::OK();
     }
-    AppendEncoded(dst);
+    if (out.writer != nullptr) {
+      row.clear();
+      AppendEncoded(&row);
+      LT_RETURN_IF_ERROR(out.writer->Add(Slice(row)));
+    } else {
+      AppendEncoded(out.bytes);
+    }
     run->rows++;
     run->max_rows--;
     run->limit_left--;
-    if (run->ChunkEnds(dst->size())) {
+    if (run->ChunkEnds(out.size())) {
       run->on_row = true;
       run->end = RunEnd::kFull;
       return Status::OK();
@@ -184,9 +192,9 @@ Status MergingCursor::Next() {
   return status_;
 }
 
-Status MergingCursor::AppendRun(RunState* run, std::string* dst) {
+Status MergingCursor::AppendRun(RunState* run, RunOutput out) {
   // Merges never nest; a stop key from a parent takes the one-row loop.
-  if (run->stop != nullptr) return Cursor::AppendRun(run, dst);
+  if (run->stop != nullptr) return Cursor::AppendRun(run, out);
   while (!heap_.empty()) {
     // The top child runs until its rows pass the runner-up's, where a
     // one-row merge would first hand the top to another child.
@@ -197,7 +205,7 @@ Status MergingCursor::AppendRun(RunState* run, std::string* dst) {
       run->stop_order = &order_;
       run->descending = direction_ == Direction::kDescending;
     }
-    Status s = children_[heap_[0]]->AppendRun(run, dst);
+    Status s = children_[heap_[0]]->AppendRun(run, out);
     run->stop = nullptr;
     if (!s.ok()) {
       Fail(s);

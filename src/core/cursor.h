@@ -8,19 +8,23 @@
 // operations — AppendEncoded, which writes the row's wire/row-codec bytes
 // straight from wherever the cursor keeps it (decoded block columns, for
 // tablet cursors), and MaterializeRow, which builds a Row for the callers
-// that need Values (query results, merge rewrites, uniqueness checks).
+// that need Values (query results, uniqueness checks).
 // A streaming scan therefore goes from decoded chunk to socket with no
 // per-row allocation.
 //
-// The streamed scan moves a run at a time (AppendRun): a cursor appends the
-// encodings of consecutive rows until the next one would fall past a stop
-// key — in a merge, the runner-up child's key — or a chunk limit ends the
-// run. It applies, row by row, the same rules the one-row loop applies, so
-// runs change no chunk boundary and no scan counter.
+// The streamed scan and the merge move a run at a time (AppendRun): a
+// cursor hands on consecutive rows until the next one would fall past a
+// stop key — in a merge, the runner-up child's key — or a chunk limit ends
+// the run. It applies, row by row, the same rules the one-row loop applies,
+// so runs change no chunk boundary and no scan counter. A run goes to a
+// RunOutput: a streamed chunk's row encodings, or a merge's tablet writer,
+// which takes a tablet cursor's rows as decoded block columns.
 #ifndef LITTLETABLE_CORE_CURSOR_H_
 #define LITTLETABLE_CORE_CURSOR_H_
 
 #include <atomic>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -30,6 +34,8 @@
 #include "core/schema.h"
 
 namespace lt {
+
+class TabletWriter;
 
 /// Key-cell comparators for one schema, picked once per key column: each
 /// column compares as integers or as bytes. Key columns are never appended
@@ -83,7 +89,8 @@ enum class RunEnd : uint8_t {
 
 /// The limits one run works within and the counters it advances: the
 /// rules of a streamed query's chunk (QueryStream::NextChunk), which a run
-/// applies exactly as the one-row loop would:
+/// applies exactly as the one-row loop would. The defaults set no limit,
+/// so a run ends only when the rows do (a merge):
 ///   - a row outside `filter`'s ts range is skipped; each skip spends one
 ///     of `filter_left`, and the chunk yields when none is left;
 ///   - a matching row when `limit_left` is 0 ends the scan (kLimit);
@@ -96,18 +103,20 @@ enum class RunEnd : uint8_t {
 /// trailing key bound included), one per row a memtablet cursor lands on
 /// inside its bounds.
 struct RunState {
+  static constexpr uint64_t kNoLimit = std::numeric_limits<uint64_t>::max();
+
   // ---- Fixed for the scan. ----
   const QueryBounds* filter = nullptr;
   /// The stream's rows-scanned counter (null: nothing is counted).
   const std::atomic<uint64_t>* counter = nullptr;
-  uint64_t scan_cap = 0;  // > 0.
+  uint64_t scan_cap = kNoLimit;  // > 0.
 
   // ---- Per chunk. ----
-  size_t max_rows = 0;     // Rows the chunk may still take.
-  uint64_t limit_left = 0; // Rows the query may still return.
-  size_t byte_target = 0;  // Output size at which the chunk ends.
+  size_t max_rows = kNoLimit;       // Rows the chunk may still take.
+  uint64_t limit_left = kNoLimit;   // Rows the query may still return.
+  size_t byte_target = kNoLimit;    // Output size at which the chunk ends.
   uint64_t scanned = 0;
-  uint64_t filter_left = 0;
+  uint64_t filter_left = kNoLimit;
 
   // ---- Set by a merging parent for one child's run. ----
   /// Key cells the run must not pass: a row strictly after them in scan
@@ -136,6 +145,21 @@ struct RunState {
   }
 };
 
+/// Where a run's rows go; exactly one member is set.
+struct RunOutput {
+  /// A streamed chunk: each row's encoding under the current schema,
+  /// appended back to back.
+  std::string* bytes = nullptr;
+  /// A merge's output tablet, which takes ascending runs only. A tablet
+  /// cursor hands it each stretch of rows as decoded block columns
+  /// (TabletWriter::AddRows); the one-row loop hands it row encodings.
+  TabletWriter* writer = nullptr;
+
+  /// Output bytes so far, the measure of RunState::byte_target (a merge
+  /// sets no target).
+  size_t size() const { return bytes != nullptr ? bytes->size() : 0; }
+};
+
 /// An ordered stream of rows. A freshly created cursor is already positioned
 /// on its first row (Valid() is false for an empty stream). All rows stream
 /// in the cursor's scan direction by primary key.
@@ -162,11 +186,11 @@ class Cursor {
   /// Builds the row as Values, in current-schema column order.
   virtual void MaterializeRow(Row* out) const = 0;
 
-  /// Appends a run of rows to `dst` under `run`'s rules (see RunState) and
+  /// Hands a run of rows to `out` under `run`'s rules (see RunState) and
   /// sets run->end. With run->on_row set it first steps past the current
   /// row. The default is the one-row loop over Next; cursors that hold
-  /// rows in bulk override it.
-  virtual Status AppendRun(RunState* run, std::string* dst);
+  /// rows in bulk override it. A writer's error ends the run with it.
+  virtual Status AppendRun(RunState* run, RunOutput out);
 };
 
 /// A cursor over an in-memory vector of rows (conforming to `schema`),
@@ -238,7 +262,7 @@ class MergingCursor final : public Cursor {
   }
   /// Serves runs from the top child, with the runner-up's key as the
   /// child's stop key, and re-places the child once per run.
-  Status AppendRun(RunState* run, std::string* dst) override;
+  Status AppendRun(RunState* run, RunOutput out) override;
 
  private:
   /// True if child a's current row precedes child b's in scan direction.

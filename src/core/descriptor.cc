@@ -10,6 +10,9 @@ namespace lt {
 namespace {
 
 constexpr uint64_t kDescriptorMagic = 0x6c746465736331ull;  // "ltdesc1"
+// A tablet entry's least size: an empty name's length byte and six
+// one-byte varints.
+constexpr uint64_t kMinTabletEntryBytes = 7;
 
 }  // namespace
 
@@ -52,6 +55,8 @@ Status TableDescriptor::Decode(const Slice& data, TableDescriptor* out) {
       crc32c::Value(body.data(), body.size())) {
     return Status::Corruption("descriptor checksum mismatch");
   }
+  // Decoded aside and moved out whole, so a failure leaves *out as it was.
+  TableDescriptor d;
   Slice in = body;
   uint64_t magic;
   if (!GetFixed64(&in, &magic) || magic != kDescriptorMagic) {
@@ -61,16 +66,20 @@ Status TableDescriptor::Decode(const Slice& data, TableDescriptor* out) {
   if (!GetLengthPrefixedSlice(&in, &name)) {
     return Status::Corruption("bad descriptor name");
   }
-  out->table_name = name.ToString();
-  LT_RETURN_IF_ERROR(Schema::DecodeFrom(&in, &out->schema));
+  d.table_name = name.ToString();
+  LT_RETURN_IF_ERROR(Schema::DecodeFrom(&in, &d.schema));
   uint64_t ttl, ntablets;
-  if (!GetVarint64(&in, &ttl) || !GetVarint64(&in, &out->next_file_seq) ||
+  if (!GetVarint64(&in, &ttl) || !GetVarint64(&in, &d.next_file_seq) ||
       !GetVarint64(&in, &ntablets)) {
     return Status::Corruption("bad descriptor header");
   }
-  out->ttl = static_cast<Timestamp>(ttl);
-  out->tablets.clear();
-  out->tablets.reserve(ntablets);
+  d.ttl = static_cast<Timestamp>(ttl);
+  // An entry takes at least kMinTabletEntryBytes, so a count the rest of
+  // the body cannot hold is corrupt; checked before it sizes anything.
+  if (ntablets > in.size() / kMinTabletEntryBytes) {
+    return Status::Corruption("bad descriptor tablet count");
+  }
+  d.tablets.reserve(ntablets);
   for (uint64_t i = 0; i < ntablets; i++) {
     TabletMeta t;
     Slice fname;
@@ -85,8 +94,10 @@ Status TableDescriptor::Decode(const Slice& data, TableDescriptor* out) {
     t.min_ts = ZigZagDecode(zz_min);
     t.max_ts = ZigZagDecode(zz_max);
     t.flushed_at = ZigZagDecode(zz_flushed);
-    out->tablets.push_back(std::move(t));
+    d.tablets.push_back(std::move(t));
   }
+  if (!in.empty()) return Status::Corruption("trailing descriptor bytes");
+  *out = std::move(d);
   return Status::OK();
 }
 

@@ -1,6 +1,7 @@
 #include "core/row_codec.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "util/coding.h"
 
@@ -41,6 +42,35 @@ void EncodeKey(std::string* dst, const Schema& schema, const Key& key) {
   for (size_t i = 0; i < key.size(); i++) {
     EncodeValue(dst, key[i], schema.columns()[i].type);
   }
+}
+
+void EncodeKeyCells(const Schema& schema, const KeyCell* key,
+                    std::string* dst, uint32_t* ends) {
+  const size_t nkey = schema.num_key_columns();
+  auto is_bytes = [&](size_t c) {
+    const ColumnType t = schema.columns()[c].type;
+    return t == ColumnType::kString || t == ColumnType::kBlob;
+  };
+  // Sized once for the longest encoding, then written in place.
+  size_t most = dst->size();
+  for (size_t c = 0; c < nkey; c++) {
+    most += 10 + (is_bytes(c) ? key[c].s.size() : 0);
+  }
+  const size_t start = dst->size();
+  dst->resize(most);
+  char* const base = dst->data();
+  char* p = base + start;
+  for (size_t c = 0; c < nkey; c++) {
+    if (is_bytes(c)) {
+      p = EncodeVarint64(p, key[c].s.size());
+      memcpy(p, key[c].s.data(), key[c].s.size());
+      p += key[c].s.size();
+    } else {
+      p = EncodeVarint64(p, ZigZagEncode(key[c].i));
+    }
+    ends[c] = static_cast<uint32_t>(p - base);
+  }
+  dst->resize(static_cast<size_t>(p - base));
 }
 
 Status DecodeKey(Slice* input, const Schema& schema, Key* out) {

@@ -34,6 +34,12 @@ Status DecodeRow(Slice* input, const Schema& schema, Row* out);
 /// Appends the encoding of the leading `key.size()` key columns.
 void EncodeKey(std::string* dst, const Schema& schema, const Key& key);
 
+/// Appends the key encoding of `key` (one cell per key column of `schema`),
+/// the bytes EncodeKey writes for the same key, and sets ends[c] to
+/// dst->size() just past cell c.
+void EncodeKeyCells(const Schema& schema, const KeyCell* key,
+                    std::string* dst, uint32_t* ends);
+
 /// Decodes a full primary key (all key columns).
 Status DecodeKey(Slice* input, const Schema& schema, Key* out);
 

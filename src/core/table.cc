@@ -1236,19 +1236,7 @@ Status Table::MaybeMerge(Timestamp now) {
   // Any failure from here on abandons the partial output, backs off, and
   // leaves the inputs untouched: a merge is pure rewrite, so failing it
   // loses nothing — the next attempt re-picks the same inputs.
-  MergingCursor merged(schema.get(), std::move(cursors), Direction::kAscending);
-  Status ws;
-  std::string row;
-  while (merged.Valid()) {
-    if (merged.ts() >= cutoff) {
-      row.clear();
-      merged.AppendEncoded(&row);
-      ws = writer.Add(Slice(row));
-      if (!ws.ok()) break;
-    }
-    ws = merged.Next();
-    if (!ws.ok()) break;
-  }
+  Status ws = writer.AddMerged(std::move(cursors), cutoff);
 
   TabletMeta out_meta;
   bool have_output = ws.ok() && writer.rows_added() > 0;
@@ -1467,7 +1455,7 @@ Status QueryStream::NextChunk(size_t max_rows, size_t target_bytes,
   run.byte_target = dst->size() + target_bytes;
   run.filter_left = scan_cap;
   run.on_row = on_row_;
-  Status s = merged_->AppendRun(&run, dst);
+  Status s = merged_->AppendRun(&run, RunOutput{.bytes = dst});
   on_row_ = run.on_row;
   returned_ += run.rows;
   *rows = static_cast<uint32_t>(run.rows);

@@ -92,12 +92,12 @@ class TabletCursor final : public Cursor {
   }
 
   // Runs over the decoded block columns: the run's end is found by
-  // comparing key and ts columns in place, its rows are encoded column by
-  // column (BlockReader::AppendRows), and the rows landed on are counted
-  // into `scanned_` once per call.
-  Status AppendRun(RunState* run, std::string* dst) override {
+  // comparing key and ts columns in place, its rows go out a stretch at a
+  // time (Emit), and the rows landed on are counted into `scanned_` once
+  // per call.
+  Status AppendRun(RunState* run, RunOutput out) override {
     uint64_t landed = 0;
-    RunRows(run, dst, &landed);
+    RunRows(run, out, &landed);
     if (scanned_ != nullptr && landed > 0) {
       scanned_->fetch_add(landed, std::memory_order_relaxed);
     }
@@ -312,11 +312,29 @@ class TabletCursor final : public Cursor {
            !PastStop(run, i);
   }
 
+  // The stretch's one output step: `n` rows from row `i` in scan
+  // direction go to `out`. Returns how many went: a chunk's byte target
+  // can end the stretch early; a writer takes all of them or fails the
+  // cursor with its error.
+  size_t Emit(size_t i, size_t n, const RunState& run, RunOutput out) {
+    const bool descending = direction_ == Direction::kDescending;
+    if (out.writer == nullptr) {
+      return block_.AppendRows(i, n, descending, appended_enc_,
+                               run.byte_target, out.bytes, &offsets_);
+    }
+    Status s = descending ? Status::InvalidArgument(
+                                "a tablet writer takes ascending runs")
+                          : out.writer->AddRows(block_, i, n,
+                                                appended_enc_.size());
+    if (!s.ok()) Fail(s);
+    return n;
+  }
+
   // The run loop: the rules of RunState, applied a stretch of rows at a
   // time. A stretch stays inside one block, so the rows after its first
   // are each landed on with one count; the step off a stretch goes through
   // RunStep, which crosses blocks and ends the cursor or the run.
-  void RunRows(RunState* run, std::string* dst, uint64_t* landed) {
+  void RunRows(RunState* run, RunOutput out, uint64_t* landed) {
     if (!valid_) {
       run->end = RunEnd::kExhausted;
       return;
@@ -355,10 +373,13 @@ class TabletCursor final : public Cursor {
         run->end = RunEnd::kLimit;
         return;
       }
-      // Append matching rows: at most the chunk's rows, the query's limit,
-      // and the rows until the scan cap ends the chunk on one.
+      // Hand on matching rows: at most the chunk's rows, the query's limit,
+      // and the rows until the scan cap ends the chunk on one (saturating:
+      // a merge's run has no cap).
+      const uint64_t scan_left =
+          run->scanned >= run->scan_cap ? 0 : run->scan_cap - run->scanned;
       const uint64_t scan_rows =
-          run->scanned >= run->scan_cap ? 1 : run->scan_cap - run->scanned + 1;
+          scan_left == RunState::kNoLimit ? scan_left : scan_left + 1;
       const uint64_t most =
           std::min<uint64_t>({run->max_rows, run->limit_left, scan_rows});
       size_t n = 1;
@@ -366,15 +387,18 @@ class TabletCursor final : public Cursor {
              Continues(*run, Offset(i, n, step), ts, true)) {
         n++;
       }
-      n = block_.AppendRows(i, n, descending, appended_enc_, run->byte_target,
-                            dst, &offsets_);
+      n = Emit(i, n, *run, out);
+      if (!status_.ok()) {
+        run->end = RunEnd::kExhausted;
+        return;
+      }
       row_idx_ = static_cast<size_t>(Offset(i, n - 1, step));
       *landed += (n - 1) * counted;
       run->scanned += (n - 1) * counted;
       run->rows += n;
       run->max_rows -= n;
       run->limit_left -= n;
-      if (run->ChunkEnds(dst->size())) {
+      if (run->ChunkEnds(out.size())) {
         run->on_row = true;
         run->end = RunEnd::kFull;
         return;

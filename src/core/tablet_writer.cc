@@ -9,6 +9,23 @@
 
 namespace lt {
 
+namespace {
+
+// Points the byte cells among `cells` (one per key column of `schema`) at
+// their bytes in `key`, the key's encoding, where cell c ends at ends[c].
+void PointCellsInto(const Schema& schema, const std::string& key,
+                    const uint32_t* ends, KeyCell* cells) {
+  for (size_t c = 0; c < schema.num_key_columns(); c++) {
+    const ColumnType t = schema.columns()[c].type;
+    if (t == ColumnType::kString || t == ColumnType::kBlob) {
+      const size_t n = cells[c].s.size();
+      cells[c].s = Slice(key.data() + ends[c] - n, n);
+    }
+  }
+}
+
+}  // namespace
+
 TabletWriter::TabletWriter(Env* env, std::string fname, const Schema* schema,
                            TabletWriterOptions options)
     : env_(env),
@@ -42,29 +59,74 @@ Status TabletWriter::Add(const Slice& row) {
       !in.empty()) {
     return Status::InvalidArgument("row does not match tablet schema");
   }
+  LT_RETURN_IF_ERROR(AddKey(Slice(row.data(), ends_[cells_.size() - 1])));
+  block_.Add(row);
+  if (block_.data_bytes() >= opts_.block_bytes) {
+    LT_RETURN_IF_ERROR(FlushBlock());
+  }
+  return Status::OK();
+}
+
+Status TabletWriter::AddRows(const BlockReader& block, size_t first,
+                             size_t count, size_t tail) {
+  LT_RETURN_IF_ERROR(open_status_);
+  block.RowLengths(first, count, /*descending=*/false, tail, &lengths_);
+  // Rows [begin, k) are accounted but not yet in the block builder; they
+  // go in as one column range when the block is cut or the stretch ends.
+  size_t begin = 0, bytes = 0, k = 0;
+  Status s;
+  for (; k < count; k++) {
+    block.KeyAt(first + k, cells_.data());
+    key_buf_.clear();
+    EncodeKeyCells(*schema_, cells_.data(), &key_buf_, ends_.data());
+    s = AddKey(Slice(key_buf_));
+    if (!s.ok()) break;
+    bytes += lengths_[k];
+    if (block_.data_bytes() + bytes >= opts_.block_bytes) {
+      block_.AddRows(block, first + begin, k + 1 - begin, bytes);
+      begin = k + 1;
+      bytes = 0;
+      LT_RETURN_IF_ERROR(FlushBlock());
+    }
+  }
+  if (k > begin) block_.AddRows(block, first + begin, k - begin, bytes);
+  return s;
+}
+
+Status TabletWriter::AddMerged(std::vector<std::unique_ptr<Cursor>> inputs,
+                               Timestamp min_ts) {
+  LT_RETURN_IF_ERROR(open_status_);
+  MergingCursor merged(schema_, std::move(inputs), Direction::kAscending);
+  QueryBounds live;  // The TTL cutoff is the run's ts filter.
+  live.min_ts = min_ts;
+  RunState run;  // No chunk limits: the run ends when the rows do.
+  run.filter = &live;
+  return merged.AppendRun(&run, RunOutput{.writer = this});
+}
+
+Status TabletWriter::AddKey(const Slice& key) {
   const size_t nkey = cells_.size();
   if (rows_added_ > 0 &&
       order_.Compare(last_cells_.data(), cells_.data(), nkey) >= 0) {
     return Status::InvalidArgument("rows not in strictly ascending key order");
   }
 
-  const Slice key(row.data(), ends_[nkey - 1]);
   if (opts_.bloom_bits_per_key > 0) {
     // Every proper prefix of the key (for §3.4.5 latest-row queries) plus
     // the full key (for §3.4.4 duplicate checks), each a byte prefix of the
-    // row. Rows arrive sorted, so leading prefixes usually repeat the last
-    // row's: those are counted, not hashed again (encodings are canonical,
-    // so equal bytes are equal cells).
+    // key's encoding. Rows arrive sorted, so leading prefixes usually
+    // repeat the last row's: those are counted, not hashed again
+    // (encodings are canonical, so equal bytes are equal cells).
     bool repeat = rows_added_ > 0;
     for (size_t i = 0; i + 1 < nkey; i++) {
       const uint32_t begin = i == 0 ? 0 : ends_[i - 1];
       repeat = repeat && ends_[i] == last_ends_[i] &&
-               memcmp(row.data() + begin, last_key_.data() + begin,
+               memcmp(key.data() + begin, last_key_.data() + begin,
                       ends_[i] - begin) == 0;
       if (repeat) {
         bloom_.AddRepeat();
       } else {
-        bloom_.Add(Slice(row.data(), ends_[i]));
+        bloom_.Add(Slice(key.data(), ends_[i]));
       }
     }
     bloom_.Add(key);
@@ -80,14 +142,9 @@ Status TabletWriter::Add(const Slice& row) {
   }
   last_key_.assign(key.data(), key.size());
   last_cells_ = cells_;
-  RebaseKeyCells(*schema_, row.data(), last_key_.data(), last_cells_.data());
+  PointCellsInto(*schema_, last_key_, ends_.data(), last_cells_.data());
   last_ends_ = ends_;
   rows_added_++;
-
-  block_.Add(row);
-  if (block_.data_bytes() >= opts_.block_bytes) {
-    LT_RETURN_IF_ERROR(FlushBlock());
-  }
   return Status::OK();
 }
 

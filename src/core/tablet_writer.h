@@ -33,12 +33,17 @@
 //
 // Both flushes (§3.4.1) and merges write tablets through this class, always
 // as one long sequential write — that is the core of LittleTable's insert
-// efficiency on spinning disks.
+// efficiency on spinning disks. A flush adds rows as their encodings (the
+// memtablet's arena bytes); a merge adds runs of decoded block columns
+// (AddMerged), so its rows are never encoded between the input blocks and
+// the output block. Both make the same per-row decisions — block cuts,
+// Bloom keys, key range — so a tablet's bytes do not depend on the route.
 #ifndef LITTLETABLE_CORE_TABLET_WRITER_H_
 #define LITTLETABLE_CORE_TABLET_WRITER_H_
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/block.h"
 #include "core/stats.h"
@@ -82,6 +87,21 @@ class TabletWriter {
   Status Add(const Slice& row);
   /// Checks `row` against the schema, encodes it and adds it.
   Status Add(const Row& row);
+  /// Adds rows [first, first + count) of `block` (prepared, under the
+  /// writer's schema or an older version of it), each of whose encodings
+  /// under the writer's schema is `tail` bytes longer than under the
+  /// block's (appended columns' defaults). Each row is checked and
+  /// accounted from its decoded key cells as Add accounts it, and blocks
+  /// are cut after the same rows; cells go to the block builder as column
+  /// ranges. On error the rows before the failing one stay added.
+  Status AddRows(const BlockReader& block, size_t first, size_t count,
+                 size_t tail);
+  /// Adds the merge of `inputs` — ascending cursors translated to the
+  /// writer's schema — dropping rows with ts below `min_ts` (the TTL
+  /// cutoff): one run over a MergingCursor, whose tablet cursors hand their
+  /// stretches to AddRows.
+  Status AddMerged(std::vector<std::unique_ptr<Cursor>> inputs,
+                   Timestamp min_ts);
 
   uint64_t rows_added() const { return rows_added_; }
 
@@ -102,6 +122,10 @@ class TabletWriter {
     uint32_t crc;  // Masked CRC32C of the stored block bytes.
   };
 
+  /// The per-row bookkeeping of Add and AddRows, from the row's key: the
+  /// strict-order check, Bloom keys, timespan, and min/last key. `key` is
+  /// the key's encoding, cells_ its cells and ends_ the end of each cell.
+  Status AddKey(const Slice& key);
   Status FlushBlock();
 
   Env* env_;
@@ -122,6 +146,9 @@ class TabletWriter {
   // The row being added: its key cells and the end offset of each.
   std::vector<KeyCell> cells_;
   std::vector<uint32_t> ends_;
+  // AddRows scratch: a row's key encoding, and the stretch's row lengths.
+  std::string key_buf_;
+  std::vector<size_t> lengths_;
   // The last row added, for ordering checks and repeated Bloom prefixes:
   // its encoded key (the max key, and the open block's last key), and its
   // key cells (byte cells pointing into last_key_) and their end offsets.

@@ -348,8 +348,14 @@ void OverloadRun::DrainOldestBlocking() {
       return;
     }
     if (!ready && ++idle_rounds > 100) {
+      // The slot gauges, read in process (a Stats round trip could hang
+      // too), show whether the hang holds a leaked scan slot.
+      MetricsRegistry& m = server_->metrics();
       Violation("query qid=" + std::to_string(target) +
-                " never answered (hang)");
+                " never answered (hang): scans_active=" +
+                std::to_string(m.GetGauge("server.scans_active")->Value()) +
+                " scans_queued=" +
+                std::to_string(m.GetGauge("server.scans_queued")->Value()));
       return;
     }
     if (ready) idle_rounds = 0;

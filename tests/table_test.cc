@@ -12,12 +12,14 @@
 #include <thread>
 
 #include "core/db.h"
+#include "core/descriptor.h"
 #include "core/table.h"
 #include "core/tablet_reader.h"
 #include "core/tablet_writer.h"
 #include "env/mem_env.h"
 #include "tests/test_util.h"
 #include "tests/v1_fixture.h"
+#include "util/coding.h"
 #include "util/crc32c.h"
 #include "util/logger.h"
 #include "util/random.h"
@@ -1709,6 +1711,96 @@ std::vector<std::string> PinnedTabletFiles() {
   EXPECT_GE(table->stats().merges.load(), 1u);
   record("merge");
   return out;
+}
+
+// ----- Descriptor decoding fails closed. -----
+
+// The column_codec_test bounds-fuzz matrix over TableDescriptor::Decode:
+// every truncation, every single-bit flip and seeded random garbage must
+// fail without touching the output. Bodies re-sealed with a valid
+// checksum reach the parser behind it: every truncation and trailing
+// garbage must still fail, a lying tablet count must fail before it sizes
+// anything, and a flipped bit may decode (a name byte is still a name) but
+// must never crash or half-fill the output.
+TEST(DescriptorTest, DecodeFuzzFailsClosed) {
+  TableDescriptor d;
+  d.table_name = "usage";
+  d.schema = testutil::V1FixtureSchema();
+  d.ttl = 7 * kMicrosPerDay;
+  d.next_file_seq = 300;
+  for (int i = 0; i < 3; i++) {
+    TabletMeta m;
+    m.filename = "00000" + std::to_string(i) + ".tab";
+    m.min_ts = -1000 + i;
+    m.max_ts = 1ll << 50;
+    m.file_bytes = 4096 * (i + 1);
+    m.row_count = 300;
+    m.flushed_at = 123456789;
+    m.schema_version = 1;
+    d.tablets.push_back(m);
+  }
+  const std::string enc = d.Encode();
+  {
+    TableDescriptor out;
+    ASSERT_TRUE(TableDescriptor::Decode(enc, &out).ok());
+    EXPECT_EQ(out.Encode(), enc);
+  }
+
+  TableDescriptor sentinel;
+  sentinel.table_name = "sentinel";
+  sentinel.schema = testutil::UsageSchema();
+  sentinel.tablets.resize(1);
+  const std::string sentinel_enc = sentinel.Encode();
+  // Decodes `data` over a copy of the sentinel: false if it decoded; on
+  // failure the copy must be untouched.
+  auto decodes = [&](const std::string& data, const std::string& what) {
+    TableDescriptor out = sentinel;
+    if (TableDescriptor::Decode(data, &out).ok()) return true;
+    EXPECT_EQ(out.Encode(), sentinel_enc) << what;
+    return false;
+  };
+  auto seal = [](std::string body) {
+    PutFixed32(&body, crc32c::Mask(crc32c::Value(body.data(), body.size())));
+    return body;
+  };
+  const std::string body = enc.substr(0, enc.size() - 4);
+
+  for (size_t len = 0; len < enc.size(); len++) {
+    EXPECT_FALSE(decodes(enc.substr(0, len), "truncated to " + std::to_string(len)));
+  }
+  for (size_t len = 0; len < body.size(); len++) {
+    EXPECT_FALSE(decodes(seal(body.substr(0, len)),
+                         "body resealed at " + std::to_string(len)));
+  }
+  EXPECT_FALSE(decodes(seal(body + '\0'), "trailing byte"));
+  for (size_t pos = 0; pos < enc.size(); pos++) {
+    for (int bit = 0; bit < 8; bit++) {
+      std::string bad = enc;
+      bad[pos] ^= static_cast<char>(1u << bit);
+      const std::string where =
+          "pos=" + std::to_string(pos) + " bit=" + std::to_string(bit);
+      EXPECT_FALSE(decodes(bad, where));
+      if (pos < body.size()) {
+        decodes(seal(bad.substr(0, body.size())), "resealed " + where);
+      }
+    }
+  }
+  {
+    // A body that claims 2^60 tablets and holds none.
+    TableDescriptor empty = d;
+    empty.tablets.clear();
+    std::string head = empty.Encode();
+    head.resize(head.size() - 5);  // Drops the CRC and the count of 0.
+    PutVarint64(&head, 1ull << 60);
+    EXPECT_FALSE(decodes(seal(head), "tablet count 2^60"));
+  }
+  Random rnd(20261019);
+  for (int i = 0; i < 3000; i++) {
+    std::string garbage = rnd.Bytes(rnd.Uniform(120));
+    EXPECT_FALSE(decodes(garbage, "garbage #" + std::to_string(i)));
+    // Garbage behind the real magic and name, re-sealed.
+    decodes(seal(body.substr(0, 14) + garbage), "sealed garbage");
+  }
 }
 
 TEST(TabletBytesTest, FlushAndMergeOutputIsPinned) {

@@ -12,6 +12,12 @@ namespace {
 
 constexpr int kMaxHeight = 12;
 constexpr size_t kArenaBlockBytes = 128 << 10;
+constexpr size_t kInitialTailSlots = 16;
+
+uint64_t Mix(uint64_t h) {
+  h *= 0x9e3779b97f4a7c15ull;
+  return h ^ (h >> 32);
+}
 
 }  // namespace
 
@@ -63,6 +69,7 @@ MemTablet::MemTablet(uint64_t id, std::shared_ptr<const Schema> schema,
       order_(*schema_),
       period_(period),
       created_at_(created_at),
+      tails_(kInitialTailSlots, Tail{0, nullptr}),
       parsed_key_(schema_->num_key_columns()) {
   char* mem = Allocate(sizeof(Node) + kMaxHeight * sizeof(std::atomic<Node*>));
   head_ = new (mem) Node{nullptr, 0, 0, nullptr};
@@ -104,6 +111,44 @@ int MemTablet::RandomHeight() {
   return height;
 }
 
+uint64_t MemTablet::SeriesHash(const KeyCell* key) const {
+  uint64_t h = 0;
+  for (size_t c = 0; c + 1 < parsed_key_.size(); c++) {
+    const ColumnType type = schema_->columns()[c].type;
+    if (type != ColumnType::kString && type != ColumnType::kBlob) {
+      h = Mix(h ^ static_cast<uint64_t>(key[c].i));
+      continue;
+    }
+    const Slice& s = key[c].s;
+    h = Mix(h ^ s.size());
+    size_t i = 0;
+    for (; i + 8 <= s.size(); i += 8) {
+      uint64_t word;
+      memcpy(&word, s.data() + i, 8);
+      h = Mix(h ^ word);
+    }
+    if (i < s.size()) {
+      uint64_t word = 0;
+      memcpy(&word, s.data() + i, s.size() - i);
+      h = Mix(h ^ word);
+    }
+  }
+  return h;
+}
+
+size_t MemTablet::FindTail(const KeyCell* key, uint64_t hash) const {
+  const size_t mask = tails_.size() - 1;
+  const size_t series_cells = parsed_key_.size() - 1;
+  for (size_t i = hash & mask;; i = (i + 1) & mask) {
+    const Tail& t = tails_[i];
+    if (t.node == nullptr ||
+        (t.hash == hash &&
+         order_.Compare(t.node->key, key, series_cells) == 0)) {
+      return i;
+    }
+  }
+}
+
 bool MemTablet::Insert(const Row& row) {
   row_buf_.clear();
   EncodeRow(&row_buf_, *schema_, row);
@@ -119,16 +164,36 @@ bool MemTablet::InsertEncoded(const Slice& row) {
     return false;
   }
   const KeyCell* key = parsed_key_.data();
+  const Timestamp ts = key[nkey - 1].i;
+  const uint64_t hash = SeriesHash(key);
+  const size_t slot = FindTail(key, hash);
+  Node* const tail = tails_[slot].node;
+  const bool newest = tail != nullptr && ts > tail->key[nkey - 1].i;
+
   Node* prev[kMaxHeight] = {};
   const int height_now = max_height_.load(std::memory_order_relaxed);
-  Node* x = LastWhere(
-      head_, height_now,
-      [&](const Node* n) { return order_.Compare(n->key, key, nkey) < 0; },
-      prev);
-  const Node* at = x->Next(0);
-  if (at != nullptr && order_.Compare(at->key, key, nkey) == 0) return false;
-
-  const int height = RandomHeight();
+  auto before = [&](const Node* n) {
+    return order_.Compare(n->key, key, nkey) < 0;
+  };
+  int height;
+  if (newest) {
+    // Newer than every row of its series: the tail is the level-0
+    // predecessor and no row can share the key. Only a taller node needs
+    // its upper predecessors searched.
+    height = RandomHeight();
+    if (height == 1) {
+      prev[0] = tail;
+    } else {
+      LastWhere(head_, height_now, before, prev);
+    }
+  } else {
+    Node* x = LastWhere(head_, height_now, before, prev);
+    const Node* at = x->Next(0);
+    if (at != nullptr && order_.Compare(at->key, key, nkey) == 0) {
+      return false;
+    }
+    height = RandomHeight();
+  }
   if (height > height_now) {
     for (int i = height_now; i < height; i++) prev[i] = head_;
     // Readers may see the new height before the node: head's links at the
@@ -154,7 +219,22 @@ bool MemTablet::InsertEncoded(const Slice& row) {
     prev[i]->links()[i].store(node, std::memory_order_release);
   }
 
-  const Timestamp ts = key[nkey - 1].i;
+  if (newest) {
+    tails_[slot].node = node;
+  } else if (tail == nullptr) {
+    tails_[slot] = Tail{hash, node};
+    if (++num_tails_ * 2 > tails_.size()) {
+      std::vector<Tail> old = std::move(tails_);
+      tails_.assign(old.size() * 2, Tail{0, nullptr});
+      const size_t mask = tails_.size() - 1;
+      for (const Tail& t : old) {
+        if (t.node == nullptr) continue;
+        size_t i = t.hash & mask;
+        while (tails_[i].node != nullptr) i = (i + 1) & mask;
+        tails_[i] = t;
+      }
+    }
+  }
   if (seq == 0) {
     min_ts_ = max_ts_ = ts;
   } else {
@@ -168,6 +248,9 @@ bool MemTablet::InsertEncoded(const Slice& row) {
 
 bool MemTablet::ContainsKey(const KeyCell* key) const {
   const size_t nkey = parsed_key_.size();
+  // No row of the series, or newer than all of them: no search needed.
+  const Node* tail = tails_[FindTail(key, SeriesHash(key))].node;
+  if (tail == nullptr || key[nkey - 1].i > tail->key[nkey - 1].i) return false;
   const Node* x = LastWhere(
       head_, max_height_.load(std::memory_order_relaxed),
       [&](const Node* n) { return order_.Compare(n->key, key, nkey) < 0; });

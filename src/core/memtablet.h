@@ -25,6 +25,14 @@
 // reads watermarks under its mutex, which is also held while a commit group
 // applies, so a reader sees whole groups or none of a group. min_ts(),
 // max_ts(), ApproximateBytes() and sealed() are guarded by the owner.
+//
+// Series tails (§3.4.4). A series is one key prefix: every key column but
+// ts. Almost every row is newer than every earlier row of its series, so
+// the writer keeps, per series, the node of its newest row in an
+// open-addressing table. A row newer than its series' tail needs no search
+// to prove it unique, and is linked after the tail (a height-1 node with no
+// search at all). Only the writer touches the table: readers and cursors
+// never do.
 #ifndef LITTLETABLE_CORE_MEMTABLET_H_
 #define LITTLETABLE_CORE_MEMTABLET_H_
 
@@ -58,7 +66,8 @@ class MemTablet {
   bool Insert(const Row& row);
 
   /// True if a row with exactly this full primary key (num_key_columns
-  /// cells) exists.
+  /// cells) exists. Writer-only: it reads the series tails, which only the
+  /// thread that inserts (under the owner's insert lock) may touch.
   bool ContainsKey(const KeyCell* key) const;
 
   uint64_t id() const { return id_; }
@@ -82,9 +91,20 @@ class MemTablet {
   friend class MemTabletCursor;
   struct Node;
 
+  // One slot of the series-tail table; node is null in an empty slot.
+  struct Tail {
+    uint64_t hash;
+    Node* node;
+  };
+
   /// Bump allocation from the arena, aligned for nodes.
   char* Allocate(size_t bytes);
   int RandomHeight();
+  /// Hash of the series of full key `key` (its cells before ts).
+  uint64_t SeriesHash(const KeyCell* key) const;
+  /// The slot holding the tail of `key`'s series, or the empty slot where
+  /// it would go. A slot matches only if its node's series compares equal.
+  size_t FindTail(const KeyCell* key, uint64_t hash) const;
 
   uint64_t id_;
   std::shared_ptr<const Schema> schema_;
@@ -105,6 +125,11 @@ class MemTablet {
   Node* head_;
   std::atomic<int> max_height_{1};
   uint64_t rnd_ = 0x2545f4914f6cdd1dull;
+  // Series tails: a power-of-two table, at most half full, linear probing.
+  // Every series in the memtablet has a tail, so a miss means no row of the
+  // series is present.
+  std::vector<Tail> tails_;
+  size_t num_tails_ = 0;
   // InsertEncoded's parsed key cells, and Insert(const Row&)'s encoding.
   std::vector<KeyCell> parsed_key_;
   std::string row_buf_;

@@ -37,12 +37,11 @@ std::string BloomFilterBuilder::Finish() const {
   bits = bytes * 8;
 
   std::string array(bytes, '\0');
+  const uint64_t wrap = BloomWrap(bits);
   for (uint64_t h : hashes_) {
-    // Double hashing: probe_i = h1 + i * h2.
-    uint64_t h1 = h;
-    uint64_t h2 = (h >> 32) | (h << 32);
-    for (int i = 0; i < k; i++) {
-      uint64_t bit = (h1 + static_cast<uint64_t>(i) * h2) % bits;
+    BloomProbe probe(h, bits, wrap);
+    for (int i = 0; i < k; i++, probe.Next()) {
+      const uint64_t bit = probe.bit();
       array[bit / 8] |= static_cast<char>(1 << (bit % 8));
     }
   }
@@ -63,17 +62,15 @@ Status BloomFilter::Parse(const Slice& data, BloomFilter* out) {
   }
   out->num_probes_ = static_cast<int>(k);
   out->bits_ = array.ToString();
+  out->wrap_ = BloomWrap(out->bits_.size() * 8);
   return Status::OK();
 }
 
 bool BloomFilter::MayContain(const Slice& key) const {
   if (bits_.empty()) return false;
-  const uint64_t nbits = bits_.size() * 8;
-  uint64_t h = BloomHash(key);
-  uint64_t h1 = h;
-  uint64_t h2 = (h >> 32) | (h << 32);
-  for (int i = 0; i < num_probes_; i++) {
-    uint64_t bit = (h1 + static_cast<uint64_t>(i) * h2) % nbits;
+  BloomProbe probe(BloomHash(key), bits_.size() * 8, wrap_);
+  for (int i = 0; i < num_probes_; i++, probe.Next()) {
+    const uint64_t bit = probe.bit();
     if (!(bits_[bit / 8] & (1 << (bit % 8)))) return false;
   }
   return true;

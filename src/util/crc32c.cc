@@ -1,6 +1,10 @@
 #include "util/crc32c.h"
 
-#include <array>
+#include <cstring>
+
+#if defined(__x86_64__)
+#include <nmmintrin.h>
+#endif
 
 namespace lt {
 namespace crc32c {
@@ -37,7 +41,7 @@ const Table& GetTable() {
 
 }  // namespace
 
-uint32_t Extend(uint32_t init_crc, const char* data, size_t n) {
+uint32_t ExtendPortable(uint32_t init_crc, const char* data, size_t n) {
   const Table& tab = GetTable();
   const unsigned char* p = reinterpret_cast<const unsigned char*>(data);
   uint32_t crc = init_crc ^ 0xffffffffu;
@@ -55,6 +59,44 @@ uint32_t Extend(uint32_t init_crc, const char* data, size_t n) {
     crc = (crc >> 8) ^ tab.t[0][(crc ^ *p++) & 0xff];
   }
   return crc ^ 0xffffffffu;
+}
+
+#if defined(__x86_64__)
+bool HardwareAvailable() {
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("sse4.2");
+}
+
+// Compiled for SSE4.2 alone (no global -msse4.2), so only Extend's run-time
+// choice, or a caller that checked HardwareAvailable(), may call it.
+__attribute__((target("sse4.2"))) uint32_t ExtendHardware(uint32_t init_crc,
+                                                          const char* data,
+                                                          size_t n) {
+  const unsigned char* p = reinterpret_cast<const unsigned char*>(data);
+  uint64_t crc = init_crc ^ 0xffffffffu;
+  for (; n > 0 && (reinterpret_cast<uintptr_t>(p) & 7) != 0; n--) {
+    crc = _mm_crc32_u8(static_cast<uint32_t>(crc), *p++);
+  }
+  for (; n >= 8; n -= 8, p += 8) {
+    uint64_t word;
+    memcpy(&word, p, 8);
+    crc = _mm_crc32_u64(crc, word);
+  }
+  for (; n > 0; n--) crc = _mm_crc32_u8(static_cast<uint32_t>(crc), *p++);
+  return static_cast<uint32_t>(crc) ^ 0xffffffffu;
+}
+#else
+bool HardwareAvailable() { return false; }
+
+uint32_t ExtendHardware(uint32_t init_crc, const char* data, size_t n) {
+  return ExtendPortable(init_crc, data, n);
+}
+#endif
+
+uint32_t Extend(uint32_t init_crc, const char* data, size_t n) {
+  static const auto kernel =
+      HardwareAvailable() ? ExtendHardware : ExtendPortable;
+  return kernel(init_crc, data, n);
 }
 
 }  // namespace crc32c

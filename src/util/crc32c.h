@@ -1,6 +1,8 @@
 // CRC32C (Castagnoli) checksums, used to detect corruption in tablet blocks
-// and footers. Software implementation with an 8-entry-per-byte slicing
-// table; the masked form guards against checksumming a checksum.
+// and footers. Extend uses the SSE4.2 crc32 instruction where the CPU has
+// it, chosen once at the first call, and a software slicing-by-4 kernel
+// (four 256-entry tables) elsewhere; both give the same values. The masked
+// form guards against checksumming a checksum.
 #ifndef LITTLETABLE_UTIL_CRC32C_H_
 #define LITTLETABLE_UTIL_CRC32C_H_
 
@@ -12,6 +14,13 @@ namespace crc32c {
 
 /// Returns the CRC32C of data[0..n-1], extending `init_crc`.
 uint32_t Extend(uint32_t init_crc, const char* data, size_t n);
+
+/// The two kernels behind Extend, exposed so tests can compare them. The
+/// hardware one may be called only when HardwareAvailable(); on a CPU
+/// family without a CRC32C instruction it is the portable kernel.
+uint32_t ExtendPortable(uint32_t init_crc, const char* data, size_t n);
+uint32_t ExtendHardware(uint32_t init_crc, const char* data, size_t n);
+bool HardwareAvailable();
 
 /// Returns the CRC32C of data[0..n-1].
 inline uint32_t Value(const char* data, size_t n) { return Extend(0, data, n); }

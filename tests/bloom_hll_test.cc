@@ -144,6 +144,34 @@ TEST(BloomTest, CountedRepeatsSerializeLikeStoredRepeats) {
   EXPECT_EQ(BloomFilterBuilder(10).Finish(), ReferenceFilter({}, 10));
 }
 
+TEST(BloomTest, SteppedProbesMatchTheModuloFormula) {
+  // BloomProbe steps each position mod bits and corrects for the 64-bit
+  // wrap of h1 + i * h2; every position must equal the direct formula.
+  // Random 64-bit hashes wrap within a few probes, so both arms run.
+  Random rnd(20261020);
+  size_t wraps = 0;
+  for (int trial = 0; trial < 20000; trial++) {
+    uint64_t bits;
+    switch (trial % 4) {
+      case 0: bits = 64 + rnd.Uniform(1 << 12); break;
+      case 1: bits = 8 * (8 + rnd.Uniform(1 << 20)); break;
+      case 2: bits = 1 + rnd.Uniform(uint64_t{1} << 40); break;
+      default: bits = (uint64_t{1} << 63) - rnd.Uniform(1 << 20); break;
+    }
+    const uint64_t h = rnd.Next();
+    const uint64_t h2 = (h >> 32) | (h << 32);
+    const int k = 1 + static_cast<int>(rnd.Uniform(30));
+    BloomProbe probe(h, bits, BloomWrap(bits));
+    for (int i = 0; i < k; i++, probe.Next()) {
+      const uint64_t x = h + static_cast<uint64_t>(i) * h2;
+      if (i > 0 && x < h + static_cast<uint64_t>(i - 1) * h2) wraps++;
+      ASSERT_EQ(probe.bit(), x % bits)
+          << "h=" << h << " bits=" << bits << " probe " << i;
+    }
+  }
+  EXPECT_GT(wraps, 10000u);
+}
+
 TEST(HllTest, SmallCardinalitiesNearExact) {
   HyperLogLog hll(12);
   for (int i = 0; i < 100; i++) hll.Add("client-" + std::to_string(i));

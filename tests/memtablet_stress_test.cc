@@ -2,8 +2,11 @@
 // groups while readers open cursors against it with no lock held. Each
 // reader takes its watermark the way Table does — under the mutex the writer
 // holds for a whole group — and checks that its cursor yields strictly
-// ordered keys and exactly the rows inserted below the watermark. Labeled
-// `stress`, so the TSan CI job runs it.
+// ordered keys and exactly the rows inserted below the watermark. One case
+// scatters every row into a series of its own (the searched insert path);
+// the other appends each row after its series' newest row (the series-tail
+// path, which links most nodes with no search). Labeled `stress`, so the
+// TSan CI job runs it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -30,12 +33,18 @@ constexpr int kReaders = 3;
 // Row k, inserted k-th. Its keys are scattered (the device is a bijection
 // of k, since 100003 is prime) so inserts land all over the skiplist; its
 // timestamp gives k back.
-Row RowAt(int k) {
+Row ScatteredRowAt(int k) {
   return UsageRow(k % kNetworks, (static_cast<int64_t>(k) * 7919) % 100003,
                   1000 + k, k, 0.5);
 }
 
-TEST(MemTabletStressTest, ReadersSeeExactlyTheRowsBelowTheirWatermark) {
+// Row k of 7 × 40 series taken round robin: after each series' first row,
+// every row is newer than its series' newest, so it takes the tail path.
+Row SeriesRowAt(int k) {
+  return UsageRow(k % kNetworks, (k / kNetworks) % 40, 1000 + k, k, 0.5);
+}
+
+void Hammer(Row (*row_at)(int)) {
   auto schema = std::make_shared<const Schema>(UsageSchema());
   auto mt = std::make_shared<MemTablet>(1, schema, Period{0, kMicrosPerDay}, 0);
   std::mutex mu;  // Table::mu_'s role: held while a group applies.
@@ -43,13 +52,19 @@ TEST(MemTabletStressTest, ReadersSeeExactlyTheRowsBelowTheirWatermark) {
 
   std::atomic<int> scans{0};
   std::thread writer([&] {
+    const KeyOrder order(*schema);
+    std::vector<KeyCell> cells;
     std::string enc;
     for (int k = 0; k < kRows;) {
       {
         std::lock_guard<std::mutex> lock(mu);
         for (int end = k + kGroupRows; k < end; k++) {
+          const Row row = row_at(k);
+          const Key key = schema->KeyOf(row);
+          order.CellsOf(key, &cells);
+          EXPECT_FALSE(mt->ContainsKey(cells.data()));
           enc.clear();
-          EncodeRow(&enc, *schema, RowAt(k));
+          EncodeRow(&enc, *schema, row);
           EXPECT_TRUE(mt->InsertEncoded(enc));
         }
       }
@@ -117,6 +132,14 @@ TEST(MemTabletStressTest, ReadersSeeExactlyTheRowsBelowTheirWatermark) {
   for (std::thread& t : readers) t.join();
   EXPECT_EQ(mt->num_rows(), static_cast<size_t>(kRows));
   EXPECT_GT(scans.load(), 0);
+}
+
+TEST(MemTabletStressTest, ReadersSeeExactlyTheRowsBelowTheirWatermark) {
+  Hammer(ScatteredRowAt);
+}
+
+TEST(MemTabletStressTest, ReadersSeeTailAppendsBelowTheirWatermark) {
+  Hammer(SeriesRowAt);
 }
 
 }  // namespace

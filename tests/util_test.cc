@@ -166,6 +166,46 @@ TEST(Crc32cTest, ExtendMatchesWholeBuffer) {
   EXPECT_EQ(whole, split);
 }
 
+TEST(Crc32cTest, KnownVectorsOnBothKernels) {
+  const std::string zeros(32, '\0');
+  EXPECT_EQ(crc32c::ExtendPortable(0, "123456789", 9), 0xE3069283u);
+  EXPECT_EQ(crc32c::ExtendPortable(0, zeros.data(), zeros.size()),
+            0x8A9136AAu);
+  if (!crc32c::HardwareAvailable()) GTEST_SKIP() << "no CRC32C instruction";
+  EXPECT_EQ(crc32c::ExtendHardware(0, "123456789", 9), 0xE3069283u);
+  EXPECT_EQ(crc32c::ExtendHardware(0, zeros.data(), zeros.size()),
+            0x8A9136AAu);
+}
+
+TEST(Crc32cTest, HardwareKernelMatchesPortable) {
+  if (!crc32c::HardwareAvailable()) GTEST_SKIP() << "no CRC32C instruction";
+  // Random bytes at every start offset mod 8 (the hardware kernel steps
+  // bytes up to an 8-byte boundary), random lengths up to 4 KB, and each
+  // checksum also computed as two Extend calls split at a random point.
+  Random rnd(20261020);
+  std::string buf(4096 + 16, '\0');
+  for (char& c : buf) c = static_cast<char>(rnd.Next());
+  for (int trial = 0; trial < 3000; trial++) {
+    const size_t start = rnd.Uniform(16);
+    const size_t n = trial < 64 ? trial : rnd.Uniform(4097);
+    const char* p = buf.data() + start;
+    const uint32_t init =
+        trial % 2 == 0 ? 0 : static_cast<uint32_t>(rnd.Next());
+    const uint32_t want = crc32c::ExtendPortable(init, p, n);
+    ASSERT_EQ(crc32c::ExtendHardware(init, p, n), want)
+        << "start " << start << " length " << n;
+    ASSERT_EQ(crc32c::Extend(init, p, n), want);
+    const size_t split = n == 0 ? 0 : rnd.Uniform(n + 1);
+    ASSERT_EQ(crc32c::ExtendHardware(crc32c::ExtendHardware(init, p, split),
+                                     p + split, n - split),
+              want)
+        << "split " << split << " of " << n;
+    ASSERT_EQ(crc32c::ExtendPortable(crc32c::ExtendPortable(init, p, split),
+                                     p + split, n - split),
+              want);
+  }
+}
+
 TEST(Crc32cTest, MaskRoundTrip) {
   uint32_t crc = crc32c::Value("data", 4);
   EXPECT_NE(crc, crc32c::Mask(crc));

@@ -144,7 +144,11 @@ Status QueryAllPages(const Schema& schema, const QueryBounds& bounds,
     LT_RETURN_IF_ERROR(run_page(page, &result));
     const bool more = result.more_available && !result.rows.empty();
     if (more) page.StartAfter(schema.KeyOf(result.rows.back()));
-    for (Row& row : result.rows) rows->push_back(std::move(row));
+    if (rows->empty()) {
+      *rows = std::move(result.rows);
+    } else {
+      for (Row& row : result.rows) rows->push_back(std::move(row));
+    }
     if (!more || (want > 0 && rows->size() >= want)) return Status::OK();
   }
 }

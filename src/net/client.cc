@@ -174,10 +174,11 @@ Status Client::DecodeQueryChunk(Slice body, const Schema& schema,
     rows->reserve(std::max(rows->size() + count, 2 * rows->capacity()));
   }
   const std::vector<Column>& columns = schema.columns();
+  const size_t num_columns = columns.size();
   const char* p = body.data();
   const char* const limit = p + body.size();
-  // Decodes one cell of `row` at p; null p on a malformed cell.
-  auto cell = [&](ColumnType type, Row* row) -> const char* {
+  // Decodes the cell at p into `cell` in place; null p on a malformed cell.
+  auto decode = [&](ColumnType type, Value* cell) -> const char* {
     uint64_t u;
     switch (type) {
       case ColumnType::kInt32: {
@@ -185,14 +186,14 @@ Status Client::DecodeQueryChunk(Slice body, const Schema& schema,
         if (q == nullptr) return nullptr;
         const int64_t v = ZigZagDecode(u);
         if (v < INT32_MIN || v > INT32_MAX) return nullptr;
-        row->push_back(Value::Int32(static_cast<int32_t>(v)));
+        *cell = Value::Int32(static_cast<int32_t>(v));
         return q;
       }
       case ColumnType::kInt64:
       case ColumnType::kTimestamp: {
         const char* q = DecodeVarint64(p, limit, &u);
         if (q == nullptr) return nullptr;
-        row->push_back(Value::Int64(ZigZagDecode(u)));
+        *cell = Value::Int64(ZigZagDecode(u));
         return q;
       }
       case ColumnType::kDouble: {
@@ -200,7 +201,7 @@ Status Client::DecodeQueryChunk(Slice body, const Schema& schema,
         const uint64_t bits = DecodeFixed64(p);
         double d;
         __builtin_memcpy(&d, &bits, 8);
-        row->push_back(Value::Double(d));
+        *cell = Value::Double(d);
         return p + 8;
       }
       case ColumnType::kString:
@@ -210,19 +211,17 @@ Status Client::DecodeQueryChunk(Slice body, const Schema& schema,
           return nullptr;
         }
         std::string bytes(q, u);
-        row->push_back(type == ColumnType::kString
-                           ? Value::String(std::move(bytes))
-                           : Value::Blob(std::move(bytes)));
+        *cell = type == ColumnType::kString ? Value::String(std::move(bytes))
+                                            : Value::Blob(std::move(bytes));
         return q + u;
       }
     }
     return nullptr;
   };
   for (uint32_t r = 0; r < count; r++) {
-    Row& row = rows->emplace_back();
-    row.reserve(columns.size());
-    for (const Column& col : columns) {
-      p = cell(col.type, &row);
+    Row& row = rows->emplace_back(num_columns);
+    for (size_t c = 0; c < num_columns; c++) {
+      p = decode(columns[c].type, &row[c]);
       if (p == nullptr) {
         rows->pop_back();
         return Status::Corruption("bad cell in chunk row");

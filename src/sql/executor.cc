@@ -35,24 +35,13 @@ bool RowPasses(const Row& row, const std::vector<BoundCondition>& conds) {
   return true;
 }
 
-/// Streaming aggregate state for one select item within one group.
+/// Aggregate state for one select item within one group. COUNT needs none
+/// (the group's row count serves), SUM/AVG keep sums, and MIN/MAX point at
+/// the winning cell in the fetched rows, which outlive the aggregation.
 struct AggState {
-  uint64_t count = 0;
   int64_t int_sum = 0;
   double dbl_sum = 0;
-  Value min, max;
-  bool has_minmax = false;
-
-  void Add(const Value& v, bool is_double) {
-    count++;
-    if (!v.is_bytes()) {  // MIN/MAX apply to strings; sums never do.
-      if (is_double) dbl_sum += v.dbl();
-      else int_sum += v.AsInt();
-    }
-    if (!has_minmax || v.Compare(min) < 0) min = v;
-    if (!has_minmax || v.Compare(max) > 0) max = v;
-    has_minmax = true;
-  }
+  const Value* extreme = nullptr;
 };
 
 }  // namespace
@@ -198,37 +187,41 @@ Result<ResultSet> SqlSession::ExecuteSelect(const SelectStmt& stmt) {
   bounds.direction =
       stmt.order_descending ? Direction::kDescending : Direction::kAscending;
 
-  // Timestamp dimension: every ts condition narrows the box.
+  // Timestamp dimension: every ts condition narrows the box. A tighter
+  // endpoint replaces both the value and the inclusive flag; at an equal
+  // value the exclusive one is tighter. The box is then exactly the ts
+  // conditions' conjunction (`!=` aside), so they need no row filter.
   const size_t ts_idx = schema->ts_index();
-  for (const BoundCondition& c : conds) {
-    if (c.column_index != ts_idx) continue;
-    Timestamp v = c.value.AsInt();
+  auto raise_min = [&](Timestamp v, bool inclusive) {
+    if (v > bounds.min_ts || (v == bounds.min_ts && !inclusive)) {
+      bounds.min_ts = v;
+      bounds.min_ts_inclusive = inclusive;
+    }
+  };
+  auto lower_max = [&](Timestamp v, bool inclusive) {
+    if (v < bounds.max_ts || (v == bounds.max_ts && !inclusive)) {
+      bounds.max_ts = v;
+      bounds.max_ts_inclusive = inclusive;
+    }
+  };
+  // absorbed[i]: the box enforces conds[i] exactly.
+  std::vector<bool> absorbed(conds.size(), false);
+  for (size_t i = 0; i < conds.size(); i++) {
+    const BoundCondition& c = conds[i];
+    if (c.column_index != ts_idx || c.op == CompareOp::kNe) continue;
+    const Timestamp v = c.value.AsInt();
     switch (c.op) {
       case CompareOp::kEq:
-        bounds.min_ts = std::max(bounds.min_ts, v);
-        bounds.max_ts = std::min(bounds.max_ts, v);
+        raise_min(v, true);
+        lower_max(v, true);
         break;
-      case CompareOp::kGe:
-        bounds.min_ts = std::max(bounds.min_ts, v);
-        break;
-      case CompareOp::kGt:
-        if (v >= bounds.min_ts) {
-          bounds.min_ts = v;
-          bounds.min_ts_inclusive = false;
-        }
-        break;
-      case CompareOp::kLe:
-        bounds.max_ts = std::min(bounds.max_ts, v);
-        break;
-      case CompareOp::kLt:
-        if (v <= bounds.max_ts) {
-          bounds.max_ts = v;
-          bounds.max_ts_inclusive = false;
-        }
-        break;
-      case CompareOp::kNe:
-        break;  // Row filter only.
+      case CompareOp::kGe: raise_min(v, true); break;
+      case CompareOp::kGt: raise_min(v, false); break;
+      case CompareOp::kLe: lower_max(v, true); break;
+      case CompareOp::kLt: lower_max(v, false); break;
+      case CompareOp::kNe: break;
     }
+    absorbed[i] = true;
   }
 
   // Key dimension: equality run over leading key columns, then one range
@@ -236,22 +229,25 @@ Result<ResultSet> SqlSession::ExecuteSelect(const SelectStmt& stmt) {
   Key prefix;
   size_t key_col = 0;
   while (key_col + 1 < schema->num_key_columns()) {  // ts handled above.
-    const BoundCondition* eq = nullptr;
-    for (const BoundCondition& c : conds) {
-      if (c.column_index == key_col && c.op == CompareOp::kEq) {
-        eq = &c;
+    size_t eq = conds.size();
+    for (size_t i = 0; i < conds.size(); i++) {
+      if (conds[i].column_index == key_col && conds[i].op == CompareOp::kEq) {
+        eq = i;
         break;
       }
     }
-    if (!eq) break;
-    prefix.push_back(eq->value);
+    if (eq == conds.size()) break;
+    prefix.push_back(conds[eq].value);
+    absorbed[eq] = true;
     key_col++;
   }
   KeyBound min_kb{prefix, true}, max_kb{prefix, true};
   bool has_min = !prefix.empty(), has_max = !prefix.empty();
-  // Range conditions on the first non-equality key column.
+  // One range condition per side on the first non-equality key column (it
+  // has no equality, or the run above would have taken it).
   if (key_col + 1 < schema->num_key_columns()) {
-    for (const BoundCondition& c : conds) {
+    for (size_t i = 0; i < conds.size(); i++) {
+      const BoundCondition& c = conds[i];
       if (c.column_index != key_col) continue;
       switch (c.op) {
         case CompareOp::kGe:
@@ -260,6 +256,7 @@ Result<ResultSet> SqlSession::ExecuteSelect(const SelectStmt& stmt) {
             min_kb.prefix.push_back(c.value);
             min_kb.inclusive = c.op == CompareOp::kGe;
             has_min = true;
+            absorbed[i] = true;
           }
           break;
         case CompareOp::kLe:
@@ -268,16 +265,10 @@ Result<ResultSet> SqlSession::ExecuteSelect(const SelectStmt& stmt) {
             max_kb.prefix.push_back(c.value);
             max_kb.inclusive = c.op == CompareOp::kLe;
             has_max = true;
+            absorbed[i] = true;
           }
           break;
         case CompareOp::kEq:
-          if (min_kb.prefix.size() == prefix.size() &&
-              max_kb.prefix.size() == prefix.size()) {
-            min_kb.prefix.push_back(c.value);
-            max_kb.prefix.push_back(c.value);
-            has_min = has_max = true;
-          }
-          break;
         case CompareOp::kNe:
           break;
       }
@@ -290,9 +281,15 @@ Result<ResultSet> SqlSession::ExecuteSelect(const SelectStmt& stmt) {
       std::any_of(stmt.items.begin(), stmt.items.end(),
                   [](const SelectItem& i) { return i.func != AggFunc::kNone; });
 
+  // The row filter: the conditions the box does not enforce exactly.
+  std::vector<BoundCondition> filters;
+  for (size_t i = 0; i < conds.size(); i++) {
+    if (!absorbed[i]) filters.push_back(conds[i]);
+  }
+
   // Limit pushdown is only safe when no row filter can drop rows and no
   // aggregation consumes them.
-  if (stmt.limit > 0 && conds.empty() && !has_aggregates) {
+  if (stmt.limit > 0 && filters.empty() && !has_aggregates) {
     bounds.limit = stmt.limit;
   }
 
@@ -342,7 +339,7 @@ Result<ResultSet> SqlSession::ExecuteSelect(const SelectStmt& stmt) {
     int idx = schema->FindColumn(item.column);
     if (idx >= 0) referenced.push_back(static_cast<uint32_t>(idx));
   }
-  for (const BoundCondition& c : conds) {
+  for (const BoundCondition& c : filters) {
     referenced.push_back(static_cast<uint32_t>(c.column_index));
   }
   for (int g : group_cols) referenced.push_back(static_cast<uint32_t>(g));
@@ -389,7 +386,7 @@ Result<ResultSet> SqlSession::ExecuteSelect(const SelectStmt& stmt) {
       }
     }
     for (const Row& row : raw) {
-      if (!RowPasses(row, conds)) continue;
+      if (!RowPasses(row, filters)) continue;
       Row out;
       out.reserve(proj.size());
       for (int idx : proj) out.push_back(row[idx]);
@@ -403,7 +400,7 @@ Result<ResultSet> SqlSession::ExecuteSelect(const SelectStmt& stmt) {
   // ---- Aggregation (streaming over the key-sorted rows). ----
   struct ItemPlan {
     AggFunc func;
-    int column = -1;  // -1 for COUNT(*) / group column position.
+    int column = -1;  // Column index; -1 for COUNT(*).
     bool is_double = false;
   };
   std::vector<ItemPlan> plans;
@@ -445,99 +442,105 @@ Result<ResultSet> SqlSession::ExecuteSelect(const SelectStmt& stmt) {
     plans.push_back(plan);
   }
 
+  // Rows stream through in key order and the group columns are the
+  // leading key columns 0..g-1, so a group is a run of rows equal on them.
+  // The current group is its first row in `raw`, compared in place.
+  const size_t num_group_cols = group_cols.size();
+  auto same_group = [num_group_cols](const Row& a, const Row& b) {
+    for (size_t c = num_group_cols; c-- > 0;) {  // The last varies most.
+      if (a[c].Compare(b[c]) != 0) return false;
+    }
+    return true;
+  };
   std::vector<AggState> states(plans.size());
-  Row current_group;
-  bool in_group = false;
+  const Row* group = nullptr;
   uint64_t group_rows = 0;
 
   auto emit_group = [&]() {
     Row out;
+    out.reserve(plans.size());
     for (size_t i = 0; i < plans.size(); i++) {
       const ItemPlan& plan = plans[i];
       const AggState& st = states[i];
       switch (plan.func) {
-        case AggFunc::kNone: {
-          // Group column: position within group_cols == its column index.
-          size_t pos = std::find(group_cols.begin(), group_cols.end(),
-                                 plan.column) -
-                       group_cols.begin();
-          out.push_back(current_group[pos]);
+        case AggFunc::kNone:
+          out.push_back((*group)[plan.column]);
           break;
-        }
-        case AggFunc::kCount:
-          out.push_back(Value::Int64(
-              plan.column < 0 ? static_cast<int64_t>(group_rows)
-                              : static_cast<int64_t>(st.count)));
+        case AggFunc::kCount:  // No NULLs: COUNT(col) counts every row.
+          out.push_back(Value::Int64(static_cast<int64_t>(group_rows)));
           break;
         case AggFunc::kSum:
           out.push_back(plan.is_double ? Value::Double(st.dbl_sum)
                                        : Value::Int64(st.int_sum));
           break;
         case AggFunc::kMin:
-          out.push_back(st.has_minmax ? st.min : Value::Int64(0));
-          break;
-        case AggFunc::kMax:
-          out.push_back(st.has_minmax ? st.max : Value::Int64(0));
+        case AggFunc::kMax:  // Over no rows: the column type's default.
+          out.push_back(st.extreme ? *st.extreme
+                                   : DefaultValueFor(rs.types[i]));
           break;
         case AggFunc::kAvg: {
           double total = plan.is_double ? st.dbl_sum
                                         : static_cast<double>(st.int_sum);
           out.push_back(
-              Value::Double(st.count == 0 ? 0.0 : total / st.count));
+              Value::Double(group_rows == 0 ? 0.0 : total / group_rows));
           break;
         }
       }
     }
     rs.rows.push_back(std::move(out));
-    states.assign(plans.size(), AggState());
+    std::fill(states.begin(), states.end(), AggState());
     group_rows = 0;
   };
 
   for (const Row& row : raw) {
-    if (!RowPasses(row, conds)) continue;
-    // Group key for this row.
-    Row group;
-    group.reserve(group_cols.size());
-    for (int idx : group_cols) group.push_back(row[idx]);
-    bool same = in_group && group.size() == current_group.size();
-    if (same) {
-      for (size_t i = 0; i < group.size(); i++) {
-        if (group[i].Compare(current_group[i]) != 0) {
-          same = false;
-          break;
-        }
+    if (!RowPasses(row, filters)) continue;
+    if (group != nullptr && !same_group(row, *group)) {
+      emit_group();
+      if (stmt.limit > 0 && rs.rows.size() >= stmt.limit) {
+        group = nullptr;  // Stop before the group past the limit.
+        break;
       }
     }
-    if (in_group && !same) emit_group();
-    if (!in_group || !same) {
-      current_group = std::move(group);
-      in_group = true;
-    }
+    if (group_rows == 0) group = &row;
     group_rows++;
     for (size_t i = 0; i < plans.size(); i++) {
-      if (plans[i].func == AggFunc::kNone || plans[i].column < 0) continue;
-      const Value& v = row[plans[i].column];
-      if (plans[i].func == AggFunc::kCount) {
-        states[i].count++;
-      } else {
-        states[i].Add(v, plans[i].is_double);
+      const ItemPlan& plan = plans[i];
+      AggState& st = states[i];
+      switch (plan.func) {
+        case AggFunc::kSum:
+        case AggFunc::kAvg:
+          if (plan.is_double) {
+            st.dbl_sum += row[plan.column].dbl();
+          } else {
+            // Two's-complement wrap, not signed-overflow UB.
+            st.int_sum = static_cast<int64_t>(
+                static_cast<uint64_t>(st.int_sum) +
+                static_cast<uint64_t>(row[plan.column].AsInt()));
+          }
+          break;
+        case AggFunc::kMin:
+        case AggFunc::kMax: {
+          const Value& v = row[plan.column];
+          if (st.extreme == nullptr ||
+              (plan.func == AggFunc::kMin ? v.Compare(*st.extreme) < 0
+                                          : v.Compare(*st.extreme) > 0)) {
+            st.extreme = &v;
+          }
+          break;
+        }
+        case AggFunc::kNone:
+        case AggFunc::kCount:
+          break;
       }
     }
-    if (stmt.limit > 0 && rs.rows.size() >= stmt.limit) {
-      in_group = false;  // Drop the partial group past the limit.
-      break;
-    }
   }
-  if (in_group) {
+  if (group != nullptr) {
+    emit_group();
+  } else if (group_cols.empty() && rs.rows.empty()) {
     // Global aggregates (no GROUP BY) emit a row even for empty input;
     // grouped aggregates emit one row per observed group.
     emit_group();
-  } else if (group_cols.empty() && rs.rows.empty()) {
-    group_rows = 0;
-    current_group.clear();
-    emit_group();
   }
-  if (stmt.limit > 0 && rs.rows.size() > stmt.limit) rs.rows.resize(stmt.limit);
   finish_trace();
   return rs;
 }

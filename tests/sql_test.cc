@@ -177,6 +177,31 @@ TEST_F(SqlExecTest, WhereBecomesBoundingBox) {
   }
 }
 
+TEST_F(SqlExecTest, CombinedTsConditionsKeepTheTightestBound) {
+  Exec("CREATE TABLE m (id INT64, ts TIMESTAMP, v INT64, PRIMARY KEY (id, ts))");
+  Exec("INSERT INTO m VALUES (1, 10, 0), (1, 20, 0), (1, 30, 0)");
+  // The box holds each ts condition exactly, so a tighter endpoint must
+  // replace both its value and its inclusive flag, in either order.
+  struct Case {
+    const char* a;
+    const char* b;
+    std::vector<int64_t> want;
+  };
+  const Case cases[] = {{"ts > 10", "ts >= 20", {20, 30}},
+                        {"ts < 30", "ts <= 20", {10, 20}},
+                        {"ts > 10", "ts = 20", {20}}};
+  for (const Case& c : cases) {
+    for (bool swap : {false, true}) {
+      const std::string where = swap ? std::string(c.b) + " AND " + c.a
+                                     : std::string(c.a) + " AND " + c.b;
+      ResultSet rs = Exec("SELECT ts FROM m WHERE " + where);
+      std::vector<int64_t> got;
+      for (const Row& r : rs.rows) got.push_back(r[0].AsInt());
+      EXPECT_EQ(got, c.want) << where;
+    }
+  }
+}
+
 TEST_F(SqlExecTest, NonKeyFilterApplied) {
   Exec(
       "CREATE TABLE usage (network INT64, ts TIMESTAMP, bytes INT64, "
@@ -235,6 +260,20 @@ TEST_F(SqlExecTest, EmptyAggregateEmitsZeroRow) {
   // Grouped aggregates over nothing emit nothing.
   rs = Exec("SELECT id, COUNT(*) FROM m GROUP BY id");
   EXPECT_TRUE(rs.rows.empty());
+}
+
+TEST_F(SqlExecTest, EmptyMinMaxTakeTheColumnType) {
+  // No NULLs: MIN/MAX over no rows give the column type's default, so the
+  // result set still renders by its declared types.
+  Exec(
+      "CREATE TABLE m (id INT64, ts TIMESTAMP, s STRING, d DOUBLE, n INT32, "
+      "PRIMARY KEY (id, ts))");
+  ResultSet rs = Exec("SELECT MIN(s), MAX(d), MIN(n) FROM m");
+  ASSERT_EQ(rs.rows.size(), 1u);
+  EXPECT_EQ(rs.rows[0][0].bytes(), "");
+  EXPECT_EQ(rs.rows[0][1].dbl(), 0.0);
+  EXPECT_EQ(rs.rows[0][2].i32(), 0);
+  EXPECT_NE(rs.ToString().find("'' | 0 | 0"), std::string::npos);
 }
 
 TEST_F(SqlExecTest, OrderByKeyDescAndLimit) {

@@ -185,6 +185,12 @@ void BlockBuilder::Add(const Row& row) {
 }
 
 std::string BlockBuilder::Finish() {
+  std::string image;
+  FinishInto(&image);
+  return image;
+}
+
+void BlockBuilder::FinishInto(std::string* dst) {
   const size_t ncols = cols_.size();
   std::vector<std::string> stored(ncols);
   std::vector<uint8_t> encodings(ncols), markers(ncols);
@@ -226,16 +232,15 @@ std::string BlockBuilder::Finish() {
     }
   }
 
-  std::string image;
-  PutVarint32(&image, static_cast<uint32_t>(num_rows_));
-  PutVarint32(&image, static_cast<uint32_t>(ncols));
+  PutVarint32(dst, static_cast<uint32_t>(num_rows_));
+  PutVarint32(dst, static_cast<uint32_t>(ncols));
   for (size_t c = 0; c < ncols; c++) {
-    image.push_back(static_cast<char>(encodings[c]));
-    image.push_back(static_cast<char>(markers[c]));
-    PutVarint32(&image, static_cast<uint32_t>(stored[c].size()));
-    PutVarint32(&image, raw_lens[c]);
+    dst->push_back(static_cast<char>(encodings[c]));
+    dst->push_back(static_cast<char>(markers[c]));
+    PutVarint32(dst, static_cast<uint32_t>(stored[c].size()));
+    PutVarint32(dst, raw_lens[c]);
   }
-  for (size_t c = 0; c < ncols; c++) image += stored[c];
+  for (size_t c = 0; c < ncols; c++) *dst += stored[c];
 
   for (ColumnValues& col : cols_) {  // Keep the capacity for the next block.
     col.ints.clear();
@@ -244,7 +249,6 @@ std::string BlockBuilder::Finish() {
   }
   num_rows_ = 0;
   data_bytes_ = 0;
-  return image;
 }
 
 Status BlockContents::Parse(const Schema& schema, std::string in,
@@ -296,8 +300,9 @@ Status BlockContents::Parse(const Schema& schema, std::string in,
   return Status::OK();
 }
 
-Status BlockContents::ParseColumnar(std::string image, BlockContents* out) {
-  Slice in(image);
+Status BlockContents::ParseColumnar(std::string buf, BlockContents* out,
+                                    size_t image_start) {
+  Slice in(buf.data() + image_start, buf.size() - image_start);
   uint32_t nrows, ncols;
   if (!GetVarint32(&in, &nrows) || !GetVarint32(&in, &ncols)) {
     return Status::Corruption("columnar block header truncated");
@@ -341,14 +346,14 @@ Status BlockContents::ParseColumnar(std::string image, BlockContents* out) {
   if (total_stored != in.size()) {
     return Status::Corruption("chunk bytes do not cover block image");
   }
-  // Assign offsets relative to the image start now that the directory size
-  // is known.
-  uint32_t offset = static_cast<uint32_t>(in.data() - image.data());
+  // Assign offsets relative to the payload start now that the directory
+  // size is known.
+  uint32_t offset = static_cast<uint32_t>(in.data() - buf.data());
   for (ChunkRef& ref : chunks) {
     ref.offset = offset;
     offset += ref.stored_len;
   }
-  out->payload = std::move(image);
+  out->payload = std::move(buf);
   out->columnar = true;
   out->rows_ = nrows;
   out->columns_ = ncols;
@@ -650,23 +655,20 @@ Status BlockReader::SeekFirst(const Key& prefix, bool or_equal,
   return Status::OK();
 }
 
-std::string StoreBlockV2(const std::string& image) {
-  std::string out;
-  PutFixed32(&out, crc32c::Mask(crc32c::Value(image.data(), image.size())));
-  out += image;
-  return out;
-}
-
-Status LoadBlockV2(const Slice& stored, std::string* image) {
-  if (stored.size() < 4) return Status::Corruption("block frame too small");
-  image->assign(stored.data() + 4, stored.size() - 4);
-  return Status::OK();
+void StoreBlockV2(std::string* frame) {
+  const char* image = frame->data() + kBlockCrcBytes;
+  EncodeFixed32(frame->data(),
+                crc32c::Mask(crc32c::Value(
+                    image, frame->size() - kBlockCrcBytes)));
 }
 
 Status LoadBlock(const Slice& stored, std::string* payload) {
-  if (stored.size() < 4) return Status::Corruption("block frame too small");
+  if (stored.size() < kBlockCrcBytes) {
+    return Status::Corruption("block frame too small");
+  }
   payload->clear();
-  return lzmini::Decompress(Slice(stored.data() + 4, stored.size() - 4),
+  return lzmini::Decompress(Slice(stored.data() + kBlockCrcBytes,
+                                  stored.size() - kBlockCrcBytes),
                             payload);
 }
 

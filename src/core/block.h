@@ -87,6 +87,8 @@ class BlockBuilder {
   /// Completes the image and returns it; the builder resets for the next
   /// block.
   std::string Finish();
+  /// As Finish, but appends the image to `dst` (a frame being built).
+  void FinishInto(std::string* dst);
 
   /// Cumulative chunk bytes this builder stored raw vs. lzmini-compressed
   /// across all Finish calls — the per-table block_bytes_raw/compressed
@@ -124,12 +126,14 @@ struct BlockContents {
   struct ChunkRef {
     uint8_t encoding;     // ChunkEncoding byte (validated).
     uint8_t compression;  // 0 = raw, 1 = lzmini.
-    uint32_t offset;      // Chunk start within payload.
+    uint32_t offset;      // Chunk start within payload (not the image).
     uint32_t stored_len;
     uint32_t raw_len;
   };
   // ---- Columnar state (tablet format 2). ----
-  std::string payload;  // The columnar image (empty for row-wise blocks).
+  // The columnar image, maybe after its stored frame's CRC (empty for
+  // row-wise blocks).
+  std::string payload;
   std::vector<ChunkRef> chunks;
   bool columnar = false;
 
@@ -140,8 +144,11 @@ struct BlockContents {
                       BlockContents* out);
 
   /// Validates a columnar image's chunk directory (bounds, encoding bytes,
-  /// markers, exact coverage of the image) without decoding any chunk.
-  static Status ParseColumnar(std::string image, BlockContents* out);
+  /// markers, exact coverage of the image) without decoding any chunk. The
+  /// image is `buf` from byte `image_start` on (<= buf.size()); the
+  /// contents keep all of `buf`, so a stored frame parses with no copy.
+  static Status ParseColumnar(std::string buf, BlockContents* out,
+                              size_t image_start = 0);
 
   size_t num_rows() const { return rows_; }
   size_t num_columns() const { return columns_; }
@@ -290,16 +297,20 @@ class BlockReader {
   bool prepared_ = false;
 };
 
-/// Frames a columnar image (CRC + image; chunks are already individually
-/// compressed, so no whole-block pass).
-std::string StoreBlockV2(const std::string& image);
+/// Bytes of a stored block frame before its image or payload: the inner
+/// masked CRC.
+constexpr size_t kBlockCrcBytes = 4;
 
-/// Reverses StoreBlockV2. The caller has already checked the index CRC,
-/// which covers the whole frame, so the inner CRC is not checked again.
-Status LoadBlockV2(const Slice& stored, std::string* image);
+/// Frames a columnar image in place (CRC + image; chunks are already
+/// individually compressed, so no whole-block pass): `frame` holds
+/// kBlockCrcBytes of room, then the image, and the room gets the image's
+/// CRC. A reader parses the image out of the frame with
+/// BlockContents::ParseColumnar(frame, out, kBlockCrcBytes), skipping the
+/// inner CRC: the index CRC it has already checked covers the whole frame.
+void StoreBlockV2(std::string* frame);
 
 /// Unframes and decompresses a format-1 row-wise block (inner CRC + lzmini
-/// payload); the inner CRC is skipped as for LoadBlockV2.
+/// payload); the inner CRC is skipped as for format 2.
 Status LoadBlock(const Slice& stored, std::string* payload);
 
 }  // namespace lt

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <new>
+#include <string>
 
 #include "core/row_codec.h"
 
@@ -42,11 +43,13 @@ struct MemTablet::Node {
 
 namespace {
 
-// The last node (or `head`) in key order for which `pred` holds; `pred` must
-// be monotone — true up to some point in key order, false after. Records the
-// level-by-level predecessors in `prev` when non-null.
+// The last node (or `head`) in key order for which `pred` holds, among the
+// nodes on level `bottom` (< height); `pred` must be monotone — true up to
+// some point in key order, false after. Records the level-by-level
+// predecessors from `bottom` up in `prev` when non-null.
 template <typename Node, typename Pred>
-Node* LastWhere(Node* head, int height, Pred&& pred, Node** prev = nullptr) {
+Node* LastWhere(Node* head, int height, Pred&& pred, Node** prev = nullptr,
+                int bottom = 0) {
   Node* x = head;
   for (int level = height - 1;;) {
     Node* next = x->Next(level);
@@ -54,7 +57,7 @@ Node* LastWhere(Node* head, int height, Pred&& pred, Node** prev = nullptr) {
       x = next;
     } else {
       if (prev != nullptr) prev[level] = x;
-      if (level == 0) return x;
+      if (level == bottom) return x;
       level--;
     }
   }
@@ -69,7 +72,7 @@ MemTablet::MemTablet(uint64_t id, std::shared_ptr<const Schema> schema,
       order_(*schema_),
       period_(period),
       created_at_(created_at),
-      tails_(kInitialTailSlots, Tail{0, nullptr}),
+      tails_(kInitialTailSlots, Tail{0, nullptr, nullptr, 1}),
       parsed_key_(schema_->num_key_columns()) {
   char* mem = Allocate(sizeof(Node) + kMaxHeight * sizeof(std::atomic<Node*>));
   head_ = new (mem) Node{nullptr, 0, 0, nullptr};
@@ -167,8 +170,9 @@ bool MemTablet::InsertEncoded(const Slice& row) {
   const Timestamp ts = key[nkey - 1].i;
   const uint64_t hash = SeriesHash(key);
   const size_t slot = FindTail(key, hash);
-  Node* const tail = tails_[slot].node;
-  const bool newest = tail != nullptr && ts > tail->key[nkey - 1].i;
+  Tail& series = tails_[slot];
+  const bool newest =
+      series.node != nullptr && ts > series.node->key[nkey - 1].i;
 
   Node* prev[kMaxHeight] = {};
   const int height_now = max_height_.load(std::memory_order_relaxed);
@@ -177,14 +181,17 @@ bool MemTablet::InsertEncoded(const Slice& row) {
   };
   int height;
   if (newest) {
-    // Newer than every row of its series: the tail is the level-0
-    // predecessor and no row can share the key. Only a taller node needs
-    // its upper predecessors searched.
+    // Newer than every row of its series, so no row can share the key.
+    // Every node after the series' tall node up to the tail is a height-1
+    // node of the series: the tail is the level-0 predecessor and the tall
+    // node the predecessor on each level below its height. Only the levels
+    // above those are searched, and the search stops there.
     height = RandomHeight();
-    if (height == 1) {
-      prev[0] = tail;
-    } else {
-      LastWhere(head_, height_now, before, prev);
+    prev[0] = series.node;
+    const int known = std::min(height, series.tall_height);
+    for (int i = 1; i < known; i++) prev[i] = series.tall;
+    if (height > known && height_now > known) {
+      LastWhere(head_, height_now, before, prev, known);
     }
   } else {
     Node* x = LastWhere(head_, height_now, before, prev);
@@ -219,20 +226,25 @@ bool MemTablet::InsertEncoded(const Slice& row) {
     prev[i]->links()[i].store(node, std::memory_order_release);
   }
 
-  if (newest) {
-    tails_[slot].node = node;
-  } else if (tail == nullptr) {
-    tails_[slot] = Tail{hash, node};
-    if (++num_tails_ * 2 > tails_.size()) {
-      std::vector<Tail> old = std::move(tails_);
-      tails_.assign(old.size() * 2, Tail{0, nullptr});
-      const size_t mask = tails_.size() - 1;
-      for (const Tail& t : old) {
-        if (t.node == nullptr) continue;
-        size_t i = t.hash & mask;
-        while (tails_[i].node != nullptr) i = (i + 1) & mask;
-        tails_[i] = t;
-      }
+  const bool new_series = series.node == nullptr;
+  if (new_series) series.hash = hash;
+  if (new_series || newest) series.node = node;
+  // The tall node is the series' last node of height 2 or more: a taller
+  // newest row always becomes it, an out-of-order one only past it.
+  if (height > 1 &&
+      (series.tall == nullptr || ts > series.tall->key[nkey - 1].i)) {
+    series.tall = node;
+    series.tall_height = height;
+  }
+  if (new_series && ++num_tails_ * 2 > tails_.size()) {
+    std::vector<Tail> old = std::move(tails_);
+    tails_.assign(old.size() * 2, Tail{0, nullptr, nullptr, 1});
+    const size_t mask = tails_.size() - 1;
+    for (const Tail& t : old) {
+      if (t.node == nullptr) continue;
+      size_t i = t.hash & mask;
+      while (tails_[i].node != nullptr) i = (i + 1) & mask;
+      tails_[i] = t;
     }
   }
   if (seq == 0) {
@@ -256,6 +268,36 @@ bool MemTablet::ContainsKey(const KeyCell* key) const {
       [&](const Node* n) { return order_.Compare(n->key, key, nkey) < 0; });
   const Node* at = x->Next(0);
   return at != nullptr && order_.Compare(at->key, key, nkey) == 0;
+}
+
+Status MemTablet::CheckLinksForTest() const {
+  const size_t nkey = parsed_key_.size();
+  auto fail = [](int level, const Node* n, const char* what) {
+    return Status::Corruption("level " + std::to_string(level) + ", row " +
+                              std::to_string(n->seq) + ": " + what);
+  };
+  const int height = max_height_.load(std::memory_order_relaxed);
+  for (int level = 0; level < height; level++) {
+    const Node* below = head_;  // Walks the level below alongside.
+    const Node* prev = nullptr;
+    for (const Node* n = head_->Next(level); n != nullptr;
+         prev = n, n = n->Next(level)) {
+      if (prev != nullptr && order_.Compare(prev->key, n->key, nkey) >= 0) {
+        return fail(level, n, "not after its predecessor");
+      }
+      if (level == 0) continue;
+      // The level below is ascending (checked first), so once it passes
+      // n's key, n is not on it.
+      while (below != n) {
+        below = below->Next(level - 1);
+        if (below == nullptr ||
+            (below != n && order_.Compare(below->key, n->key, nkey) >= 0)) {
+          return fail(level, n, "missing from the level below");
+        }
+      }
+    }
+  }
+  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------

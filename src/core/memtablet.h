@@ -28,11 +28,15 @@
 //
 // Series tails (§3.4.4). A series is one key prefix: every key column but
 // ts. Almost every row is newer than every earlier row of its series, so
-// the writer keeps, per series, the node of its newest row in an
+// the writer keeps, per series, the node of its newest row (the tail) and
+// the series' last node of height 2 or more (the tall node) in an
 // open-addressing table. A row newer than its series' tail needs no search
-// to prove it unique, and is linked after the tail (a height-1 node with no
-// search at all). Only the writer touches the table: readers and cursors
-// never do.
+// to prove it unique. Every node between the tall node and the tail is a
+// height-1 node of the series, so the new node links after the tail on
+// level 0 and after the tall node on each level below the tall node's
+// height, with no search; only the levels above those are searched (about
+// one tall append in five). Only the writer touches the table: readers and
+// cursors never do.
 #ifndef LITTLETABLE_CORE_MEMTABLET_H_
 #define LITTLETABLE_CORE_MEMTABLET_H_
 
@@ -87,6 +91,13 @@ class MemTablet {
   Timestamp min_ts() const { return min_ts_; }
   Timestamp max_ts() const { return max_ts_; }
 
+  /// Checks the skiplist's links: every level strictly ascending under
+  /// KeyOrder, and each level a sublist of the level below. A mis-linked
+  /// upper level leaves every answer right (searches finish on level 0),
+  /// so only this check sees it. Writer-side: call it with no insert
+  /// running.
+  Status CheckLinksForTest() const;
+
  private:
   friend class MemTabletCursor;
   struct Node;
@@ -94,7 +105,9 @@ class MemTablet {
   // One slot of the series-tail table; node is null in an empty slot.
   struct Tail {
     uint64_t hash;
-    Node* node;
+    Node* node;       // The series' newest row.
+    Node* tall;       // Its last node of height >= 2, or null.
+    int tall_height;  // tall's height; 1 when tall is null.
   };
 
   /// Bump allocation from the arena, aligned for nodes.

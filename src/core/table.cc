@@ -741,14 +741,14 @@ void Table::RunInsertGroup(const std::vector<InsertWaiter*>& group) {
     view.has_rows = has_rows_;
     view.max_row_ts = max_row_ts_;
   }
-  std::vector<Timestamp> row_ts(group_rows);  // Per group row, queue order.
-  std::vector<KeyCell> cells(nkey);
+  // Per group row, in queue order: its ts and its key bytes' length (the
+  // key is a prefix of the row). cells holds one batch's key cells.
+  std::vector<Timestamp> row_ts(group_rows);
+  std::vector<uint32_t> key_len(group_rows);
+  std::vector<KeyCell> cells;
   std::vector<uint32_t> ends(nkey);
-  // The key bytes of `rows`' row i (a prefix of the row); fills cells.
-  auto parse_key = [&](const EncodedRows& rows, size_t i) {
-    Slice row = rows.row(i), in = row;
-    ParseRow(&in, *schema, cells.data(), ends.data());
-    return Slice(row.data(), ends[nkey - 1]);
+  auto key_of = [&](const InsertWaiter& w, size_t i) {
+    return Slice(w.rows->row(i).data(), key_len[w.first_row + i]);
   };
   std::vector<InsertWaiter*> accepted;
   size_t first_row = 0;
@@ -760,20 +760,26 @@ void Table::RunInsertGroup(const std::vector<InsertWaiter*>& group) {
     if (rows.schema_version != schema->version()) {
       s = Status::InvalidArgument("row does not match table schema");
     }
+    // Every row is validated before any duplicate check, so a malformed
+    // row anywhere fails its batch as InvalidArgument.
+    cells.resize(rows.size() * nkey);
     for (size_t i = 0; s.ok() && i < rows.size(); i++) {
       Slice in = rows.row(i);
-      if (!ParseRow(&in, *schema).ok() || !in.empty()) {
+      KeyCell* key = &cells[i * nkey];
+      if (!ParseRow(&in, *schema, key, ends.data()).ok() || !in.empty()) {
         s = Status::InvalidArgument("row does not match table schema");
+        break;
       }
+      key_len[w->first_row + i] = ends[nkey - 1];
+      row_ts[w->first_row + i] = key[nkey - 1].i;
     }
     for (size_t i = 0; s.ok() && i < rows.size(); i++) {
-      if (!group_keys.Insert(parse_key(rows, i))) {
+      if (!group_keys.Insert(key_of(*w, i))) {
         stats_.duplicates_rejected.fetch_add(1);
         s = Status::AlreadyExists("duplicate key within batch");
         break;
       }
-      row_ts[w->first_row + i] = cells[nkey - 1].i;
-      s = CheckUnique(*schema, cells.data(), &view);
+      s = CheckUnique(*schema, &cells[i * nkey], &view);
     }
     w->status = s;
     if (s.ok()) {
@@ -782,7 +788,7 @@ void Table::RunInsertGroup(const std::vector<InsertWaiter*>& group) {
       group_keys.Clear();
       for (InsertWaiter* a : accepted) {
         for (size_t i = 0; i < a->rows->size(); i++) {
-          group_keys.Insert(parse_key(*a->rows, i));
+          group_keys.Insert(key_of(*a, i));
         }
       }
     }

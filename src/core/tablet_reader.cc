@@ -661,15 +661,15 @@ Status TabletReader::ReadBlock(size_t i, BlockReader* out,
   if (crc32c::Unmask(e.crc) != crc32c::Value(stored.data(), stored.size())) {
     return Status::Corruption(fname_ + ": block checksum mismatch");
   }
-  std::string payload;
   auto contents = std::make_unique<BlockContents>();
   if (format_version_ == 2) {
-    LT_RETURN_IF_ERROR(LoadBlockV2(stored, &payload));
-    if (payload.size() != e.payload_len) {
+    if (stored.size() != kBlockCrcBytes + size_t{e.payload_len}) {
       return Status::Corruption(fname_ + ": block payload size mismatch");
     }
-    LT_RETURN_IF_ERROR(
-        BlockContents::ParseColumnar(std::move(payload), contents.get()));
+    // The image is parsed out of the frame as read: the contents keep buf.
+    if (stored.data() != buf.data()) buf.assign(stored.data(), stored.size());
+    LT_RETURN_IF_ERROR(BlockContents::ParseColumnar(
+        std::move(buf), contents.get(), kBlockCrcBytes));
     // Cross-check the (CRC-protected) chunk directory against the
     // (checksummed) footer index and the tablet schema before any chunk
     // decodes trust its row count.
@@ -677,6 +677,7 @@ Status TabletReader::ReadBlock(size_t i, BlockReader* out,
       return Status::Corruption(fname_ + ": block chunk count mismatch");
     }
   } else {
+    std::string payload;
     LT_RETURN_IF_ERROR(LoadBlock(stored, &payload));
     if (payload.size() != e.payload_len) {
       return Status::Corruption(fname_ + ": block payload size mismatch");

@@ -154,16 +154,16 @@ Status TabletWriter::FlushBlock() {
   entry.last_key = last_key_;
   entry.offset = file_offset_;
   entry.row_count = static_cast<uint32_t>(block_.num_rows());
-  std::string payload = block_.Finish();
-  entry.payload_len = static_cast<uint32_t>(payload.size());
-  // The chunks of the columnar image are already individually compressed,
-  // so the frame skips a whole-block pass.
-  std::string stored = StoreBlockV2(payload);
-  entry.stored_len = static_cast<uint32_t>(stored.size());
-  entry.crc = crc32c::Mask(crc32c::Value(stored.data(), stored.size()));
+  // The image is built after the frame's CRC room, and framed in place.
+  frame_.assign(kBlockCrcBytes, '\0');
+  block_.FinishInto(&frame_);
+  StoreBlockV2(&frame_);
+  entry.payload_len = static_cast<uint32_t>(frame_.size() - kBlockCrcBytes);
+  entry.stored_len = static_cast<uint32_t>(frame_.size());
+  entry.crc = crc32c::Mask(crc32c::Value(frame_.data(), frame_.size()));
   LT_CRASH_POINT("tablet_writer:block_append");
-  LT_RETURN_IF_ERROR(file_->Append(stored));
-  file_offset_ += stored.size();
+  LT_RETURN_IF_ERROR(file_->Append(frame_));
+  file_offset_ += frame_.size();
   index_.push_back(std::move(entry));
   return Status::OK();
 }

@@ -136,6 +136,7 @@ class TabletWriter {
   Status open_status_;
 
   BlockBuilder block_;
+  std::string frame_;  // The stored frame of the block being written.
   std::vector<IndexEntry> index_;
   BloomFilterBuilder bloom_;
   KeyOrder order_;

@@ -6,8 +6,12 @@
 // out-of-order rows and exact duplicates, over key prefixes of each key
 // type, two-column prefixes, and a ts-only key (one series). Thousands of
 // inserts per run give nodes of every height, so the tail path links both
-// height-1 nodes (no search) and taller ones (a search for the upper
-// levels). The sanitizer CI job runs it under ASan/UBSan.
+// height-1 nodes and taller ones: after the series' last tall node below
+// its height, and by a search only above it. Every scan check also checks
+// the order of each skiplist level, which a stale tall node breaks while
+// every answer stays right; one sequence puts tall out-of-order rows
+// between a series' tall node and its tail. The sanitizer CI job runs it
+// under ASan/UBSan.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -99,9 +103,12 @@ class MemTabletDiff {
     return mt_->ContainsKey(cells.data());
   }
 
-  // Every row, in both directions, and the row count and timespan.
+  // Every row, in both directions, the row count and timespan, and the
+  // order of every skiplist level.
   void CheckScan() const {
     ASSERT_EQ(mt_->num_rows(), model_.size());
+    const Status links = mt_->CheckLinksForTest();
+    ASSERT_TRUE(links.ok()) << links.ToString();
     std::vector<Row> want(model_.begin(), model_.end());
     if (!want.empty()) {
       Timestamp lo = want[0][schema_->ts_index()].i64(), hi = lo;
@@ -243,6 +250,36 @@ TEST(MemTabletDiffTest, TwoColumnPrefixes) {
 TEST(MemTabletDiffTest, TsOnlyKeyIsOneSeries) {
   for (uint64_t seed = 51; seed <= 54; seed++) {
     RunSequence({}, seed, 4000, 1);
+  }
+}
+
+TEST(MemTabletDiffTest, OutOfOrderRowsBetweenTallNodeAndTail) {
+  // Each series appends rows two apart and fills the odd gaps among its
+  // newest few rows out of order, so out-of-order rows (a quarter of them
+  // tall) land between the series' last tall node and its tail, and the
+  // tail appends after them must link past them on every level.
+  for (uint64_t seed = 61; seed <= 64; seed++) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    MemTabletDiff diff(PrefixSchema({ColumnType::kInt64}));
+    Random rnd(seed);
+    std::vector<Timestamp> newest(8, 8);
+    for (int op = 0; op < 4000; op++) {
+      const size_t s = rnd.Uniform(newest.size());
+      Timestamp ts;
+      if (rnd.Uniform(5) < 3) {
+        ts = newest[s] += 2;
+      } else {
+        ts = newest[s] - 1 - 2 * static_cast<Timestamp>(rnd.Uniform(4));
+      }
+      diff.Insert({Value::Int64(static_cast<int64_t>(s)), Value::Ts(ts),
+                   Value::Int64(op)});
+      if (testing::Test::HasFatalFailure()) return;
+      if (op % 499 == 0) {
+        diff.CheckScan();
+        if (testing::Test::HasFatalFailure()) return;
+      }
+    }
+    diff.CheckScan();
   }
 }
 

@@ -5,8 +5,9 @@
 // ordered keys and exactly the rows inserted below the watermark. One case
 // scatters every row into a series of its own (the searched insert path);
 // the other appends each row after its series' newest row (the series-tail
-// path, which links most nodes with no search). Labeled `stress`, so the
-// TSan CI job runs it.
+// path, which links most nodes with no search). Each hammer ends with the
+// link-order check of every skiplist level. Labeled `stress`, so the TSan
+// CI job runs it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -132,6 +133,8 @@ void Hammer(Row (*row_at)(int)) {
   for (std::thread& t : readers) t.join();
   EXPECT_EQ(mt->num_rows(), static_cast<size_t>(kRows));
   EXPECT_GT(scans.load(), 0);
+  const Status links = mt->CheckLinksForTest();
+  EXPECT_TRUE(links.ok()) << links.ToString();
 }
 
 TEST(MemTabletStressTest, ReadersSeeExactlyTheRowsBelowTheirWatermark) {

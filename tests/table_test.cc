@@ -539,6 +539,28 @@ TEST_F(TableTest, InsertRejectsSchemaViolations) {
   EXPECT_TRUE(table_->InsertBatch({wrong_type}).IsInvalidArgument());
 }
 
+TEST_F(TableTest, MalformedEncodedRowFailsItsBatchBeforeDuplicateChecks) {
+  // Every row is validated before any row is checked for uniqueness, so a
+  // malformed row anywhere fails the batch as InvalidArgument, even after
+  // a duplicate of a stored row, and nothing of the batch is applied.
+  const Timestamp t = Now();
+  ASSERT_TRUE(Insert(1, 1, t).ok());
+  const Schema& schema = *table_->schema();
+  std::string trailing;  // A whole row with a byte after it.
+  EncodeRow(&trailing, schema, UsageRow(1, 3, t, 0, 0));
+  trailing.push_back('\0');
+  for (const std::string& bad : {std::string("\x01"), trailing}) {
+    EncodedRows rows;
+    rows.Clear(schema.version());
+    rows.Add(schema, UsageRow(1, 1, t, 0, 0));  // Already stored.
+    rows.Add(schema, UsageRow(1, 2, t, 0, 0));
+    rows.AddEncoded(bad);
+    EXPECT_TRUE(table_->InsertEncoded(rows).IsInvalidArgument());
+  }
+  EXPECT_EQ(table_->stats().duplicates_rejected.load(), 0u);
+  EXPECT_EQ(Query(QueryBounds::ForPrefix({Value::Int64(1)})).size(), 1u);
+}
+
 TEST_F(TableTest, ScanStatsTrackEfficiencyRatio) {
   // Insert two interleaved device series in one tablet; querying a narrow
   // time slice scans rows outside it (Figure 9's numerator).
